@@ -1,10 +1,11 @@
 """Monte Carlo time averages over joinings, with convergence and invariance diagnostics.
 
 Every estimator follows the same discipline: group elements are evaluated
-exactly at rational grid times and floated once, the composite midpoint rule
-handles the time integral, and each estimate carries the Monte Carlo standard
-error of its per-sample time averages.  Fixed seed and draw order make every
-number bit-reproducible.
+exactly along the arithmetic time grid (midpoints for the averages, half
+steps for correlation trajectories) and each coordinate is floated once, the
+composite midpoint rule handles the time integral, and each estimate carries
+the Monte Carlo standard error of its per-sample time averages.  Fixed seed
+and draw order make every number bit-reproducible.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .dynamics import (
 )
 from .lie_core import GroupElement, bch_product, group_inverse, identity
 from .pet import PolyFamily
-from .poly_maps import PolyMap
+from .poly_maps import PolyMap, substitute
 from .zariski import MeagreSet, generic_sample, is_proper, vanishing_variety
 
 Rational = Union[int, str, Fraction]
@@ -117,24 +118,61 @@ def _step_count(T: Rational, dt: Fraction) -> int:
     return int(steps)
 
 
-def _midpoint_times(steps: int, dt: Fraction) -> List[Fraction]:
-    return [(Fraction(2 * j + 1, 2)) * dt for j in range(steps)]
+def _scan_steps(t_grid: Sequence[Rational], dt: Rational) -> Tuple[Fraction, List[int]]:
+    """Exact dt and the midpoint step count of every horizon, validated."""
+    dt = _to_fraction(dt)
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if not t_grid:
+        raise ValueError("horizon grid is empty")
+    snapshots = [_step_count(T, dt) for T in t_grid]
+    if any(b <= a for a, b in zip(snapshots, snapshots[1:])):
+        raise ValueError("horizon grid must be strictly increasing")
+    return dt, snapshots
 
 
 def _flow_elements(
-    phi: PolyMap, h: Sequence[Rational], times: Sequence[Fraction]
+    phi: PolyMap, h: Sequence[Rational], start: Fraction, step: Fraction, count: int
 ) -> List[GroupElement]:
+    """phi(start + j*step, h) for j = 0..count-1, exactly.
+
+    The parameters are pinned once, leaving one polynomial in t per
+    coordinate.  With t_j = (a + j*b)/q and a coordinate's coefficients
+    scaled to integers over a common denominator D, the value at t_j is the
+    integer Horner sum N_j over D*q^d, so each element costs d integer
+    multiply-adds and one Fraction, and equals phi.eval at t_j exactly.
+    """
     params = phi.vars[1:]
     h = tuple(_to_fraction(v) for v in h)
     if len(h) != len(params):
         raise ValueError(f"parameter point has arity {len(h)}, map needs {len(params)}")
-    fixed = dict(zip(params, h))
-    out = []
-    for t in times:
-        point = {phi.vars[0]: t}
-        point.update(fixed)
-        out.append(phi.eval(point))
-    return out
+    pinned = substitute(phi, dict(zip(params, h)), new_variables=phi.vars[:1])
+    q = math.lcm(start.denominator, step.denominator)
+    a = start.numerator * (q // start.denominator)
+    b = step.numerator * (q // step.denominator)
+    xs = range(a, a + count * b, b)
+    columns = []
+    for poly in pinned.coords:
+        if poly.is_constant():
+            columns.append([poly.constant_value()] * count)
+            continue
+        coefs = {exp[0]: coef for exp, coef in poly.terms.items()}
+        d = max(coefs)
+        D = math.lcm(*(c.denominator for c in coefs.values()))
+        # N(x) = sum_k D*c_k * x^k * q^(d-k), from the top coefficient down
+        scaled = [
+            coefs[k].numerator * (D // coefs[k].denominator) * q ** (d - k) if k in coefs else 0
+            for k in range(d, -1, -1)
+        ]
+        den = D * q**d
+        column = []
+        for x in xs:
+            n = 0
+            for c in scaled:
+                n = n * x + c
+            column.append(Fraction(n, den))
+        columns.append(column)
+    return [GroupElement(phi.algebra, coords) for coords in zip(*columns)]
 
 
 # ----------------------------------------------------------------------
@@ -245,15 +283,7 @@ def _prepare_scan(joining, family, fns, t_grid, dt):
     for i, phi in enumerate(family, start=1):
         if phi.algebra != joining.systems[i].algebra:
             raise ValueError(f"family member {i - 1} does not match factor {i}'s algebra")
-    dt = _to_fraction(dt)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if not t_grid:
-        raise ValueError("horizon grid is empty")
-    snapshots = [_step_count(T, dt) for T in t_grid]
-    if any(b <= a for a, b in zip(snapshots, snapshots[1:])):
-        raise ValueError("horizon grid must be strictly increasing")
-    return dt, snapshots
+    return _scan_steps(t_grid, dt)
 
 
 def convergence_scan(
@@ -269,8 +299,7 @@ def convergence_scan(
 ) -> AverageReport:
     """Joint average per horizon in one pass, sharing draws and quadrature."""
     dt_f, snapshots = _prepare_scan(joining, family, fns, t_grid, dt)
-    times = _midpoint_times(snapshots[-1], dt_f)
-    flows = [_flow_elements(phi, h, times) for phi in family]
+    flows = [_flow_elements(phi, h, dt_f / 2, dt_f, snapshots[-1]) for phi in family]
     factors = _draw_factors(joining, n_samples, seed)
     per_snap = _per_sample_averages(joining.systems, flows, fns, factors, snapshots, threads)
     stats = [_mean_and_se(per_snap[s]) for s in snapshots]
@@ -323,8 +352,7 @@ def invariance_check(
     """
     t_grid = list(T) if isinstance(T, (list, tuple)) else [T]
     dt_f, snapshots = _prepare_scan(joining, family, fns, t_grid, dt)
-    times = _midpoint_times(snapshots[-1], dt_f)
-    base_flows = [_flow_elements(phi, h, times) for phi in family]
+    base_flows = [_flow_elements(phi, h, dt_f / 2, dt_f, snapshots[-1]) for phi in family]
     factors = _draw_factors(joining, n_samples, seed)
 
     def estimates_for(flows: Sequence[Sequence[GroupElement]]) -> List[float]:
@@ -396,11 +424,10 @@ def flow_correlation_trajectory(
     """Empirical correlation a(t) = mean_x f(u^{phi(t)}x) f(x) on the half-step grid."""
     dt_f = _to_fraction(dt)
     count = 2 * (_step_count(T, dt_f) + _step_count(S, dt_f))
-    times = [Fraction(k) * dt_f / 2 for k in range(count + 1)]
-    flow = _flow_elements(phi, h, times)
+    flow = _flow_elements(phi, h, Fraction(0), dt_f / 2, count + 1)
     pts = haar_array(sys, seed, n_samples)
     static = eval_fn_array(f, pts)
-    out = np.empty(len(times))
+    out = np.empty(len(flow))
     for j, g in enumerate(flow):
         out[j] = float((eval_fn_array(f, act_array(sys, g, pts)) * static).mean())
     return out
@@ -452,17 +479,9 @@ def mean_ergodic_base(
     """
     if phi.algebra != sys.algebra:
         raise ValueError("flow does not match system algebra")
-    dt_f = _to_fraction(dt)
-    if dt_f <= 0:
-        raise ValueError("dt must be positive")
-    if not t_grid:
-        raise ValueError("horizon grid is empty")
+    dt_f, snapshots = _scan_steps(t_grid, dt)
     h = tuple(_to_fraction(v) for v in h)
-    snapshots = [_step_count(T, dt_f) for T in t_grid]
-    if any(b <= a for a, b in zip(snapshots, snapshots[1:])):
-        raise ValueError("horizon grid must be strictly increasing")
-    times = _midpoint_times(snapshots[-1], dt_f)
-    flow = _flow_elements(phi, h, times)
+    flow = _flow_elements(phi, h, dt_f / 2, dt_f, snapshots[-1])
     pts = haar_array(sys, seed, n_samples)
     if sys.kind == "torus":
         constant_one = TestFunction("torus_character", (0,) * sys.dim)

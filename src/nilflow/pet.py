@@ -30,6 +30,12 @@ from .lie_core import algebra_to_json_dict
 
 MAX_MATCHING_FAMILY = 12
 
+# Cap on one PET level's size: coordinate terms summed over its members.
+# The descents in the test pools and the benchmark peak at 192.  A family
+# with a long descent can instead double in size each level and exhaust
+# memory long before max_depth stops it.
+MAX_LEVEL_TERMS = 10_000
+
 
 @dataclass(frozen=True, order=False)
 class Weight:
@@ -455,9 +461,10 @@ def _descent_certificate(derived: Summary, current: Summary) -> dict:
 def pet_trace(family: PolyFamily, max_depth: int = 64) -> PETTrace:
     """Run the induction: drop constants, derive at a pivot, certify, repeat.
 
-    Stops when at most one member remains.  A depth overrun raises
-    TruncationError; a failed descent check raises CertificateError.
-    Leading terms are taken once per member per level.
+    Stops when at most one member remains.  A depth overrun, or a level
+    about to be derived that holds more than MAX_LEVEL_TERMS coordinate
+    terms, raises TruncationError; a failed descent check raises
+    CertificateError.  Leading terms are taken once per member per level.
     """
     steps: List[PETStep] = []
     current = _merge_members((phi, 1) for phi in family)
@@ -467,6 +474,12 @@ def pet_trace(family: PolyFamily, max_depth: int = 64) -> PETTrace:
         dropped = sum(mult for (_, mult), info in zip(current, infos) if info is None)
         if sum(mult for _, mult in active) <= 1:
             return PETTrace(tuple(steps), tuple(active), dropped)
+        terms = sum(len(c.terms) for phi, _ in active for c in phi.coords)
+        if terms > MAX_LEVEL_TERMS:
+            raise TruncationError(
+                f"PET family at depth {len(steps)} has {terms} coordinate terms, "
+                f"over the cap of {MAX_LEVEL_TERMS}"
+            )
         infos = [info for info in infos if info is not None]
         p = _pivot_index(infos)
         derived = _derive_members(active, p)

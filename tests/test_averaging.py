@@ -1,6 +1,7 @@
 """Joint time averages: normalization, oracles, invariance, correlation test."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from nilflow.averaging import (
     AverageReport,
+    _flow_elements,
     JoiningSpec,
     convergence_scan,
     flow_correlation_trajectory,
@@ -301,6 +303,67 @@ def test_flow_correlation_trajectory_tracks_rotation():
 
 
 # ----------------------------------------------------------------------
+# exact flow evaluation along the time grid
+
+
+def eval_along(phi, h, start, step, count):
+    fixed = dict(zip(phi.vars[1:], h))
+    return [phi.eval({phi.vars[0]: start + j * step, **fixed}) for j in range(count)]
+
+
+def random_flow(alg, rng, n_params):
+    variables = ("t",) + tuple(f"h{i}" for i in range(n_params))
+    coords = []
+    for _ in range(alg.dim):
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            exp = (rng.randint(0, 4),) + tuple(rng.randint(0, 2) for _ in range(n_params))
+            terms[exp] = Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+        coords.append(MultiPoly(variables, terms))
+    return PolyMap(alg, variables, coords)
+
+
+@pytest.mark.parametrize("alg", [A2, H3], ids=["torus", "heisenberg"])
+def test_flow_elements_equal_exact_eval_on_both_grids(alg):
+    rng = random.Random(alg.dim)
+    for _ in range(40):
+        n_params = rng.randint(0, 2)
+        phi = random_flow(alg, rng, n_params)
+        h = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n_params)]
+        dt = Fraction(rng.randint(1, 5), rng.randint(1, 30))
+        # the midpoint grid, the half-step grid from 0, and an arbitrary one
+        offset = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        for start, step in ((dt / 2, dt), (Fraction(0), dt / 2), (offset, dt)):
+            assert _flow_elements(phi, h, start, step, 30) == eval_along(phi, h, start, step, 30)
+
+
+def test_flow_elements_zero_constant_and_negative_coordinates():
+    v = ("t", "a")
+    phi = PolyMap(
+        H3,
+        v,
+        [
+            MultiPoly.zero(v),
+            MultiPoly(v, {(0, 2): Fraction(-3, 7)}),
+            MultiPoly(v, {(4, 0): Fraction(-1, 3), (1, 1): Fraction(2, 5), (0, 0): -2}),
+        ],
+    )
+    h = ("-5/4",)
+    dt = Fraction(1, 50)
+    for start, step in ((dt / 2, dt), (Fraction(0), dt / 2)):
+        got = _flow_elements(phi, h, start, step, 2000)
+        assert got == eval_along(phi, (Fraction(-5, 4),), start, step, 2000)
+        assert all(g.coords[0] == 0 and g.coords[1] == Fraction(-75, 112) for g in got)
+    assert _flow_elements(phi, h, Fraction(0), dt, 1)[0].coords[2] == -2
+
+
+def test_flow_elements_checks_parameter_arity():
+    phi = random_flow(A2, random.Random(7), 2)
+    with pytest.raises(ValueError, match="parameter point has arity 1, map needs 2"):
+        _flow_elements(phi, (1,), Fraction(1, 2), Fraction(1), 3)
+
+
+# ----------------------------------------------------------------------
 # single-flow averages
 
 
@@ -345,3 +408,22 @@ def test_mean_ergodic_validation():
         mean_ergodic_base(torus(2), phi, (), char((1, 1)), [10])
     with pytest.raises(ValueError):
         mean_ergodic_base(torus(1), phi, (5,), char((1,)), [10])
+
+
+@pytest.mark.parametrize(
+    "t_grid, dt, message",
+    [
+        ([10], "0", "dt must be positive"),
+        ([], "0.5", "horizon grid is empty"),
+        ([0], "0.5", "horizon T must be positive"),
+        ([1], "0.3", "does not divide"),
+        ([4, 2], "0.5", "strictly increasing"),
+    ],
+)
+def test_scan_validation_is_shared(t_grid, dt, message):
+    phi = PolyMap.build(A1, ("t",), {"e1": t_times(1)})
+    joining = JoiningSpec([torus(1), torus(1)], "diagonal")
+    with pytest.raises(ValueError, match=message):
+        convergence_scan(joining, PolyFamily([phi]), (), [ones(1), ones(1)], t_grid, dt, n_samples=5)
+    with pytest.raises(ValueError, match=message):
+        mean_ergodic_base(torus(1), phi, (), char((1,)), t_grid, dt, n_samples=5)

@@ -1,11 +1,13 @@
 """Command front end: exit codes, emitted files, reproducibility."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from nilflow.cli import main
+from nilflow.pet import MAX_LEVEL_TERMS
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -68,6 +70,15 @@ def test_pet_zero_depth_truncates(tmp_path):
         },
     )
     assert run("pet", cfg, tmp_path) == 4
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_pet_family_growth_truncates_quickly(tmp_path, capsys):
+    # each level of this family's descent is about twice the size of the last
+    start = time.monotonic()
+    assert run("pet", DEMOS / "demo_pet_weights.json", tmp_path) == 4
+    assert time.monotonic() - start < 30
+    assert f"over the cap of {MAX_LEVEL_TERMS}" in capsys.readouterr().err
     assert not (tmp_path / "report.csv").exists()
 
 
