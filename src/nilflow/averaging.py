@@ -6,6 +6,12 @@ steps for correlation trajectories) and each coordinate is floated once, the
 composite midpoint rule handles the time integral, and each estimate carries
 the Monte Carlo standard error of its per-sample time averages.  Fixed seed
 and draw order make every number bit-reproducible.
+
+The time loop runs over blocks of at most BLOCK_ROWS samples, with one
+`dynamics.StepKernel` per factor and block; each sample's arithmetic is the
+same whatever the blocks and threads.  `scan_with_invariance` makes the
+pass over the base flows once and uses it both for the report and as the
+baseline of every invariance deviation.
 """
 
 from __future__ import annotations
@@ -20,8 +26,10 @@ import numpy as np
 
 from .dynamics import (
     NilSystem,
+    StepKernel,
     TestFunction,
     act_array,
+    element_floats,
     eval_fn_array,
     haar_array,
 )
@@ -31,6 +39,9 @@ from .poly_maps import PolyMap, substitute
 from .zariski import MeagreSet, generic_sample, is_proper, vanishing_variety
 
 Rational = Union[int, str, Fraction]
+
+# rows per block of the time loop: a block's kernel buffers stay in cache
+BLOCK_ROWS = 8192
 
 
 def _to_fraction(value) -> Fraction:
@@ -118,11 +129,16 @@ def _step_count(T: Rational, dt: Fraction) -> int:
     return int(steps)
 
 
-def _scan_steps(t_grid: Sequence[Rational], dt: Rational) -> Tuple[Fraction, List[int]]:
-    """Exact dt and the midpoint step count of every horizon, validated."""
+def _positive_dt(dt: Rational) -> Fraction:
     dt = _to_fraction(dt)
     if dt <= 0:
         raise ValueError("dt must be positive")
+    return dt
+
+
+def _scan_steps(t_grid: Sequence[Rational], dt: Rational) -> Tuple[Fraction, List[int]]:
+    """Exact dt and the midpoint step count of every horizon, validated."""
+    dt = _positive_dt(dt)
     if not t_grid:
         raise ValueError("horizon grid is empty")
     snapshots = [_step_count(T, dt) for T in t_grid]
@@ -172,7 +188,7 @@ def _flow_elements(
                 n = n * x + c
             column.append(Fraction(n, den))
         columns.append(column)
-    return [GroupElement(phi.algebra, coords) for coords in zip(*columns)]
+    return [GroupElement._make(phi.algebra, coords) for coords in zip(*columns)]
 
 
 # ----------------------------------------------------------------------
@@ -189,36 +205,43 @@ def _per_sample_averages(
 ) -> Dict[int, np.ndarray]:
     """Per-sample time averages of f0(x0) * prod_i fi(flow_i(t) x_i).
 
-    Returns one n-vector per snapshot step.  Samples are chunked only for
-    thread scheduling; values are independent of the chunking, so any thread
-    count reproduces the same numbers.
+    Returns one n-vector per snapshot step.  Samples are split into row
+    blocks, each run through the whole time loop by one `StepKernel` per
+    factor; every row's arithmetic is independent of the split, so any
+    thread count reproduces the same numbers.
     """
     n = factors[0].shape[0]
     snapshot_steps = sorted(set(int(s) for s in snapshot_steps))
     total = snapshot_steps[-1]
     wanted = set(snapshot_steps)
+    coords = [element_floats(sys, flow) for sys, flow in zip(systems[1:], flows)]
 
-    def run_chunk(lo: int, hi: int) -> Dict[int, np.ndarray]:
+    def run_block(lo: int, hi: int) -> Dict[int, np.ndarray]:
         base = eval_fn_array(fns[0], factors[0][lo:hi])
+        kernels = [
+            StepKernel(systems[i], fns[i], factors[i][lo:hi]) for i in range(1, len(systems))
+        ]
         acc = np.zeros(hi - lo)
+        vals = np.empty(hi - lo)
         out: Dict[int, np.ndarray] = {}
         for j in range(total):
-            vals = base.copy()
-            for i, flow in enumerate(flows, start=1):
-                pts = act_array(systems[i], flow[j], factors[i][lo:hi])
-                vals *= eval_fn_array(fns[i], pts)
-            acc += vals
+            product = base
+            for kernel, g in zip(kernels, coords):
+                np.multiply(product, kernel(g[j]), out=vals)
+                product = vals
+            acc += product
             if j + 1 in wanted:
                 out[j + 1] = acc / (j + 1)
         return out
 
     workers = max(1, int(threads))
-    if workers == 1 or n < 2 * workers:
-        chunks = [run_chunk(0, n)]
+    size = max(1, min(BLOCK_ROWS, -(-n // workers)))
+    blocks = [(lo, min(lo + size, n)) for lo in range(0, n, size)] or [(0, 0)]
+    if workers == 1 or len(blocks) == 1:
+        chunks = [run_block(*b) for b in blocks]
     else:
-        bounds = np.linspace(0, n, workers + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda b: run_chunk(*b), zip(bounds[:-1], bounds[1:])))
+            chunks = list(pool.map(lambda b: run_block(*b), blocks))
     return {
         s: np.concatenate([c[s] for c in chunks]) for s in snapshot_steps
     }
@@ -286,6 +309,63 @@ def _prepare_scan(joining, family, fns, t_grid, dt):
     return _scan_steps(t_grid, dt)
 
 
+def scan_with_invariance(
+    joining: JoiningSpec,
+    family: PolyFamily,
+    h: Sequence[Rational],
+    fns: Sequence[TestFunction],
+    t_grid: Sequence[Rational],
+    g_list: Sequence[Sequence[GroupElement]] = (),
+    dt: Rational = "0.05",
+    n_samples: int = 1000,
+    seed: int = 0,
+    threads: int = 1,
+) -> Tuple[AverageReport, List[List[float]]]:
+    """Joint average per horizon, and its deviation under each translation tuple.
+
+    One pass over the base flows gives the report and the baseline of every
+    deviation; each tuple adds one pass over the same draws.  The estimate
+    of the translated integral uses the Haar change of variables
+    x -> g_0 x, which turns the tuple (g_0..g_k) into the modified flows
+    g_i phi_i(t) g_0^{-1}.  Identity tuples therefore deviate by exactly
+    zero, and abelian diagonal tuples cancel exactly.
+    """
+    dt_f, snapshots = _prepare_scan(joining, family, fns, t_grid, dt)
+    for tup in g_list:
+        if len(tup) != joining.k + 1:
+            raise ValueError(f"translation tuple has arity {len(tup)}, need {joining.k + 1}")
+    base_flows = [_flow_elements(phi, h, dt_f / 2, dt_f, snapshots[-1]) for phi in family]
+    factors = _draw_factors(joining, n_samples, seed)
+
+    def per_snapshot(flows: Sequence[Sequence[GroupElement]]) -> Dict[int, np.ndarray]:
+        return _per_sample_averages(joining.systems, flows, fns, factors, snapshots, threads)
+
+    base = per_snapshot(base_flows)
+    stats = [_mean_and_se(base[s]) for s in snapshots]
+    estimates = tuple(e for e, _ in stats)
+    report = AverageReport(
+        t_grid=tuple(float(_to_fraction(T)) for T in t_grid),
+        estimates=estimates,
+        std_errors=tuple(se for _, se in stats),
+        cauchy_gap=_cauchy_gap(estimates),
+        dt=float(dt_f),
+        n_samples=n_samples,
+        seed=seed,
+    )
+    deviations = []
+    for tup in g_list:
+        inv0 = group_inverse(tup[0])
+        moved = [
+            [bch_product(bch_product(tup[i], el), inv0) for el in base_flows[i - 1]]
+            for i in range(1, joining.k + 1)
+        ]
+        shifted = per_snapshot(moved)
+        deviations.append(
+            [abs(float(shifted[s].mean()) - e) for s, e in zip(snapshots, estimates)]
+        )
+    return report, deviations
+
+
 def convergence_scan(
     joining: JoiningSpec,
     family: PolyFamily,
@@ -298,21 +378,9 @@ def convergence_scan(
     threads: int = 1,
 ) -> AverageReport:
     """Joint average per horizon in one pass, sharing draws and quadrature."""
-    dt_f, snapshots = _prepare_scan(joining, family, fns, t_grid, dt)
-    flows = [_flow_elements(phi, h, dt_f / 2, dt_f, snapshots[-1]) for phi in family]
-    factors = _draw_factors(joining, n_samples, seed)
-    per_snap = _per_sample_averages(joining.systems, flows, fns, factors, snapshots, threads)
-    stats = [_mean_and_se(per_snap[s]) for s in snapshots]
-    estimates = tuple(e for e, _ in stats)
-    return AverageReport(
-        t_grid=tuple(float(_to_fraction(T)) for T in t_grid),
-        estimates=estimates,
-        std_errors=tuple(se for _, se in stats),
-        cauchy_gap=_cauchy_gap(estimates),
-        dt=float(dt_f),
-        n_samples=n_samples,
-        seed=seed,
-    )
+    return scan_with_invariance(
+        joining, family, h, fns, t_grid, (), dt, n_samples, seed, threads
+    )[0]
 
 
 def joining_average(
@@ -344,34 +412,13 @@ def invariance_check(
 ) -> List[List[float]]:
     """Deviation of the averaged joining under each translation tuple.
 
-    The estimate of the translated integral reuses the base draws after the
-    Haar change of variables x -> g_0 x, which turns the tuple (g_0..g_k)
-    into the modified flows g_i phi_i(t) g_0^{-1}.  Identity tuples therefore
-    deviate by exactly zero, and abelian diagonal tuples cancel exactly.
-    Returns one list per tuple with the deviation at every horizon.
+    Returns one list per tuple with the deviation at every horizon; see
+    `scan_with_invariance`.
     """
     t_grid = list(T) if isinstance(T, (list, tuple)) else [T]
-    dt_f, snapshots = _prepare_scan(joining, family, fns, t_grid, dt)
-    base_flows = [_flow_elements(phi, h, dt_f / 2, dt_f, snapshots[-1]) for phi in family]
-    factors = _draw_factors(joining, n_samples, seed)
-
-    def estimates_for(flows: Sequence[Sequence[GroupElement]]) -> List[float]:
-        per_snap = _per_sample_averages(joining.systems, flows, fns, factors, snapshots, threads)
-        return [float(per_snap[s].mean()) for s in snapshots]
-
-    base = estimates_for(base_flows)
-    deviations = []
-    for tup in g_list:
-        if len(tup) != joining.k + 1:
-            raise ValueError(f"translation tuple has arity {len(tup)}, need {joining.k + 1}")
-        inv0 = group_inverse(tup[0])
-        moved = [
-            [bch_product(bch_product(tup[i], el), inv0) for el in base_flows[i - 1]]
-            for i in range(1, joining.k + 1)
-        ]
-        shifted = estimates_for(moved)
-        deviations.append([abs(a - b) for a, b in zip(shifted, base)])
-    return deviations
+    return scan_with_invariance(
+        joining, family, h, fns, t_grid, g_list, dt, n_samples, seed, threads
+    )[1]
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +427,7 @@ def invariance_check(
 
 def half_step_times(T: Rational, S: Rational, dt: Rational) -> np.ndarray:
     """Sampling times k*dt/2 covering [0, T+S], as floats for trajectory builders."""
-    dt_f = _to_fraction(dt)
+    dt_f = _positive_dt(dt)
     count = 2 * (_step_count(T, dt_f) + _step_count(S, dt_f))
     return np.arange(count + 1) * (float(dt_f) / 2.0)
 
@@ -392,9 +439,7 @@ def vdc_check(trajectory: np.ndarray, S: Rational, T: Rational, dt: Rational = "
     midpoint samples (odd indices) feed the averages, integer samples (even
     indices) supply the shifted values a(t+s), which land between midpoints.
     """
-    dt_f = _to_fraction(dt)
-    if dt_f <= 0:
-        raise ValueError("dt must be positive")
+    dt_f = _positive_dt(dt)
     nt = _step_count(T, dt_f)
     ns = _step_count(S, dt_f)
     trajectory = np.asarray(trajectory, dtype=float)
@@ -422,14 +467,17 @@ def flow_correlation_trajectory(
     seed: int = 0,
 ) -> np.ndarray:
     """Empirical correlation a(t) = mean_x f(u^{phi(t)}x) f(x) on the half-step grid."""
-    dt_f = _to_fraction(dt)
+    dt_f = _positive_dt(dt)
     count = 2 * (_step_count(T, dt_f) + _step_count(S, dt_f))
     flow = _flow_elements(phi, h, Fraction(0), dt_f / 2, count + 1)
     pts = haar_array(sys, seed, n_samples)
     static = eval_fn_array(f, pts)
+    kernel = StepKernel(sys, f, pts)
     out = np.empty(len(flow))
-    for j, g in enumerate(flow):
-        out[j] = float((eval_fn_array(f, act_array(sys, g, pts)) * static).mean())
+    for j, g in enumerate(element_floats(sys, flow)):
+        vals = kernel(g)
+        vals *= static
+        out[j] = float(vals.mean())
     return out
 
 

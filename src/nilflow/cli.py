@@ -20,11 +20,10 @@ import numpy as np
 
 from .averaging import (
     JoiningSpec,
-    convergence_scan,
     flow_correlation_trajectory,
     half_step_times,
-    invariance_check,
     report_to_json_dict,
+    scan_with_invariance,
     vdc_check,
 )
 from .dynamics import (
@@ -261,24 +260,21 @@ def cmd_average(cfg: Mapping, args, out_dir: Path) -> int:
     seed = int(_resolved(cfg, args, "seed", 0))
     threads = int(_resolved(cfg, args, "threads", 1))
 
-    report = convergence_scan(
-        joining, family, h, fns, t_grid, dt=dt, n_samples=n_samples, seed=seed, threads=threads
+    tuples_node = (cfg.get("invariance") or {}).get("tuples")
+    g_list = [
+        tuple(
+            _load_group_element(el, sys_i.algebra)
+            for el, sys_i in zip(tup, systems)
+        )
+        for tup in tuples_node or ()
+    ]
+    report, deviations = scan_with_invariance(
+        joining, family, h, fns, t_grid, g_list,
+        dt=dt, n_samples=n_samples, seed=seed, threads=threads,
     )
 
     certificate = {"command": "average", "report": report_to_json_dict(report)}
-    tuples_node = (cfg.get("invariance") or {}).get("tuples")
     if tuples_node:
-        g_list = [
-            tuple(
-                _load_group_element(el, sys_i.algebra)
-                for el, sys_i in zip(tup, systems)
-            )
-            for tup in tuples_node
-        ]
-        deviations = invariance_check(
-            joining, family, h, fns, t_grid,
-            g_list=g_list, dt=dt, n_samples=n_samples, seed=seed, threads=threads,
-        )
         certificate["invariance"] = {
             "tuples": [[[str(c) for c in el.coords] for el in tup] for tup in g_list],
             "deviations": deviations,

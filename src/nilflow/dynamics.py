@@ -4,6 +4,14 @@ Points live in the fundamental cube [0,1)^dim in exponential coordinates.
 Group elements stay exact rationals until the moment they act; the float
 layer only ever adds, multiplies, and reduces mod 1, so no error compounds
 across a time loop.
+
+The translate, the reduction and a test function's phase are each written
+once.  `act_array`, `reduce_array` and `eval_fn_array` run them on fresh
+arrays; `StepKernel`, which the time loops use, runs them in buffers it
+allocates once per block of sample points, so its values equal
+`eval_fn_array(f, act_array(sys, g, pts))` bit for bit.  The phase is the
+sum of freq_k * coord_k in coordinate order, not a BLAS product, so its bits
+do not depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -98,38 +106,146 @@ class NilPoint:
 
 
 # ----------------------------------------------------------------------
-# fundamental-domain reduction
+# translate, reduction and phase
+#
+# The helpers work on coordinate rows (shape (rows, m), one row per
+# coordinate) and write into buffers the caller passes in.
 
 
-def _frac(v: np.ndarray) -> np.ndarray:
-    r = v - np.floor(v)
+class _Buffers:
+    """Scratch space for the helpers, for `rows` coordinate rows of m points."""
+
+    __slots__ = ("floor", "mask", "tmp", "tmp2", "both")
+
+    def __init__(self, rows: int, m: int):
+        self.floor = np.empty((rows, m))
+        self.mask = np.empty((rows, m), dtype=bool)
+        self.tmp = np.empty(m)
+        self.tmp2 = np.empty(m)
+        self.both = np.empty(m, dtype=bool)
+
+
+def _frac_into(v: np.ndarray, out: np.ndarray, floor: np.ndarray, mask: np.ndarray) -> None:
+    """out = v mod 1 in [0, 1); floor keeps floor(v)."""
+    np.floor(v, out=floor)
+    np.subtract(v, floor, out=out)
     # roundoff can push x - floor(x) to exactly 1.0 for tiny negative x
-    return np.where(r >= 1.0, r - 1.0, r)
+    np.greater_equal(out, 1.0, out=mask)
+    if mask.any():
+        np.subtract(out, 1.0, out=out, where=mask)
+
+
+def _translate_into(kind: str, g: np.ndarray, cols: np.ndarray, moved: np.ndarray, buf: _Buffers) -> None:
+    """Rows of g x for the points x with coordinate rows `cols`.
+
+    On the Heisenberg system `moved` may hold only the x and y rows; the
+    central row is then not computed.
+    """
+    if kind == "torus":
+        np.add(cols, g[:, None], out=moved)
+        return
+    np.add(cols[:2], g[:2, None], out=moved[:2])
+    if len(moved) == 3:
+        a, b, c = g
+        x, y, z = cols
+        # z' = c + z + (a y - b x) / 2
+        np.add(z, c, out=moved[2])
+        np.multiply(y, a, out=buf.tmp)
+        np.multiply(x, b, out=buf.tmp2)
+        buf.tmp -= buf.tmp2
+        buf.tmp *= 0.5
+        moved[2] += buf.tmp
+
+
+def _reduce_into(kind: str, moved: np.ndarray, out: np.ndarray, buf: _Buffers) -> None:
+    """Fundamental-domain representative of the points with coordinate rows `moved`.
+
+    For the Heisenberg system the representative of the right lattice coset
+    is found by clearing the integer parts of x and y first and the central
+    coordinate last; killing right cosets is what keeps the left action
+    well-defined on the quotient.  Without a central row only x and y are
+    reduced.
+    """
+    if kind == "torus":
+        _frac_into(moved, out, buf.floor, buf.mask)
+        return
+    _frac_into(moved[:2], out[:2], buf.floor[:2], buf.mask[:2])
+    if len(moved) < 3:
+        return
+    x, y, z = moved
+    fx, fy, fz = buf.floor
+    xr, yr = out[0], out[1]
+    offset, tmp = buf.tmp, buf.tmp2
+    # offset = x y / 2 - x fy - xr yr / 2
+    np.multiply(x, y, out=offset)
+    offset *= 0.5
+    np.multiply(x, fy, out=tmp)
+    offset -= tmp
+    np.multiply(xr, yr, out=tmp)
+    tmp *= 0.5
+    offset -= tmp
+    # a row that is already reduced keeps its central coordinate bit for bit
+    np.equal(fx, 0.0, out=buf.mask[0])
+    np.equal(fy, 0.0, out=buf.mask[1])
+    np.logical_and(buf.mask[0], buf.mask[1], out=buf.both)
+    np.copyto(offset, 0.0, where=buf.both)
+    np.add(z, offset, out=offset)
+    _frac_into(offset, out[2], fz, buf.mask[2])
+
+
+def _phase_terms(f: TestFunction, rows: np.ndarray) -> list:
+    """(frequency, coordinate row) pairs of the phase, zero frequencies dropped."""
+    return [(float(k), row) for k, row in zip(f.freq, rows) if k]
+
+
+def _phase_into(terms: list, part: str, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = cos or sin of 2 pi sum_k freq_k coord_k, summed in coordinate order.
+
+    A frequency of +1 or -1 goes into the addition as the row itself or a
+    subtraction, which gives the same bits as multiplying by it first.
+    """
+    phase = None
+    for k, row in terms:
+        if phase is None:
+            if k == 1.0:
+                phase = row
+                continue
+            np.multiply(row, k, out=out)
+        elif k == 1.0:
+            np.add(phase, row, out=out)
+        elif k == -1.0:
+            np.subtract(phase, row, out=out)
+        else:
+            np.multiply(row, k, out=tmp)
+            np.add(phase, tmp, out=out)
+        phase = out
+    if phase is None:
+        out.fill(0.0)
+    else:
+        np.multiply(phase, TWO_PI, out=out)
+    if part == "cos":
+        np.cos(out, out=out)
+    else:
+        # a zero phase is +0.0, as in a dot product that starts from 0.0;
+        # unlike cos, sin keeps the sign of a zero
+        out += 0.0
+        np.sin(out, out=out)
+
+
+# ----------------------------------------------------------------------
+# fundamental-domain reduction
 
 
 def reduce_array(sys: NilSystem, pts: np.ndarray) -> np.ndarray:
     """Canonical fundamental-domain representative, row-wise.
 
-    For the Heisenberg system the representative of the right lattice coset
-    is found by clearing the integer parts of x and y first and the central
-    coordinate last; killing right cosets is what keeps the left action
-    well-defined on the quotient.  When a row is already reduced the output
-    is bitwise identical to the input.
+    When a row is already reduced the output is bitwise identical to the
+    input.
     """
     pts = np.asarray(pts, dtype=float)
-    if sys.kind == "torus":
-        return _frac(pts)
-    x = pts[:, 0]
-    y = pts[:, 1]
-    z = pts[:, 2]
-    fx = np.floor(x)
-    fy = np.floor(y)
-    xr = _frac(x)
-    yr = _frac(y)
-    offset = x * y / 2 - x * fy - xr * yr / 2
-    offset = np.where((fx == 0) & (fy == 0), 0.0, offset)
-    zr = _frac(z + offset)
-    return np.stack([xr, yr, zr], axis=1)
+    out = np.empty(pts.shape)
+    _reduce_into(sys.kind, pts.T, out.T, _Buffers(pts.shape[1], pts.shape[0]))
+    return out
 
 
 def reduce_point(sys: NilSystem, coords: Sequence[float]) -> NilPoint:
@@ -154,18 +270,23 @@ def _group_coords(sys: NilSystem, g: GroupElement) -> Tuple[Fraction, ...]:
     raise ValueError("algebra mismatch between group element and system")
 
 
+def element_floats(sys: NilSystem, elements: Sequence[GroupElement]) -> np.ndarray:
+    """Float coordinates of each element as it acts on `sys`, one row per element."""
+    count = len(elements) * sys.dim
+    values = (float(c) for g in elements for c in _group_coords(sys, g))
+    return np.fromiter(values, dtype=float, count=count).reshape(len(elements), sys.dim)
+
+
 def act_array(sys: NilSystem, g: GroupElement, pts: np.ndarray) -> np.ndarray:
     """Left translation by g applied to every row, then reduction."""
-    gf = np.array([float(c) for c in _group_coords(sys, g)])
     pts = np.asarray(pts, dtype=float)
-    if sys.kind == "torus":
-        return reduce_array(sys, pts + gf)
-    a, b, c = gf
-    x = pts[:, 0]
-    y = pts[:, 1]
-    z = pts[:, 2]
-    moved = np.stack([a + x, b + y, c + z + 0.5 * (a * y - b * x)], axis=1)
-    return reduce_array(sys, moved)
+    m = pts.shape[0]
+    buf = _Buffers(sys.dim, m)
+    moved = np.empty((sys.dim, m))
+    _translate_into(sys.kind, element_floats(sys, [g])[0], pts.T, moved, buf)
+    out = np.empty((m, sys.dim))
+    _reduce_into(sys.kind, moved, out.T, buf)
+    return out
 
 
 def act(sys: NilSystem, g: GroupElement, x: NilPoint) -> NilPoint:
@@ -243,12 +364,53 @@ def _fn_coord_slice(f: TestFunction, width: int) -> slice:
 def eval_fn_array(f: TestFunction, pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     window = pts[:, _fn_coord_slice(f, pts.shape[1])]
-    phase = TWO_PI * (window @ np.array(f.freq, dtype=float))
-    return np.cos(phase) if f.part == "cos" else np.sin(phase)
+    out = np.empty(pts.shape[0])
+    _phase_into(_phase_terms(f, window.T), f.part, out, np.empty(pts.shape[0]))
+    return out
 
 
 def eval_fn(f: TestFunction, x: NilPoint) -> float:
     return float(eval_fn_array(f, x.as_array()[None, :])[0])
+
+
+# ----------------------------------------------------------------------
+# step kernel
+
+
+class StepKernel:
+    """f(g x) on fixed points x, for one group element g after another.
+
+    Set up once per block of rows: the coordinates are copied into
+    contiguous rows and every buffer is allocated here, so a step allocates
+    nothing.  A step runs the translate, reduction and phase helpers that
+    `act_array` and `eval_fn_array` run, so it returns
+    eval_fn_array(f, act_array(sys, g, pts)) bit for bit.  An abelianized
+    Heisenberg function does not read the central coordinate, so its kernel
+    does not compute it.
+    """
+
+    __slots__ = ("kind", "cols", "moved", "reduced", "buf", "terms", "part", "out")
+
+    def __init__(self, sys: NilSystem, f: TestFunction, pts: np.ndarray):
+        pts = np.asarray(pts, dtype=float)
+        _fn_coord_slice(f, pts.shape[1])  # rejects a frequency of the wrong arity
+        m = pts.shape[0]
+        rows = 2 if sys.kind == "heisenberg3" and f.kind == "heis_abelian" else sys.dim
+        self.kind = sys.kind
+        self.cols = np.ascontiguousarray(pts.T)
+        self.moved = np.empty((rows, m))
+        self.reduced = np.empty((rows, m))
+        self.buf = _Buffers(rows, m)
+        self.terms = _phase_terms(f, self.reduced)
+        self.part = f.part
+        self.out = np.empty(m)
+
+    def __call__(self, g: np.ndarray) -> np.ndarray:
+        """Values at g x for a row g of `element_floats`; the next call overwrites them."""
+        _translate_into(self.kind, g, self.cols, self.moved, self.buf)
+        _reduce_into(self.kind, self.moved, self.reduced, self.buf)
+        _phase_into(self.terms, self.part, self.out, self.buf.tmp)
+        return self.out
 
 
 # ----------------------------------------------------------------------

@@ -139,6 +139,15 @@ class GroupElement:
             raise ValueError(f"expected {self.algebra.dim} coordinates, got {len(coords)}")
         object.__setattr__(self, "coords", coords)
 
+    @classmethod
+    def _make(cls, algebra: LieAlgebraSpec, coords: Tuple[Fraction, ...]) -> "GroupElement":
+        """Unchecked constructor: `coords` must already be a tuple of
+        `algebra.dim` Fractions."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "algebra", algebra)
+        object.__setattr__(out, "coords", coords)
+        return out
+
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.coords)
 
@@ -230,16 +239,16 @@ def bch_coords(alg: LieAlgebraSpec, a: Sequence, b: Sequence, zero=_F0) -> list:
 def bch_product(x: GroupElement, y: GroupElement) -> GroupElement:
     """exp(x) * exp(y) in exponential coordinates, exact up to the step."""
     alg = _check_shared_algebra(x, y)
-    return GroupElement(alg, tuple(bch_coords(alg, x.coords, y.coords)))
+    return GroupElement._make(alg, tuple(bch_coords(alg, x.coords, y.coords)))
 
 
 def group_inverse(x: GroupElement) -> GroupElement:
     """exp(X)^{-1} = exp(-X)."""
-    return GroupElement(x.algebra, tuple(-c for c in x.coords))
+    return GroupElement._make(x.algebra, tuple(-c for c in x.coords))
 
 
 def identity(alg: LieAlgebraSpec) -> GroupElement:
-    return GroupElement(alg, (_F0,) * alg.dim)
+    return GroupElement._make(alg, (_F0,) * alg.dim)
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,18 @@
 Group multiplication is cross-checked against faithful unitriangular matrix
 models, where exp and log are finite polynomial sums and stay exact over
 Fraction.  Free Lie algebra dimensions are cross-checked against the Witt
-necklace-counting formula.  Nothing here imports the package under test.
+necklace-counting formula.  The float action and test functions are
+cross-checked against whole-array formulas that make the same float
+operations in the same order.  Nothing here imports the package under test.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
+
+import numpy as np
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 
@@ -141,3 +146,41 @@ def witt_dimension(generators: int, degree: int) -> int:
             total += _mobius(e) * generators ** (degree // e)
     assert total % degree == 0
     return total // degree
+
+
+# ----------------------------------------------------------------------
+# float action and test functions, as whole-array formulas
+
+
+def _frac(v: np.ndarray) -> np.ndarray:
+    r = v - np.floor(v)
+    return np.where(r >= 1.0, r - 1.0, r)
+
+
+def act_reference(kind: str, g: Sequence[float], pts: np.ndarray) -> np.ndarray:
+    """g x reduced to the fundamental domain, row-wise, for floated coordinates g.
+
+    A Heisenberg row moves to (a + x, b + y, c + z + (a y - b x) / 2).
+    Clearing the integer parts fx, fy of the new x, y by a right lattice
+    translation moves its central coordinate by x y / 2 - x fy - xr yr / 2,
+    except on rows that are already reduced (fx = fy = 0).
+    """
+    if kind == "torus":
+        return _frac(pts + np.asarray(g, dtype=float))
+    a, b, c = g
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    x, y, z = a + x, b + y, c + z + 0.5 * (a * y - b * x)
+    fx, fy = np.floor(x), np.floor(y)
+    xr, yr = _frac(x), _frac(y)
+    offset = x * y / 2 - x * fy - xr * yr / 2
+    offset = np.where((fx == 0) & (fy == 0), 0.0, offset)
+    return np.stack([xr, yr, _frac(z + offset)], axis=1)
+
+
+def character_reference(freq: Sequence[int], part: str, pts: np.ndarray) -> np.ndarray:
+    """cos or sin of 2 pi sum_k freq_k x_k, the sum taken from 0.0 in order."""
+    phase = 0.0
+    for k, col in zip(freq, pts.T):
+        phase = phase + float(k) * col
+    phase = 2.0 * math.pi * phase
+    return np.cos(phase) if part == "cos" else np.sin(phase)

@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import nilflow.averaging as averaging
 from nilflow.averaging import (
     AverageReport,
     _flow_elements,
+    _per_sample_averages,
     JoiningSpec,
     convergence_scan,
     flow_correlation_trajectory,
@@ -19,7 +21,7 @@ from nilflow.averaging import (
     mean_ergodic_base,
     vdc_check,
 )
-from nilflow.dynamics import TestFunction, haar_array, heisenberg3, torus
+from nilflow.dynamics import TestFunction, act_array, eval_fn_array, haar_array, heisenberg3, torus
 from nilflow.lie_core import GroupElement, identity, make_builtin
 from nilflow.multipoly import MultiPoly
 from nilflow.pet import PolyFamily
@@ -197,6 +199,43 @@ def test_heisenberg_pair_scan_is_sane():
     assert report.cauchy_gap == abs(report.estimates[1] - report.estimates[0])
 
 
+def test_per_sample_averages_match_the_act_then_eval_loop(monkeypatch):
+    """Every thread count and row-block size gives the same bits as one
+    act_array + eval_fn_array per factor and step."""
+    systems = [heisenberg3()] * 3
+    joining = JoiningSpec(systems, "product")
+    fns = [
+        TestFunction("heis_vertical", (1, 0, 1)),
+        TestFunction("heis_vertical", (2, -3, 1), "sin"),
+        TestFunction("heis_abelian", (1, -1)),
+    ]
+    maps = [
+        PolyMap.build(H3, ("t",), {"x1": t_times(Fraction(7, 3)), "z": t_times(-5, power=2)}),
+        PolyMap.build(H3, ("t",), {"y1": t_times(SQRT2), "x1": t_times(Fraction(-1, 9))}),
+    ]
+    flows = [_flow_elements(phi, (), Fraction(1, 4), Fraction(1, 2), 40) for phi in maps]
+    factors = averaging._draw_factors(joining, 500, 21)
+    snapshots = [13, 40]
+
+    acc = np.zeros(500)
+    want = {}
+    base = eval_fn_array(fns[0], factors[0])
+    for j in range(40):
+        vals = base.copy()
+        for i, flow in enumerate(flows, start=1):
+            vals *= eval_fn_array(fns[i], act_array(systems[i], flow[j], factors[i]))
+        acc += vals
+        if j + 1 in snapshots:
+            want[j + 1] = acc / (j + 1)
+
+    for block_rows in (averaging.BLOCK_ROWS, 64, 7):
+        monkeypatch.setattr(averaging, "BLOCK_ROWS", block_rows)
+        for threads in (1, 2, 3, 5):
+            got = _per_sample_averages(systems, flows, fns, factors, snapshots, threads)
+            for s in snapshots:
+                assert np.array_equal(got[s].view(np.int64), want[s].view(np.int64)), (block_rows, threads)
+
+
 # ----------------------------------------------------------------------
 # invariance diagnostics
 
@@ -288,6 +327,16 @@ def test_vdc_fresnel_signal_decays():
 def test_vdc_rejects_short_grid():
     with pytest.raises(ValueError):
         vdc_check(np.ones(10), 20, 20, 0.5)
+
+
+@pytest.mark.parametrize("dt", ["0", "-1/2"])
+def test_half_step_grids_reject_nonpositive_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        half_step_times(2, 2, dt)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        flow_correlation_trajectory(
+            torus(1), rotation_family(SQRT2)[0], (), char((1,)), 2, 2, dt, n_samples=10
+        )
 
 
 def test_flow_correlation_trajectory_tracks_rotation():

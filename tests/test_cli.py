@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from nilflow.cli import main
-from nilflow.pet import MAX_LEVEL_TERMS
+from nilflow.averaging import JoiningSpec, invariance_check
+from nilflow.cli import _load_algebra, _load_group_element, _load_members, main
+from nilflow.dynamics import function_from_json_dict, system_from_json_dict
+from nilflow.pet import MAX_LEVEL_TERMS, PolyFamily
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -115,6 +117,32 @@ def test_average_invariance_block(tmp_path):
     assert all(0 <= v < 0.1 for row in devs for v in row)
 
 
+def test_average_invariance_reuses_the_scan_pass(tmp_path):
+    """The certificate's deviations are those of a standalone invariance_check,
+    and the report does not depend on the invariance block."""
+    cfg = json.loads((DEMOS / "demo_heisenberg_joining.json").read_text())
+    assert run("average", DEMOS / "demo_heisenberg_joining.json", tmp_path / "with") == 0
+    plain = {key: value for key, value in cfg.items() if key != "invariance"}
+    assert run("average", write_config(tmp_path, plain), tmp_path / "without") == 0
+    assert (tmp_path / "with" / "report.csv").read_bytes() == (tmp_path / "without" / "report.csv").read_bytes()
+
+    algebra = _load_algebra(cfg)
+    systems = [system_from_json_dict(node) for node in cfg["systems"]]
+    deviations = invariance_check(
+        JoiningSpec(systems, cfg["joining"]),
+        PolyFamily(_load_members(cfg, algebra)),
+        (),
+        [function_from_json_dict(node) for node in cfg["functions"]],
+        cfg["t_grid"],
+        [tuple(_load_group_element(el, algebra) for el in tup) for tup in cfg["invariance"]["tuples"]],
+        dt=cfg["dt"],
+        n_samples=cfg["n_samples"],
+        seed=cfg["seed"],
+    )
+    cert = json.loads((tmp_path / "with" / "certificate.json").read_text())
+    assert cert["invariance"]["deviations"] == deviations
+
+
 def test_generic_demo_avoids_both_lines(tmp_path):
     assert run("generic", DEMOS / "demo_generic_lines.json", tmp_path) == 0
     cert = json.loads((tmp_path / "certificate.json").read_text())
@@ -163,6 +191,14 @@ def test_vdc_flow_signal(tmp_path):
 def test_vdc_rejects_empty_window(tmp_path):
     cfg = write_config(tmp_path, {"T": 0, "S": 4, "dt": "0.5", "signal": {"kind": "expr", "expr": "one"}})
     assert run("vdc", cfg, tmp_path) == 2
+
+
+def test_vdc_nonpositive_dt_is_config_error(tmp_path, capsys):
+    cfg = json.loads((DEMOS / "demo_vdc_one.json").read_text())
+    cfg["dt"] = 0
+    assert run("vdc", write_config(tmp_path, cfg), tmp_path) == 2
+    assert "dt must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_vdc_unknown_expression(tmp_path):

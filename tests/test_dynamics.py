@@ -1,6 +1,7 @@
 """Nilmanifold actions, reduction, sampling, and test functions."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 from nilflow.dynamics import (
     NilPoint,
     NilSystem,
+    StepKernel,
     TestFunction,
     act,
     act_array,
+    element_floats,
     eval_fn,
     eval_fn_array,
     function_from_json_dict,
@@ -27,6 +30,7 @@ from nilflow.dynamics import (
     torus,
 )
 from nilflow.lie_core import GroupElement, bch_product, identity, make_builtin
+from oracles import act_reference, character_reference
 
 H3 = make_builtin("heisenberg", dim=3)
 
@@ -223,6 +227,84 @@ def test_fn_arity_validation():
         TestFunction("torus_character", (1,), "tan")
     with pytest.raises(ValueError):
         eval_fn(TestFunction("torus_character", (1, 2)), NilPoint((0.1,)))
+
+
+# ----------------------------------------------------------------------
+# step kernel
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+KERNEL_CASES = [
+    (torus(1), [("torus_character", (1,)), ("torus_character", (-3,)), ("torus_character", (0,))]),
+    (torus(2), [("torus_character", (1, -1)), ("torus_character", (0, 5)), ("torus_character", (-2, 0))]),
+    (torus(3), [("torus_character", (1, 2, -3)), ("torus_character", (0, 0, 0)), ("torus_character", (-1, 0, 4))]),
+    (
+        heisenberg3(),
+        [
+            ("heis_abelian", (1, 1)),
+            ("heis_abelian", (0, -2)),
+            ("heis_vertical", (1, 0, 1)),
+            ("heis_vertical", (0, 0, 1)),
+            ("heis_vertical", (2, -3, -1)),
+            ("torus_character", (1, 0, -7)),
+        ],
+    ),
+]
+
+
+def kernel_elements(sys, rng):
+    """Elements with coordinates up to 1e5 in size, after one that leaves x
+    and y in [0, 1) (no Heisenberg offset) and one just below 0, where
+    x - floor(x) rounds to 1.0 on points at 0."""
+    dim = sys.dim
+    out = [GroupElement(sys.algebra, (Fraction(0),) * (dim - 1) + (Fraction(5, 3),))]
+    out.append(GroupElement(sys.algebra, (Fraction(-1, 2**60),) * dim))
+    for scale in (1, 50, 10**5):
+        for _ in range(3):
+            out.append(
+                GroupElement(
+                    sys.algebra,
+                    tuple(Fraction(rng.randint(-scale * 10**4, scale * 10**4), 10**4) for _ in range(dim)),
+                )
+            )
+    return out
+
+
+@pytest.mark.parametrize("sys, kinds", KERNEL_CASES, ids=["torus1", "torus2", "torus3", "heisenberg3"])
+def test_step_kernel_is_bit_identical_to_act_then_eval(sys, kinds):
+    rng = random.Random(sys.dim)
+    pts = haar_array(sys, seed=11, n=3000)
+    pts[:40] = 0.0
+    elements = kernel_elements(sys, rng)
+    coords = element_floats(sys, elements)
+    if sys.kind == "heisenberg3":
+        assert np.all(np.floor(pts[:, :2] + coords[0][:2]) == 0)
+    assert np.any((pts + coords[1]) - np.floor(pts + coords[1]) >= 1.0)
+    for kind, freq in kinds:
+        for part in ("cos", "sin"):
+            f = TestFunction(kind, freq, part)
+            kernel = StepKernel(sys, f, pts)
+            for g, gf in zip(elements, coords):
+                moved = act_array(sys, g, pts)
+                assert np.array_equal(bits(moved), bits(act_reference(sys.kind, gf, pts)))
+                want = eval_fn_array(f, moved)
+                assert np.array_equal(bits(want), bits(character_reference(freq, part, moved)))
+                assert np.array_equal(bits(kernel(gf)), bits(want)), (f, g)
+
+
+def test_step_kernel_with_acting_matrix():
+    sys = torus(2, acting_matrix=[["1/2"], ["-3"]])
+    param = make_builtin("abelian", dim=1)
+    pts = haar_array(sys, seed=4, n=700)
+    f = TestFunction("torus_character", (1, 2), "sin")
+    kernel = StepKernel(sys, f, pts)
+    for c in ("7/3", "-12345/7", "0"):
+        g = GroupElement(param, (Fraction(c),))
+        gf = element_floats(sys, [g])[0]
+        assert np.array_equal(bits(kernel(gf)), bits(eval_fn_array(f, act_array(sys, g, pts))))
 
 
 # ----------------------------------------------------------------------
