@@ -1,17 +1,24 @@
 """Monte Carlo time averages over joinings, with convergence and invariance diagnostics.
 
-Every estimator follows the same discipline: group elements are evaluated
-exactly along the arithmetic time grid (midpoints for the averages, half
-steps for correlation trajectories) and each coordinate is floated once, the
+Every estimator follows the same discipline: flows are evaluated exactly
+along the arithmetic time grid (midpoints for the averages, half steps for
+correlation trajectories) and each coordinate is floated once, the
 composite midpoint rule handles the time integral, and each estimate carries
 the Monte Carlo standard error of its per-sample time averages.  Fixed seed
 and draw order make every number bit-reproducible.
 
-The time loop runs over blocks of at most BLOCK_ROWS samples, with one
-`dynamics.StepKernel` per factor and block; each sample's arithmetic is the
-same whatever the blocks and threads.  `scan_with_invariance` makes the
-pass over the base flows once and uses it both for the report and as the
-baseline of every invariance deviation.
+One integer Horner pass (`_horner`) gives each flow coordinate at every grid
+time as N_j / den.  The averages float it straight from there
+(`_flow_floats`): N_j / den is a correctly rounded int division, equal to
+float(Fraction(N_j, den)) bit for bit.  Exact `GroupElement`s
+(`_flow_elements`) are built only where invariance tuples multiply them.
+
+The time loop runs over blocks of samples, with one `dynamics.StepKernel`
+per factor and block.  Each kernel call computes a slab of consecutive time
+steps, and a block holds at most BLOCK_ROWS samples x steps; each sample's
+arithmetic is the same whatever the blocks, slabs and threads.
+`scan_with_invariance` makes the pass over the base flows once and uses it
+both for the report and as the baseline of every invariance deviation.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .dynamics import (
     StepKernel,
     TestFunction,
     act_array,
+    acting_rows,
     element_floats,
     eval_fn_array,
     haar_array,
@@ -40,7 +48,8 @@ from .zariski import MeagreSet, generic_sample, is_proper, vanishing_variety
 
 Rational = Union[int, str, Fraction]
 
-# rows per block of the time loop: a block's kernel buffers stay in cache
+# samples x time steps per block of the time loop: a block's kernel buffers
+# stay in cache
 BLOCK_ROWS = 8192
 
 
@@ -147,48 +156,92 @@ def _scan_steps(t_grid: Sequence[Rational], dt: Rational) -> Tuple[Fraction, Lis
     return dt, snapshots
 
 
-def _flow_elements(
-    phi: PolyMap, h: Sequence[Rational], start: Fraction, step: Fraction, count: int
-) -> List[GroupElement]:
-    """phi(start + j*step, h) for j = 0..count-1, exactly.
-
-    The parameters are pinned once, leaving one polynomial in t per
-    coordinate.  With t_j = (a + j*b)/q and a coordinate's coefficients
-    scaled to integers over a common denominator D, the value at t_j is the
-    integer Horner sum N_j over D*q^d, so each element costs d integer
-    multiply-adds and one Fraction, and equals phi.eval at t_j exactly.
-    """
+def _pinned_coefficients(phi: PolyMap, h: Sequence[Rational]) -> List[Dict[int, Fraction]]:
+    """{k: coefficient of t^k} of each coordinate of phi(t, h)."""
     params = phi.vars[1:]
     h = tuple(_to_fraction(v) for v in h)
     if len(h) != len(params):
         raise ValueError(f"parameter point has arity {len(h)}, map needs {len(params)}")
     pinned = substitute(phi, dict(zip(params, h)), new_variables=phi.vars[:1])
+    return [{exp[0]: coef for exp, coef in poly.terms.items()} for poly in pinned.coords]
+
+
+def _horner(
+    coefs: Dict[int, Fraction], start: Fraction, step: Fraction, count: int
+) -> Tuple[List[int], int]:
+    """Integers N_j and one denominator den with sum_k coefs[k] t_j^k = N_j / den.
+
+    With t_j = start + j*step = (a + j*b)/q and the coefficients scaled to
+    integers over a common denominator D, N_j is an integer Horner sum over
+    den = D*q^d, so each value costs d integer multiply-adds.
+    """
+    if not coefs:
+        return [0] * count, 1
     q = math.lcm(start.denominator, step.denominator)
     a = start.numerator * (q // start.denominator)
     b = step.numerator * (q // step.denominator)
-    xs = range(a, a + count * b, b)
+    d = max(coefs)
+    D = math.lcm(*(c.denominator for c in coefs.values()))
+    # N(x) = sum_k D*c_k * x^k * q^(d-k), from the top coefficient down
+    scaled = [
+        coefs[k].numerator * (D // coefs[k].denominator) * q ** (d - k) if k in coefs else 0
+        for k in range(d, -1, -1)
+    ]
+    den = D * q**d
+    if d == 0:
+        return scaled * count, den
+    nums = []
+    for x in range(a, a + count * b, b):
+        n = 0
+        for c in scaled:
+            n = n * x + c
+        nums.append(n)
+    return nums, den
+
+
+def _flow_elements(
+    phi: PolyMap, h: Sequence[Rational], start: Fraction, step: Fraction, count: int
+) -> List[GroupElement]:
+    """phi(start + j*step, h) for j = 0..count-1, exactly, as phi.eval gives it."""
     columns = []
-    for poly in pinned.coords:
-        if poly.is_constant():
-            columns.append([poly.constant_value()] * count)
-            continue
-        coefs = {exp[0]: coef for exp, coef in poly.terms.items()}
-        d = max(coefs)
-        D = math.lcm(*(c.denominator for c in coefs.values()))
-        # N(x) = sum_k D*c_k * x^k * q^(d-k), from the top coefficient down
-        scaled = [
-            coefs[k].numerator * (D // coefs[k].denominator) * q ** (d - k) if k in coefs else 0
-            for k in range(d, -1, -1)
-        ]
-        den = D * q**d
-        column = []
-        for x in xs:
-            n = 0
-            for c in scaled:
-                n = n * x + c
-            column.append(Fraction(n, den))
-        columns.append(column)
+    for coefs in _pinned_coefficients(phi, h):
+        nums, den = _horner(coefs, start, step, count)
+        columns.append([Fraction(n, den) for n in nums])
     return [GroupElement._make(phi.algebra, coords) for coords in zip(*columns)]
+
+
+def _flow_floats(
+    sys: NilSystem, phi: PolyMap, h: Sequence[Rational], start: Fraction, step: Fraction, count: int
+) -> np.ndarray:
+    """Float coordinates of phi(start + j*step, h) as it acts on sys, one row per j.
+
+    Equal to element_floats(sys, _flow_elements(...)) bit for bit: each
+    float is N_j / den, which Python rounds correctly, as it does
+    float(Fraction(N_j, den)).  An acting matrix is applied to the exact
+    coefficients before the Horner pass.
+    """
+    coefs = _pinned_coefficients(phi, h)
+    rows = acting_rows(sys, phi.algebra)
+    if rows is not None:
+        powers = set().union(*coefs)
+        coefs = [
+            {k: sum((r * c.get(k, 0) for r, c in zip(row, coefs)), Fraction(0)) for k in powers}
+            for row in rows
+        ]
+    out = np.empty((count, len(coefs)))
+    for i, column in enumerate(coefs):
+        nums, den = _horner(column, start, step, count)
+        out[:, i] = np.fromiter((n / den for n in nums), dtype=float, count=count)
+    return out
+
+
+def _slab_steps(rows: int) -> int:
+    """Time steps per kernel call for a block of `rows` samples, at most BLOCK_ROWS values.
+
+    A single row takes one step at a time: numpy sums a (steps, 1) slab
+    pairwise, not in step order.
+    """
+    return BLOCK_ROWS // rows if 1 < rows <= BLOCK_ROWS else 1
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +250,7 @@ def _flow_elements(
 
 def _per_sample_averages(
     systems: Sequence[NilSystem],
-    flows: Sequence[Sequence[GroupElement]],
+    flows: Sequence[np.ndarray],
     fns: Sequence[TestFunction],
     factors: Sequence[np.ndarray],
     snapshot_steps: Sequence[int],
@@ -205,33 +258,40 @@ def _per_sample_averages(
 ) -> Dict[int, np.ndarray]:
     """Per-sample time averages of f0(x0) * prod_i fi(flow_i(t) x_i).
 
-    Returns one n-vector per snapshot step.  Samples are split into row
-    blocks, each run through the whole time loop by one `StepKernel` per
-    factor; every row's arithmetic is independent of the split, so any
-    thread count reproduces the same numbers.
+    `flows` holds the float coordinates of each acting factor's flow, one
+    row per time step.  Returns one n-vector per snapshot step.  Samples are
+    split into row blocks, each run through the whole time loop by one
+    `StepKernel` per factor, a slab of steps per call.  A slab ends at every
+    snapshot step, and its products are added to the running sums in step
+    order.  Every row's arithmetic is independent of the blocks, slabs and
+    threads, so any thread count reproduces the same numbers.
     """
     n = factors[0].shape[0]
     snapshot_steps = sorted(set(int(s) for s in snapshot_steps))
-    total = snapshot_steps[-1]
-    wanted = set(snapshot_steps)
-    coords = [element_floats(sys, flow) for sys, flow in zip(systems[1:], flows)]
 
     def run_block(lo: int, hi: int) -> Dict[int, np.ndarray]:
+        steps = _slab_steps(hi - lo)
         base = eval_fn_array(fns[0], factors[0][lo:hi])
         kernels = [
-            StepKernel(systems[i], fns[i], factors[i][lo:hi]) for i in range(1, len(systems))
+            StepKernel(systems[i], fns[i], factors[i][lo:hi], steps) for i in range(1, len(systems))
         ]
-        acc = np.zeros(hi - lo)
-        vals = np.empty(hi - lo)
+        # row 0 holds the running sums, rows 1..s the products of a slab of s steps
+        stack = np.zeros((steps + 1, hi - lo))
         out: Dict[int, np.ndarray] = {}
-        for j in range(total):
-            product = base
-            for kernel, g in zip(kernels, coords):
-                np.multiply(product, kernel(g[j]), out=vals)
-                product = vals
-            acc += product
-            if j + 1 in wanted:
-                out[j + 1] = acc / (j + 1)
+        j = 0
+        for stop in snapshot_steps:
+            while j < stop:
+                s = min(steps, stop - j)
+                slab = stack[1 : s + 1]
+                product = base
+                for kernel, flow in zip(kernels, flows):
+                    np.multiply(product, kernel(flow[j : j + s].T), out=slab)
+                    product = slab
+                if product is base:
+                    slab[...] = base
+                np.add.reduce(stack[: s + 1], axis=0, out=stack[0])
+                j += s
+            out[stop] = stack[0] / stop
         return out
 
     workers = max(1, int(threads))
@@ -334,13 +394,15 @@ def scan_with_invariance(
     for tup in g_list:
         if len(tup) != joining.k + 1:
             raise ValueError(f"translation tuple has arity {len(tup)}, need {joining.k + 1}")
-    base_flows = [_flow_elements(phi, h, dt_f / 2, dt_f, snapshots[-1]) for phi in family]
+    acting = joining.systems[1:]
     factors = _draw_factors(joining, n_samples, seed)
 
-    def per_snapshot(flows: Sequence[Sequence[GroupElement]]) -> Dict[int, np.ndarray]:
+    def per_snapshot(flows: Sequence[np.ndarray]) -> Dict[int, np.ndarray]:
         return _per_sample_averages(joining.systems, flows, fns, factors, snapshots, threads)
 
-    base = per_snapshot(base_flows)
+    base = per_snapshot(
+        [_flow_floats(sys, phi, h, dt_f / 2, dt_f, snapshots[-1]) for sys, phi in zip(acting, family)]
+    )
     stats = [_mean_and_se(base[s]) for s in snapshots]
     estimates = tuple(e for e, _ in stats)
     report = AverageReport(
@@ -353,11 +415,15 @@ def scan_with_invariance(
         seed=seed,
     )
     deviations = []
+    # exact elements only where the tuples multiply them
+    base_flows = [
+        _flow_elements(phi, h, dt_f / 2, dt_f, snapshots[-1]) for phi in family
+    ] if g_list else []
     for tup in g_list:
         inv0 = group_inverse(tup[0])
         moved = [
-            [bch_product(bch_product(tup[i], el), inv0) for el in base_flows[i - 1]]
-            for i in range(1, joining.k + 1)
+            element_floats(sys, [bch_product(bch_product(g, el), inv0) for el in flow])
+            for sys, g, flow in zip(acting, tup[1:], base_flows)
         ]
         shifted = per_snapshot(moved)
         deviations.append(
@@ -469,15 +535,16 @@ def flow_correlation_trajectory(
     """Empirical correlation a(t) = mean_x f(u^{phi(t)}x) f(x) on the half-step grid."""
     dt_f = _positive_dt(dt)
     count = 2 * (_step_count(T, dt_f) + _step_count(S, dt_f))
-    flow = _flow_elements(phi, h, Fraction(0), dt_f / 2, count + 1)
+    flow = _flow_floats(sys, phi, h, Fraction(0), dt_f / 2, count + 1)
     pts = haar_array(sys, seed, n_samples)
     static = eval_fn_array(f, pts)
-    kernel = StepKernel(sys, f, pts)
+    steps = _slab_steps(n_samples)
+    kernel = StepKernel(sys, f, pts, steps)
     out = np.empty(len(flow))
-    for j, g in enumerate(element_floats(sys, flow)):
-        vals = kernel(g)
+    for j in range(0, len(flow), steps):
+        vals = kernel(flow[j : j + steps].T)
         vals *= static
-        out[j] = float(vals.mean())
+        out[j : j + len(vals)] = vals.mean(axis=1)
     return out
 
 
@@ -529,7 +596,7 @@ def mean_ergodic_base(
         raise ValueError("flow does not match system algebra")
     dt_f, snapshots = _scan_steps(t_grid, dt)
     h = tuple(_to_fraction(v) for v in h)
-    flow = _flow_elements(phi, h, dt_f / 2, dt_f, snapshots[-1])
+    flow = _flow_floats(sys, phi, h, dt_f / 2, dt_f, snapshots[-1])
     pts = haar_array(sys, seed, n_samples)
     if sys.kind == "torus":
         constant_one = TestFunction("torus_character", (0,) * sys.dim)

@@ -129,6 +129,13 @@ def _load_group_element(node: Sequence, algebra: LieAlgebraSpec) -> GroupElement
     return GroupElement(algebra, coords)
 
 
+def _load_factor_elements(nodes, systems, what: str) -> list:
+    """One group element per factor, each in its factor's algebra."""
+    if len(nodes) != len(systems):
+        raise ConfigError(f"{what} has {len(nodes)} elements, need one per factor ({len(systems)})")
+    return [_load_group_element(node, sys_i.algebra) for node, sys_i in zip(nodes, systems)]
+
+
 def _resolved(cfg: Mapping, args, key: str, default):
     override = getattr(args, key, None)
     if override is not None:
@@ -244,10 +251,7 @@ def cmd_average(cfg: Mapping, args, out_dir: Path) -> int:
     kind = cfg.get("joining", "diagonal")
     elements = None
     if cfg.get("elements") is not None:
-        elements = [
-            _load_group_element(node, sys_i.algebra)
-            for node, sys_i in zip(cfg["elements"], systems)
-        ]
+        elements = _load_factor_elements(cfg["elements"], systems, "elements")
     joining = JoiningSpec(systems, kind, elements=elements)
 
     algebra = _load_algebra(cfg)
@@ -262,10 +266,7 @@ def cmd_average(cfg: Mapping, args, out_dir: Path) -> int:
 
     tuples_node = (cfg.get("invariance") or {}).get("tuples")
     g_list = [
-        tuple(
-            _load_group_element(el, sys_i.algebra)
-            for el, sys_i in zip(tup, systems)
-        )
+        tuple(_load_factor_elements(tup, systems, "invariance tuple"))
         for tup in tuples_node or ()
     ]
     report, deviations = scan_with_invariance(

@@ -6,12 +6,14 @@ layer only ever adds, multiplies, and reduces mod 1, so no error compounds
 across a time loop.
 
 The translate, the reduction and a test function's phase are each written
-once.  `act_array`, `reduce_array` and `eval_fn_array` run them on fresh
-arrays; `StepKernel`, which the time loops use, runs them in buffers it
-allocates once per block of sample points, so its values equal
-`eval_fn_array(f, act_array(sys, g, pts))` bit for bit.  The phase is the
-sum of freq_k * coord_k in coordinate order, not a BLAS product, so its bits
-do not depend on the BLAS build.
+once, and each broadcasts over everything after the coordinate axis.
+`act_array`, `reduce_array` and `eval_fn_array` run them on fresh arrays of
+shape (coordinate, sample).  `StepKernel`, which the time loops use, runs
+them on a slab of consecutive time steps at once, in buffers of shape
+(coordinate, step, sample) that it allocates once per block of sample
+points; each value equals `eval_fn_array(f, act_array(sys, g, pts))` for its
+step bit for bit.  The phase is the sum of freq_k * coord_k in coordinate
+order, not a BLAS product, so its bits do not depend on the BLAS build.
 """
 
 from __future__ import annotations
@@ -108,21 +110,27 @@ class NilPoint:
 # ----------------------------------------------------------------------
 # translate, reduction and phase
 #
-# The helpers work on coordinate rows (shape (rows, m), one row per
-# coordinate) and write into buffers the caller passes in.
+# The helpers work on coordinate rows (shape (rows, ...), one row per
+# coordinate, the rest broadcast) and write into buffers the caller passes in.
 
 
 class _Buffers:
-    """Scratch space for the helpers, for `rows` coordinate rows of m points."""
+    """Scratch space for the helpers, for `rows` coordinate rows of the given shape."""
 
-    __slots__ = ("floor", "mask", "tmp", "tmp2", "both")
+    __slots__ = ("floor", "mask", "tmp", "tmp2")
 
-    def __init__(self, rows: int, m: int):
-        self.floor = np.empty((rows, m))
-        self.mask = np.empty((rows, m), dtype=bool)
-        self.tmp = np.empty(m)
-        self.tmp2 = np.empty(m)
-        self.both = np.empty(m, dtype=bool)
+    def __init__(self, rows: int, shape: Tuple[int, ...]):
+        self.floor = np.empty((rows, *shape))
+        self.mask = np.empty((rows, *shape), dtype=bool)
+        self.tmp = np.empty(shape)
+        self.tmp2 = np.empty(shape)
+
+    def head(self, steps: int) -> "_Buffers":
+        """Views of the first `steps` time steps of slab-shaped buffers."""
+        part = object.__new__(_Buffers)
+        part.floor, part.mask = self.floor[:, :steps], self.mask[:, :steps]
+        part.tmp, part.tmp2 = self.tmp[:steps], self.tmp2[:steps]
+        return part
 
 
 def _frac_into(v: np.ndarray, out: np.ndarray, floor: np.ndarray, mask: np.ndarray) -> None:
@@ -138,13 +146,16 @@ def _frac_into(v: np.ndarray, out: np.ndarray, floor: np.ndarray, mask: np.ndarr
 def _translate_into(kind: str, g: np.ndarray, cols: np.ndarray, moved: np.ndarray, buf: _Buffers) -> None:
     """Rows of g x for the points x with coordinate rows `cols`.
 
-    On the Heisenberg system `moved` may hold only the x and y rows; the
-    central row is then not computed.
+    g holds one float per coordinate, or one column of floats per time step
+    of a slab; it gains a trailing sample axis, so it broadcasts against
+    `cols`.  On the Heisenberg system `moved` may hold only the x and y rows;
+    the central row is then not computed.
     """
+    g = g[..., None]
     if kind == "torus":
-        np.add(cols, g[:, None], out=moved)
+        np.add(cols, g, out=moved)
         return
-    np.add(cols[:2], g[:2, None], out=moved[:2])
+    np.add(cols[:2], g[:2], out=moved[:2])
     if len(moved) == 3:
         a, b, c = g
         x, y, z = cols
@@ -173,10 +184,11 @@ def _reduce_into(kind: str, moved: np.ndarray, out: np.ndarray, buf: _Buffers) -
     if len(moved) < 3:
         return
     x, y, z = moved
-    fx, fy, fz = buf.floor
+    _, fy, fz = buf.floor
     xr, yr = out[0], out[1]
     offset, tmp = buf.tmp, buf.tmp2
-    # offset = x y / 2 - x fy - xr yr / 2
+    # offset = x y / 2 - x fy - xr yr / 2; on a row that is already reduced
+    # (floor(x) = floor(y) = 0) it is exactly +0.0, so z keeps its bits
     np.multiply(x, y, out=offset)
     offset *= 0.5
     np.multiply(x, fy, out=tmp)
@@ -184,11 +196,6 @@ def _reduce_into(kind: str, moved: np.ndarray, out: np.ndarray, buf: _Buffers) -
     np.multiply(xr, yr, out=tmp)
     tmp *= 0.5
     offset -= tmp
-    # a row that is already reduced keeps its central coordinate bit for bit
-    np.equal(fx, 0.0, out=buf.mask[0])
-    np.equal(fy, 0.0, out=buf.mask[1])
-    np.logical_and(buf.mask[0], buf.mask[1], out=buf.both)
-    np.copyto(offset, 0.0, where=buf.both)
     np.add(z, offset, out=offset)
     _frac_into(offset, out[2], fz, buf.mask[2])
 
@@ -240,11 +247,11 @@ def reduce_array(sys: NilSystem, pts: np.ndarray) -> np.ndarray:
     """Canonical fundamental-domain representative, row-wise.
 
     When a row is already reduced the output is bitwise identical to the
-    input.
+    input, except that a -0.0 becomes +0.0.
     """
     pts = np.asarray(pts, dtype=float)
     out = np.empty(pts.shape)
-    _reduce_into(sys.kind, pts.T, out.T, _Buffers(pts.shape[1], pts.shape[0]))
+    _reduce_into(sys.kind, pts.T, out.T, _Buffers(pts.shape[1], pts.shape[:1]))
     return out
 
 
@@ -257,17 +264,23 @@ def reduce_point(sys: NilSystem, coords: Sequence[float]) -> NilPoint:
 # group action
 
 
-def _group_coords(sys: NilSystem, g: GroupElement) -> Tuple[Fraction, ...]:
-    if g.algebra == sys.algebra:
-        return tuple(g.coords)
-    if sys.acting_matrix is not None and g.algebra.step == 1:
+def acting_rows(sys: NilSystem, algebra: LieAlgebraSpec) -> Tuple[Tuple[Fraction, ...], ...] | None:
+    """How elements of `algebra` act on `sys`: None when by their own
+    coordinates, otherwise the acting matrix that maps them into sys's algebra."""
+    if algebra == sys.algebra:
+        return None
+    if sys.acting_matrix is not None and algebra.step == 1:
         cols = len(sys.acting_matrix[0]) if sys.acting_matrix else 0
-        if g.algebra.dim == cols:
-            return tuple(
-                sum((r * c for r, c in zip(row, g.coords)), Fraction(0))
-                for row in sys.acting_matrix
-            )
+        if algebra.dim == cols:
+            return sys.acting_matrix
     raise ValueError("algebra mismatch between group element and system")
+
+
+def _group_coords(sys: NilSystem, g: GroupElement) -> Tuple[Fraction, ...]:
+    rows = acting_rows(sys, g.algebra)
+    if rows is None:
+        return tuple(g.coords)
+    return tuple(sum((r * c for r, c in zip(row, g.coords)), Fraction(0)) for row in rows)
 
 
 def element_floats(sys: NilSystem, elements: Sequence[GroupElement]) -> np.ndarray:
@@ -281,7 +294,7 @@ def act_array(sys: NilSystem, g: GroupElement, pts: np.ndarray) -> np.ndarray:
     """Left translation by g applied to every row, then reduction."""
     pts = np.asarray(pts, dtype=float)
     m = pts.shape[0]
-    buf = _Buffers(sys.dim, m)
+    buf = _Buffers(sys.dim, (m,))
     moved = np.empty((sys.dim, m))
     _translate_into(sys.kind, element_floats(sys, [g])[0], pts.T, moved, buf)
     out = np.empty((m, sys.dim))
@@ -378,39 +391,50 @@ def eval_fn(f: TestFunction, x: NilPoint) -> float:
 
 
 class StepKernel:
-    """f(g x) on fixed points x, for one group element g after another.
+    """f(g x) on fixed points x, for a slab of consecutive group elements g at a time.
 
-    Set up once per block of rows: the coordinates are copied into
-    contiguous rows and every buffer is allocated here, so a step allocates
-    nothing.  A step runs the translate, reduction and phase helpers that
-    `act_array` and `eval_fn_array` run, so it returns
-    eval_fn_array(f, act_array(sys, g, pts)) bit for bit.  An abelianized
-    Heisenberg function does not read the central coordinate, so its kernel
-    does not compute it.
+    Set up once per block of rows, for slabs of up to `steps` time steps:
+    the coordinates are copied into contiguous rows and every buffer, of
+    shape (coordinate, step, sample), is allocated here, so a call allocates
+    nothing but views.  A call runs the translate, reduction and phase
+    helpers that `act_array` and `eval_fn_array` run, so each row of its
+    result is eval_fn_array(f, act_array(sys, g, pts)) for that step's g bit
+    for bit.  An abelianized Heisenberg function does not read the central
+    coordinate, so its kernel does not compute it.
     """
 
-    __slots__ = ("kind", "cols", "moved", "reduced", "buf", "terms", "part", "out")
+    __slots__ = ("kind", "f", "cols", "moved", "reduced", "buf", "terms", "out")
 
-    def __init__(self, sys: NilSystem, f: TestFunction, pts: np.ndarray):
+    def __init__(self, sys: NilSystem, f: TestFunction, pts: np.ndarray, steps: int):
         pts = np.asarray(pts, dtype=float)
         _fn_coord_slice(f, pts.shape[1])  # rejects a frequency of the wrong arity
-        m = pts.shape[0]
+        shape = (steps, pts.shape[0])
         rows = 2 if sys.kind == "heisenberg3" and f.kind == "heis_abelian" else sys.dim
         self.kind = sys.kind
-        self.cols = np.ascontiguousarray(pts.T)
-        self.moved = np.empty((rows, m))
-        self.reduced = np.empty((rows, m))
-        self.buf = _Buffers(rows, m)
+        self.f = f
+        self.cols = np.ascontiguousarray(pts.T)[:, None]
+        self.moved = np.empty((rows, *shape))
+        self.reduced = np.empty((rows, *shape))
+        self.buf = _Buffers(rows, shape)
         self.terms = _phase_terms(f, self.reduced)
-        self.part = f.part
-        self.out = np.empty(m)
+        self.out = np.empty(shape)
 
     def __call__(self, g: np.ndarray) -> np.ndarray:
-        """Values at g x for a row g of `element_floats`; the next call overwrites them."""
-        _translate_into(self.kind, g, self.cols, self.moved, self.buf)
-        _reduce_into(self.kind, self.moved, self.reduced, self.buf)
-        _phase_into(self.terms, self.part, self.out, self.buf.tmp)
-        return self.out
+        """Values at g_s x for the columns g_s of g, shape (dim, s) with s <= steps.
+
+        Returns one row of values per column, shape (s, sample); the next call
+        overwrites them.
+        """
+        steps = g.shape[1]
+        if steps == len(self.out):
+            moved, reduced, buf, terms, out = self.moved, self.reduced, self.buf, self.terms, self.out
+        else:
+            moved, reduced, out = self.moved[:, :steps], self.reduced[:, :steps], self.out[:steps]
+            buf, terms = self.buf.head(steps), _phase_terms(self.f, reduced)
+        _translate_into(self.kind, g, self.cols, moved, buf)
+        _reduce_into(self.kind, moved, reduced, buf)
+        _phase_into(terms, self.f.part, out, buf.tmp)
+        return out
 
 
 # ----------------------------------------------------------------------

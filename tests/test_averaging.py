@@ -11,6 +11,7 @@ import nilflow.averaging as averaging
 from nilflow.averaging import (
     AverageReport,
     _flow_elements,
+    _flow_floats,
     _per_sample_averages,
     JoiningSpec,
     convergence_scan,
@@ -21,7 +22,15 @@ from nilflow.averaging import (
     mean_ergodic_base,
     vdc_check,
 )
-from nilflow.dynamics import TestFunction, act_array, eval_fn_array, haar_array, heisenberg3, torus
+from nilflow.dynamics import (
+    TestFunction,
+    act_array,
+    element_floats,
+    eval_fn_array,
+    haar_array,
+    heisenberg3,
+    torus,
+)
 from nilflow.lie_core import GroupElement, identity, make_builtin
 from nilflow.multipoly import MultiPoly
 from nilflow.pet import PolyFamily
@@ -200,8 +209,8 @@ def test_heisenberg_pair_scan_is_sane():
 
 
 def test_per_sample_averages_match_the_act_then_eval_loop(monkeypatch):
-    """Every thread count and row-block size gives the same bits as one
-    act_array + eval_fn_array per factor and step."""
+    """Every slab size, block size and thread count gives the same bits as
+    one act_array + eval_fn_array per factor and step."""
     systems = [heisenberg3()] * 3
     joining = JoiningSpec(systems, "product")
     fns = [
@@ -209,15 +218,25 @@ def test_per_sample_averages_match_the_act_then_eval_loop(monkeypatch):
         TestFunction("heis_vertical", (2, -3, 1), "sin"),
         TestFunction("heis_abelian", (1, -1)),
     ]
+    start, step = Fraction(1, 4), Fraction(1, 2)
+    # x1 is -2^-60 at step 5, where rows at x = 0 round x - floor(x) to 1.0
+    t5 = start + 5 * step
+    x1 = MultiPoly(("t",), {(1,): Fraction(7, 3), (0,): -Fraction(7, 3) * t5 - Fraction(1, 2**60)})
     maps = [
-        PolyMap.build(H3, ("t",), {"x1": t_times(Fraction(7, 3)), "z": t_times(-5, power=2)}),
+        PolyMap.build(H3, ("t",), {"x1": x1, "z": t_times(-5, power=2)}),
         PolyMap.build(H3, ("t",), {"y1": t_times(SQRT2), "x1": t_times(Fraction(-1, 9))}),
     ]
-    flows = [_flow_elements(phi, (), Fraction(1, 4), Fraction(1, 2), 40) for phi in maps]
-    factors = averaging._draw_factors(joining, 500, 21)
-    snapshots = [13, 40]
+    n = 301
+    flows = [_flow_elements(phi, (), start, step, 40) for phi in maps]
+    floats = [_flow_floats(sys, phi, (), start, step, 40) for sys, phi in zip(systems[1:], maps)]
+    factors = averaging._draw_factors(joining, n, 21)
+    factors[1][:20, 0] = 0.0
+    x = factors[1][0, 0] + floats[0][5, 0]
+    assert x - np.floor(x) == 1.0
+    # snapshots cut slabs short and fall on their edges
+    snapshots = [1, 7, 8, 16, 23, 40]
 
-    acc = np.zeros(500)
+    acc = np.zeros(n)
     want = {}
     base = eval_fn_array(fns[0], factors[0])
     for j in range(40):
@@ -228,12 +247,19 @@ def test_per_sample_averages_match_the_act_then_eval_loop(monkeypatch):
         if j + 1 in snapshots:
             want[j + 1] = acc / (j + 1)
 
-    for block_rows in (averaging.BLOCK_ROWS, 64, 7):
-        monkeypatch.setattr(averaging, "BLOCK_ROWS", block_rows)
-        for threads in (1, 2, 3, 5):
-            got = _per_sample_averages(systems, flows, fns, factors, snapshots, threads)
-            for s in snapshots:
-                assert np.array_equal(got[s].view(np.int64), want[s].view(np.int64)), (block_rows, threads)
+    def check(got, rows=n):
+        for s in snapshots:
+            assert np.array_equal(got[s].view(np.int64), want[s][:rows].view(np.int64))
+
+    for threads in (1, 2, 3):
+        block = -(-n // threads)
+        for slab in (1, 7, 8):
+            monkeypatch.setattr(averaging, "BLOCK_ROWS", slab * block)
+            assert averaging._slab_steps(block) == slab
+            check(_per_sample_averages(systems, floats, fns, factors, snapshots, threads))
+    # blocks of 3, 3 and 1 rows: the one-row block steps one at a time
+    monkeypatch.setattr(averaging, "BLOCK_ROWS", 8192)
+    check(_per_sample_averages(systems, floats, fns, [f[:7] for f in factors], snapshots, 3), rows=7)
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +365,21 @@ def test_half_step_grids_reject_nonpositive_dt(dt):
         )
 
 
+@pytest.mark.parametrize("n", [1, 3, 700, 9000])
+def test_flow_correlation_trajectory_matches_the_per_step_loop(n):
+    """Slabs of 8192 // n steps (one step from 8193 samples up) give the
+    per-step values bit for bit."""
+    phi = PolyMap.build(H3, ("t",), {"x1": t_times(Fraction(7, 3), power=2), "y1": t_times(SQRT2)})
+    f = TestFunction("heis_vertical", (1, 2, 1), "sin")
+    dt = Fraction(1, 4)
+    got = flow_correlation_trajectory(heisenberg3(), phi, (), f, 2, 1, dt, n_samples=n, seed=n)
+    pts = haar_array(heisenberg3(), n, n)
+    static = eval_fn_array(f, pts)
+    flow = _flow_elements(phi, (), Fraction(0), dt / 2, 25)
+    want = [float((eval_fn_array(f, act_array(heisenberg3(), g, pts)) * static).mean()) for g in flow]
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
 def test_flow_correlation_trajectory_tracks_rotation():
     T = S = 2
     dt = 0.5
@@ -360,14 +401,14 @@ def eval_along(phi, h, start, step, count):
     return [phi.eval({phi.vars[0]: start + j * step, **fixed}) for j in range(count)]
 
 
-def random_flow(alg, rng, n_params):
+def random_flow(alg, rng, n_params, scale=9, den=8):
     variables = ("t",) + tuple(f"h{i}" for i in range(n_params))
     coords = []
     for _ in range(alg.dim):
         terms = {}
         for _ in range(rng.randint(0, 4)):
             exp = (rng.randint(0, 4),) + tuple(rng.randint(0, 2) for _ in range(n_params))
-            terms[exp] = Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+            terms[exp] = Fraction(rng.randint(-scale, scale), rng.randint(1, den))
         coords.append(MultiPoly(variables, terms))
     return PolyMap(alg, variables, coords)
 
@@ -384,6 +425,32 @@ def test_flow_elements_equal_exact_eval_on_both_grids(alg):
         offset = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
         for start, step in ((dt / 2, dt), (Fraction(0), dt / 2), (offset, dt)):
             assert _flow_elements(phi, h, start, step, 30) == eval_along(phi, h, start, step, 30)
+
+
+@pytest.mark.parametrize("sys", [torus(2), heisenberg3()], ids=["torus", "heisenberg"])
+def test_flow_floats_equal_floated_elements(sys):
+    rng = random.Random(10 + sys.dim)
+    for _ in range(40):
+        n_params = rng.randint(0, 2)
+        phi = random_flow(sys.algebra, rng, n_params, scale=10**12, den=10**9)
+        h = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n_params)]
+        dt = Fraction(rng.randint(1, 5), rng.randint(1, 30))
+        offset = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        for start, step in ((dt / 2, dt), (Fraction(0), dt / 2), (offset, dt)):
+            want = element_floats(sys, _flow_elements(phi, h, start, step, 30))
+            got = _flow_floats(sys, phi, h, start, step, 30)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_flow_floats_through_an_acting_matrix():
+    sys = torus(2, acting_matrix=[["1/3"], ["-7/5"]])
+    rng = random.Random(5)
+    for _ in range(10):
+        phi = random_flow(A1, rng, 1, scale=10**6, den=10**4)
+        h = [Fraction(rng.randint(-9, 9), 7)]
+        want = element_floats(sys, _flow_elements(phi, h, Fraction(1, 40), Fraction(1, 20), 50))
+        got = _flow_floats(sys, phi, h, Fraction(1, 40), Fraction(1, 20), 50)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_flow_elements_zero_constant_and_negative_coordinates():

@@ -143,6 +143,20 @@ def test_average_invariance_reuses_the_scan_pass(tmp_path):
     assert cert["invariance"]["deviations"] == deviations
 
 
+@pytest.mark.parametrize("key", ["invariance", "elements"])
+def test_average_rejects_elements_of_the_wrong_arity(tmp_path, capsys, key):
+    """One element per factor: an extra one is an error, not silently dropped."""
+    cfg = json.loads((DEMOS / "demo_heisenberg_joining.json").read_text())
+    if key == "invariance":
+        cfg["invariance"]["tuples"][0].append(["7", "7", "7"])
+    else:
+        cfg["joining"] = "graph"
+        cfg["elements"] = [["0", "0", "0"], ["1/3", "0", "0"], ["0", "1/5", "0"], ["7", "7", "7"]]
+    assert run("average", write_config(tmp_path, cfg), tmp_path / "out") == 2
+    assert "has 4 elements, need one per factor (3)" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "certificate.json").exists()
+
+
 def test_generic_demo_avoids_both_lines(tmp_path):
     assert run("generic", DEMOS / "demo_generic_lines.json", tmp_path) == 0
     cert = json.loads((tmp_path / "certificate.json").read_text())

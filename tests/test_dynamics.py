@@ -275,24 +275,36 @@ def kernel_elements(sys, rng):
 
 @pytest.mark.parametrize("sys, kinds", KERNEL_CASES, ids=["torus1", "torus2", "torus3", "heisenberg3"])
 def test_step_kernel_is_bit_identical_to_act_then_eval(sys, kinds):
+    """Each row of a slab, whole or cut, is the per-step value bit for bit."""
     rng = random.Random(sys.dim)
     pts = haar_array(sys, seed=11, n=3000)
     pts[:40] = 0.0
+    # rows whose x or y is -0.0; the last float row below keeps them at -0.0
+    pts[40:50, 0] = -0.0
+    pts[45:55, min(1, sys.dim - 1)] = -0.0
     elements = kernel_elements(sys, rng)
     coords = element_floats(sys, elements)
     if sys.kind == "heisenberg3":
         assert np.all(np.floor(pts[:, :2] + coords[0][:2]) == 0)
     assert np.any((pts + coords[1]) - np.floor(pts + coords[1]) >= 1.0)
+    for g, gf in zip(elements, coords):
+        assert np.array_equal(bits(act_array(sys, g, pts)), bits(act_reference(sys.kind, gf, pts)))
+    # the first element with its signs flipped: its zero coordinates are -0.0
+    rows = np.vstack([coords, -coords[:1]])
+    if sys.kind == "heisenberg3":
+        moved = pts[:, :2] + rows[-1][:2]
+        assert np.all(np.any(np.signbit(moved) & (moved == 0), axis=0))
     for kind, freq in kinds:
         for part in ("cos", "sin"):
             f = TestFunction(kind, freq, part)
-            kernel = StepKernel(sys, f, pts)
-            for g, gf in zip(elements, coords):
-                moved = act_array(sys, g, pts)
-                assert np.array_equal(bits(moved), bits(act_reference(sys.kind, gf, pts)))
-                want = eval_fn_array(f, moved)
-                assert np.array_equal(bits(want), bits(character_reference(freq, part, moved)))
-                assert np.array_equal(bits(kernel(gf)), bits(want)), (f, g)
+            want = np.array([character_reference(freq, part, act_reference(sys.kind, gf, pts)) for gf in rows])
+            for g, w in zip(elements, want):
+                assert np.array_equal(bits(eval_fn_array(f, act_array(sys, g, pts))), bits(w))
+            for steps in (1, 5, len(rows)):
+                kernel = StepKernel(sys, f, pts, steps)
+                for j in range(0, len(rows), steps):
+                    got = kernel(rows[j : j + steps].T)
+                    assert np.array_equal(bits(got), bits(want[j : j + steps])), (f, steps, j)
 
 
 def test_step_kernel_with_acting_matrix():
@@ -300,11 +312,11 @@ def test_step_kernel_with_acting_matrix():
     param = make_builtin("abelian", dim=1)
     pts = haar_array(sys, seed=4, n=700)
     f = TestFunction("torus_character", (1, 2), "sin")
-    kernel = StepKernel(sys, f, pts)
-    for c in ("7/3", "-12345/7", "0"):
-        g = GroupElement(param, (Fraction(c),))
-        gf = element_floats(sys, [g])[0]
-        assert np.array_equal(bits(kernel(gf)), bits(eval_fn_array(f, act_array(sys, g, pts))))
+    elements = [GroupElement(param, (Fraction(c),)) for c in ("7/3", "-12345/7", "0")]
+    kernel = StepKernel(sys, f, pts, steps=3)
+    got = kernel(element_floats(sys, elements).T)
+    for g, row in zip(elements, got):
+        assert np.array_equal(bits(row), bits(eval_fn_array(f, act_array(sys, g, pts))))
 
 
 # ----------------------------------------------------------------------
