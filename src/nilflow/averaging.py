@@ -236,12 +236,8 @@ def _flow_floats(
 
 
 def _slab_steps(rows: int) -> int:
-    """Time steps per kernel call for a block of `rows` samples, at most BLOCK_ROWS values.
-
-    A single row takes one step at a time: numpy sums a (steps, 1) slab
-    pairwise, not in step order.
-    """
-    return BLOCK_ROWS // rows if 1 < rows <= BLOCK_ROWS else 1
+    """Time steps per kernel call for a block of `rows` samples, at most BLOCK_ROWS values."""
+    return max(1, BLOCK_ROWS // max(1, rows))
 
 
 # ----------------------------------------------------------------------
@@ -275,23 +271,24 @@ def _per_sample_averages(
         kernels = [
             StepKernel(systems[i], fns[i], factors[i][lo:hi], steps) for i in range(1, len(systems))
         ]
-        # row 0 holds the running sums, rows 1..s the products of a slab of s steps
-        stack = np.zeros((steps + 1, hi - lo))
+        sums = np.zeros(hi - lo)
+        products = np.empty((steps, hi - lo))
         out: Dict[int, np.ndarray] = {}
         j = 0
         for stop in snapshot_steps:
             while j < stop:
                 s = min(steps, stop - j)
-                slab = stack[1 : s + 1]
+                slab = products[:s]
                 product = base
                 for kernel, flow in zip(kernels, flows):
                     np.multiply(product, kernel(flow[j : j + s].T), out=slab)
                     product = slab
                 if product is base:
                     slab[...] = base
-                np.add.reduce(stack[: s + 1], axis=0, out=stack[0])
+                for row in slab:  # one add per step, in step order
+                    sums += row
                 j += s
-            out[stop] = stack[0] / stop
+            out[stop] = sums / stop
         return out
 
     workers = max(1, int(threads))

@@ -119,18 +119,18 @@ class _Buffers:
 
     __slots__ = ("floor", "mask", "tmp", "tmp2")
 
-    def __init__(self, rows: int, shape: Tuple[int, ...]):
-        self.floor = np.empty((rows, *shape))
-        self.mask = np.empty((rows, *shape), dtype=bool)
-        self.tmp = np.empty(shape)
-        self.tmp2 = np.empty(shape)
+    def __init__(self, floor: np.ndarray, mask: np.ndarray, tmp: np.ndarray, tmp2: np.ndarray):
+        self.floor, self.mask, self.tmp, self.tmp2 = floor, mask, tmp, tmp2
+
+    @classmethod
+    def empty(cls, rows: int, shape: Tuple[int, ...]) -> "_Buffers":
+        return cls(
+            np.empty((rows, *shape)), np.empty((rows, *shape), dtype=bool), np.empty(shape), np.empty(shape)
+        )
 
     def head(self, steps: int) -> "_Buffers":
         """Views of the first `steps` time steps of slab-shaped buffers."""
-        part = object.__new__(_Buffers)
-        part.floor, part.mask = self.floor[:, :steps], self.mask[:, :steps]
-        part.tmp, part.tmp2 = self.tmp[:steps], self.tmp2[:steps]
-        return part
+        return _Buffers(self.floor[:, :steps], self.mask[:, :steps], self.tmp[:steps], self.tmp2[:steps])
 
 
 def _frac_into(v: np.ndarray, out: np.ndarray, floor: np.ndarray, mask: np.ndarray) -> None:
@@ -251,7 +251,7 @@ def reduce_array(sys: NilSystem, pts: np.ndarray) -> np.ndarray:
     """
     pts = np.asarray(pts, dtype=float)
     out = np.empty(pts.shape)
-    _reduce_into(sys.kind, pts.T, out.T, _Buffers(pts.shape[1], pts.shape[:1]))
+    _reduce_into(sys.kind, pts.T, out.T, _Buffers.empty(pts.shape[1], pts.shape[:1]))
     return out
 
 
@@ -294,7 +294,7 @@ def act_array(sys: NilSystem, g: GroupElement, pts: np.ndarray) -> np.ndarray:
     """Left translation by g applied to every row, then reduction."""
     pts = np.asarray(pts, dtype=float)
     m = pts.shape[0]
-    buf = _Buffers(sys.dim, (m,))
+    buf = _Buffers.empty(sys.dim, (m,))
     moved = np.empty((sys.dim, m))
     _translate_into(sys.kind, element_floats(sys, [g])[0], pts.T, moved, buf)
     out = np.empty((m, sys.dim))
@@ -395,15 +395,15 @@ class StepKernel:
 
     Set up once per block of rows, for slabs of up to `steps` time steps:
     the coordinates are copied into contiguous rows and every buffer, of
-    shape (coordinate, step, sample), is allocated here, so a call allocates
-    nothing but views.  A call runs the translate, reduction and phase
+    shape (coordinate, step, sample), is allocated here; a call works in
+    views of their first s steps.  A call runs the translate, reduction and phase
     helpers that `act_array` and `eval_fn_array` run, so each row of its
     result is eval_fn_array(f, act_array(sys, g, pts)) for that step's g bit
     for bit.  An abelianized Heisenberg function does not read the central
     coordinate, so its kernel does not compute it.
     """
 
-    __slots__ = ("kind", "f", "cols", "moved", "reduced", "buf", "terms", "out")
+    __slots__ = ("kind", "f", "cols", "moved", "reduced", "buf", "out")
 
     def __init__(self, sys: NilSystem, f: TestFunction, pts: np.ndarray, steps: int):
         pts = np.asarray(pts, dtype=float)
@@ -415,8 +415,7 @@ class StepKernel:
         self.cols = np.ascontiguousarray(pts.T)[:, None]
         self.moved = np.empty((rows, *shape))
         self.reduced = np.empty((rows, *shape))
-        self.buf = _Buffers(rows, shape)
-        self.terms = _phase_terms(f, self.reduced)
+        self.buf = _Buffers.empty(rows, shape)
         self.out = np.empty(shape)
 
     def __call__(self, g: np.ndarray) -> np.ndarray:
@@ -425,15 +424,11 @@ class StepKernel:
         Returns one row of values per column, shape (s, sample); the next call
         overwrites them.
         """
-        steps = g.shape[1]
-        if steps == len(self.out):
-            moved, reduced, buf, terms, out = self.moved, self.reduced, self.buf, self.terms, self.out
-        else:
-            moved, reduced, out = self.moved[:, :steps], self.reduced[:, :steps], self.out[:steps]
-            buf, terms = self.buf.head(steps), _phase_terms(self.f, reduced)
+        s = g.shape[1]
+        moved, reduced, out, buf = self.moved[:, :s], self.reduced[:, :s], self.out[:s], self.buf.head(s)
         _translate_into(self.kind, g, self.cols, moved, buf)
         _reduce_into(self.kind, moved, reduced, buf)
-        _phase_into(terms, self.f.part, out, buf.tmp)
+        _phase_into(_phase_terms(self.f, reduced), self.f.part, out, buf.tmp)
         return out
 
 

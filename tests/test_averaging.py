@@ -257,7 +257,14 @@ def test_per_sample_averages_match_the_act_then_eval_loop(monkeypatch):
             monkeypatch.setattr(averaging, "BLOCK_ROWS", slab * block)
             assert averaging._slab_steps(block) == slab
             check(_per_sample_averages(systems, floats, fns, factors, snapshots, threads))
-    # blocks of 3, 3 and 1 rows: the one-row block steps one at a time
+    # one step per call in blocks of 64 or 7 rows (61 at 5 threads), more
+    # blocks than workers
+    for rows in (64, 7):
+        monkeypatch.setattr(averaging, "BLOCK_ROWS", rows)
+        for threads in (1, 2, 3, 5):
+            check(_per_sample_averages(systems, floats, fns, factors, snapshots, threads))
+    # blocks of 3, 3 and 1 rows: the one-row block takes slabs of up to 17
+    # steps between snapshots, still added in step order
     monkeypatch.setattr(averaging, "BLOCK_ROWS", 8192)
     check(_per_sample_averages(systems, floats, fns, [f[:7] for f in factors], snapshots, 3), rows=7)
 
