@@ -10,8 +10,10 @@ and draw order make every number bit-reproducible.
 One integer Horner pass (`_horner`) gives each flow coordinate at every grid
 time as N_j / den.  The averages float it straight from there
 (`_flow_floats`): N_j / den is a correctly rounded int division, equal to
-float(Fraction(N_j, den)) bit for bit.  Exact `GroupElement`s
-(`_flow_elements`) are built only where invariance tuples multiply them.
+float(Fraction(N_j, den)) bit for bit.  An invariance tuple's flows take
+the same path: each is the polynomial map g_i phi_i g_0^{-1}, built once
+by BCH on polynomial coordinates, so no exact group element is built per
+grid time.
 
 The time loop runs over blocks of samples, with one `dynamics.StepKernel`
 per factor and block.  Each kernel call computes a slab of consecutive time
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -37,13 +39,13 @@ from .dynamics import (
     TestFunction,
     act_array,
     acting_rows,
-    element_floats,
     eval_fn_array,
     haar_array,
 )
-from .lie_core import GroupElement, bch_product, group_inverse, identity
+from .lie_core import GroupElement, group_inverse
+from .multipoly import as_fraction
 from .pet import PolyFamily
-from .poly_maps import PolyMap, substitute
+from .poly_maps import PolyMap, pointwise_product, substitute
 from .zariski import MeagreSet, generic_sample, is_proper, vanishing_variety
 
 Rational = Union[int, str, Fraction]
@@ -51,14 +53,6 @@ Rational = Union[int, str, Fraction]
 # samples x time steps per block of the time loop: a block's kernel buffers
 # stay in cache
 BLOCK_ROWS = 8192
-
-
-def _to_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
 
 
 # ----------------------------------------------------------------------
@@ -129,7 +123,7 @@ def _draw_factors(joining: JoiningSpec, n: int, seed: int) -> List[np.ndarray]:
 
 
 def _step_count(T: Rational, dt: Fraction) -> int:
-    T = _to_fraction(T)
+    T = as_fraction(T)
     if T <= 0:
         raise ValueError("horizon T must be positive")
     steps = T / dt
@@ -139,7 +133,7 @@ def _step_count(T: Rational, dt: Fraction) -> int:
 
 
 def _positive_dt(dt: Rational) -> Fraction:
-    dt = _to_fraction(dt)
+    dt = as_fraction(dt)
     if dt <= 0:
         raise ValueError("dt must be positive")
     return dt
@@ -159,7 +153,7 @@ def _scan_steps(t_grid: Sequence[Rational], dt: Rational) -> Tuple[Fraction, Lis
 def _pinned_coefficients(phi: PolyMap, h: Sequence[Rational]) -> List[Dict[int, Fraction]]:
     """{k: coefficient of t^k} of each coordinate of phi(t, h)."""
     params = phi.vars[1:]
-    h = tuple(_to_fraction(v) for v in h)
+    h = tuple(as_fraction(v) for v in h)
     if len(h) != len(params):
         raise ValueError(f"parameter point has arity {len(h)}, map needs {len(params)}")
     pinned = substitute(phi, dict(zip(params, h)), new_variables=phi.vars[:1])
@@ -199,24 +193,13 @@ def _horner(
     return nums, den
 
 
-def _flow_elements(
-    phi: PolyMap, h: Sequence[Rational], start: Fraction, step: Fraction, count: int
-) -> List[GroupElement]:
-    """phi(start + j*step, h) for j = 0..count-1, exactly, as phi.eval gives it."""
-    columns = []
-    for coefs in _pinned_coefficients(phi, h):
-        nums, den = _horner(coefs, start, step, count)
-        columns.append([Fraction(n, den) for n in nums])
-    return [GroupElement._make(phi.algebra, coords) for coords in zip(*columns)]
-
-
 def _flow_floats(
     sys: NilSystem, phi: PolyMap, h: Sequence[Rational], start: Fraction, step: Fraction, count: int
 ) -> np.ndarray:
     """Float coordinates of phi(start + j*step, h) as it acts on sys, one row per j.
 
-    Equal to element_floats(sys, _flow_elements(...)) bit for bit: each
-    float is N_j / den, which Python rounds correctly, as it does
+    Equal to `element_floats` of the exact elements phi.eval gives, bit for
+    bit: each float is N_j / den, which Python rounds correctly, as it does
     float(Fraction(N_j, den)).  An acting matrix is applied to the exact
     coefficients before the Horner pass.
     """
@@ -235,6 +218,14 @@ def _flow_floats(
     return out
 
 
+def _translated(g: GroupElement, phi: PolyMap, g0: GroupElement) -> PolyMap:
+    """The map g phi g0^{-1}, with g and g0^{-1} as constant maps."""
+    def constant(x: GroupElement) -> PolyMap:
+        return PolyMap(x.algebra, phi.vars, x.coords)
+
+    return pointwise_product(pointwise_product(constant(g), phi), constant(group_inverse(g0)))
+
+
 def _slab_steps(rows: int) -> int:
     """Time steps per kernel call for a block of `rows` samples, at most BLOCK_ROWS values."""
     return max(1, BLOCK_ROWS // max(1, rows))
@@ -242,6 +233,13 @@ def _slab_steps(rows: int) -> int:
 
 # ----------------------------------------------------------------------
 # core estimator
+
+
+def _check_sampling(n_samples: int, threads: int) -> None:
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
 
 def _per_sample_averages(
@@ -291,13 +289,12 @@ def _per_sample_averages(
             out[stop] = sums / stop
         return out
 
-    workers = max(1, int(threads))
-    size = max(1, min(BLOCK_ROWS, -(-n // workers)))
-    blocks = [(lo, min(lo + size, n)) for lo in range(0, n, size)] or [(0, 0)]
-    if workers == 1 or len(blocks) == 1:
+    size = max(1, min(BLOCK_ROWS, -(-n // threads)))
+    blocks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    if threads == 1 or len(blocks) == 1:
         chunks = [run_block(*b) for b in blocks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(lambda b: run_block(*b), blocks))
     return {
         s: np.concatenate([c[s] for c in chunks]) for s in snapshot_steps
@@ -388,22 +385,25 @@ def scan_with_invariance(
     zero, and abelian diagonal tuples cancel exactly.
     """
     dt_f, snapshots = _prepare_scan(joining, family, fns, t_grid, dt)
+    _check_sampling(n_samples, threads)
     for tup in g_list:
         if len(tup) != joining.k + 1:
             raise ValueError(f"translation tuple has arity {len(tup)}, need {joining.k + 1}")
+    moved_families = [
+        [_translated(g, phi, tup[0]) for g, phi in zip(tup[1:], family)] for tup in g_list
+    ]
     acting = joining.systems[1:]
     factors = _draw_factors(joining, n_samples, seed)
 
-    def per_snapshot(flows: Sequence[np.ndarray]) -> Dict[int, np.ndarray]:
+    def per_snapshot(maps: Sequence[PolyMap]) -> Dict[int, np.ndarray]:
+        flows = [_flow_floats(sys, phi, h, dt_f / 2, dt_f, snapshots[-1]) for sys, phi in zip(acting, maps)]
         return _per_sample_averages(joining.systems, flows, fns, factors, snapshots, threads)
 
-    base = per_snapshot(
-        [_flow_floats(sys, phi, h, dt_f / 2, dt_f, snapshots[-1]) for sys, phi in zip(acting, family)]
-    )
+    base = per_snapshot(family)
     stats = [_mean_and_se(base[s]) for s in snapshots]
     estimates = tuple(e for e, _ in stats)
     report = AverageReport(
-        t_grid=tuple(float(_to_fraction(T)) for T in t_grid),
+        t_grid=tuple(float(as_fraction(T)) for T in t_grid),
         estimates=estimates,
         std_errors=tuple(se for _, se in stats),
         cauchy_gap=_cauchy_gap(estimates),
@@ -412,16 +412,7 @@ def scan_with_invariance(
         seed=seed,
     )
     deviations = []
-    # exact elements only where the tuples multiply them
-    base_flows = [
-        _flow_elements(phi, h, dt_f / 2, dt_f, snapshots[-1]) for phi in family
-    ] if g_list else []
-    for tup in g_list:
-        inv0 = group_inverse(tup[0])
-        moved = [
-            element_floats(sys, [bch_product(bch_product(g, el), inv0) for el in flow])
-            for sys, g, flow in zip(acting, tup[1:], base_flows)
-        ]
+    for moved in moved_families:
         shifted = per_snapshot(moved)
         deviations.append(
             [abs(float(shifted[s].mean()) - e) for s, e in zip(snapshots, estimates)]
@@ -488,11 +479,15 @@ def invariance_check(
 # van der Corput diagnostic
 
 
+def _half_steps(T: Rational, S: Rational, dt: Fraction) -> int:
+    """Number of half steps dt/2 from 0 to T+S."""
+    return 2 * (_step_count(T, dt) + _step_count(S, dt))
+
+
 def half_step_times(T: Rational, S: Rational, dt: Rational) -> np.ndarray:
     """Sampling times k*dt/2 covering [0, T+S], as floats for trajectory builders."""
     dt_f = _positive_dt(dt)
-    count = 2 * (_step_count(T, dt_f) + _step_count(S, dt_f))
-    return np.arange(count + 1) * (float(dt_f) / 2.0)
+    return np.arange(_half_steps(T, S, dt_f) + 1) * (float(dt_f) / 2.0)
 
 
 def vdc_check(trajectory: np.ndarray, S: Rational, T: Rational, dt: Rational = "0.05") -> dict:
@@ -503,12 +498,13 @@ def vdc_check(trajectory: np.ndarray, S: Rational, T: Rational, dt: Rational = "
     indices) supply the shifted values a(t+s), which land between midpoints.
     """
     dt_f = _positive_dt(dt)
+    count = _half_steps(T, S, dt_f)
     nt = _step_count(T, dt_f)
-    ns = _step_count(S, dt_f)
+    ns = count // 2 - nt
     trajectory = np.asarray(trajectory, dtype=float)
-    if trajectory.ndim != 1 or len(trajectory) < 2 * (nt + ns) + 1:
+    if trajectory.ndim != 1 or len(trajectory) < count + 1:
         raise ValueError(
-            f"trajectory too short: need {2 * (nt + ns) + 1} half-step samples covering [0, T+S]"
+            f"trajectory too short: need {count + 1} half-step samples covering [0, T+S]"
         )
     u = trajectory[1::2][:nt]
     v = trajectory[0::2][: nt + ns + 1]
@@ -531,8 +527,7 @@ def flow_correlation_trajectory(
 ) -> np.ndarray:
     """Empirical correlation a(t) = mean_x f(u^{phi(t)}x) f(x) on the half-step grid."""
     dt_f = _positive_dt(dt)
-    count = 2 * (_step_count(T, dt_f) + _step_count(S, dt_f))
-    flow = _flow_floats(sys, phi, h, Fraction(0), dt_f / 2, count + 1)
+    flow = _flow_floats(sys, phi, h, Fraction(0), dt_f / 2, _half_steps(T, S, dt_f) + 1)
     pts = haar_array(sys, seed, n_samples)
     static = eval_fn_array(f, pts)
     steps = _slab_steps(n_samples)
@@ -579,20 +574,38 @@ def mean_ergodic_base(
     n_samples: int = 1000,
     seed: int = 0,
     threads: int = 1,
-    _with_generic: bool = True,
 ) -> MeanErgodicReport:
     """L2 norm of A_T f and its distance to f, with the orbit-invariance prediction.
 
     The prediction is exact: the test function's frequency gives a linear
     functional, and the flow is orbit-invariant for f at h exactly when h
-    lies on the functional's vanishing variety.  When the variety is proper
-    the same report is produced at a certified generic parameter point, so
-    the generic and exceptional behaviors can be compared side by side.
+    lies on the functional's vanishing variety.  When the map has parameters
+    and the function a functional, the same report is produced at a
+    certified generic parameter point, so the generic and exceptional
+    behaviors can be compared side by side.
     """
     if phi.algebra != sys.algebra:
         raise ValueError("flow does not match system algebra")
+    _check_sampling(n_samples, threads)
+    ell = _functional_from_test_function(sys, f)
+    variety = None if ell is None else vanishing_variety(phi, ell)
+
+    def report_at(point: Sequence[Rational]) -> MeanErgodicReport:
+        return _mean_ergodic_report(sys, phi, point, f, variety, t_grid, dt, n_samples, seed, threads)
+
+    out = report_at(h)
+    params = phi.vars[1:]
+    if not params or variety is None:
+        return out
+    meagre = MeagreSet([variety]) if is_proper(variety) else MeagreSet()
+    generic_h = generic_sample(meagre, seed=seed + 7919, params=params)
+    return replace(out, generic_h=generic_h, generic=report_at(generic_h))
+
+
+def _mean_ergodic_report(sys, phi, h, f, variety, t_grid, dt, n_samples, seed, threads) -> MeanErgodicReport:
+    """The report of `mean_ergodic_base` at one parameter point, without a generic one."""
     dt_f, snapshots = _scan_steps(t_grid, dt)
-    h = tuple(_to_fraction(v) for v in h)
+    h = tuple(as_fraction(v) for v in h)
     flow = _flow_floats(sys, phi, h, dt_f / 2, dt_f, snapshots[-1])
     pts = haar_array(sys, seed, n_samples)
     if sys.kind == "torus":
@@ -617,7 +630,7 @@ def mean_ergodic_base(
         dists.append(math.sqrt(float(((vec - f_values) ** 2).mean())))
 
     report = AverageReport(
-        t_grid=tuple(float(_to_fraction(T)) for T in t_grid),
+        t_grid=tuple(float(as_fraction(T)) for T in t_grid),
         estimates=tuple(norms),
         std_errors=tuple(ses),
         cauchy_gap=_cauchy_gap(norms),
@@ -626,32 +639,17 @@ def mean_ergodic_base(
         seed=seed,
     )
 
-    ell = _functional_from_test_function(sys, f)
-    classification = "unknown"
-    variety = None
-    if ell is not None:
-        variety = vanishing_variety(phi, ell)
-        if not is_proper(variety):
-            classification = "invariant"
-        else:
-            point = dict(zip(phi.vars[1:], h))
-            classification = "invariant" if variety.contains(point) else "mean_zero"
-
-    generic_h = None
-    generic_report = None
-    params = phi.vars[1:]
-    if _with_generic and params and ell is not None:
-        meagre = MeagreSet([variety]) if is_proper(variety) else MeagreSet()
-        generic_h = generic_sample(meagre, seed=seed + 7919, params=params)
-        generic_report = mean_ergodic_base(
-            sys, phi, generic_h, f, t_grid, dt, n_samples, seed, threads, _with_generic=False
-        )
-
+    if variety is None:
+        classification = "unknown"
+    elif not is_proper(variety) or variety.contains(dict(zip(phi.vars[1:], h))):
+        classification = "invariant"
+    else:
+        classification = "mean_zero"
     return MeanErgodicReport(
         h=h,
         classification=classification,
         report=report,
         dist_to_f=tuple(dists),
-        generic_h=generic_h,
-        generic=generic_report,
+        generic_h=None,
+        generic=None,
     )

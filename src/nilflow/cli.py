@@ -40,7 +40,7 @@ from .lie_core import (
     algebra_to_json_dict,
     make_builtin,
 )
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, as_fraction
 from .pet import PolyFamily, pet_trace, trace_to_json_dict, weight
 from .poly_maps import (
     PolyMap,
@@ -101,9 +101,9 @@ def _poly_from_node(node, variables: Tuple[str, ...]) -> MultiPoly:
         terms = {}
         for mono, coef in node.items():
             exp = _parse_monomial(mono, variables)
-            terms[exp] = terms.get(exp, Fraction(0)) + Fraction(str(coef))
+            terms[exp] = terms.get(exp, Fraction(0)) + as_fraction(coef)
         return MultiPoly(variables, terms)
-    return MultiPoly(variables, {(0,) * len(variables): Fraction(str(node))})
+    return MultiPoly.const(variables, node)
 
 
 def _load_members(cfg: Mapping, algebra: LieAlgebraSpec) -> List[PolyMap]:
@@ -123,10 +123,9 @@ def _load_members(cfg: Mapping, algebra: LieAlgebraSpec) -> List[PolyMap]:
 
 
 def _load_group_element(node: Sequence, algebra: LieAlgebraSpec) -> GroupElement:
-    coords = tuple(Fraction(str(c)) for c in node)
-    if len(coords) != algebra.dim:
-        raise ConfigError(f"group element arity {len(coords)} != dim {algebra.dim}")
-    return GroupElement(algebra, coords)
+    if len(node) != algebra.dim:
+        raise ConfigError(f"group element arity {len(node)} != dim {algebra.dim}")
+    return GroupElement(algebra, node)
 
 
 def _load_factor_elements(nodes, systems, what: str) -> list:
@@ -256,7 +255,7 @@ def cmd_average(cfg: Mapping, args, out_dir: Path) -> int:
 
     algebra = _load_algebra(cfg)
     family = PolyFamily(_load_members(cfg, algebra))
-    h = tuple(Fraction(str(v)) for v in cfg.get("h", ()))
+    h = tuple(as_fraction(v) for v in cfg.get("h", ()))
     fns = [function_from_json_dict(node) for node in _require(cfg, "functions")]
     t_grid = list(_require(cfg, "t_grid"))
     dt = str(cfg.get("dt", "0.05"))
@@ -311,7 +310,7 @@ def cmd_generic(cfg: Mapping, args, out_dir: Path) -> int:
     algebra = _load_algebra(cfg)
     family = PolyFamily(_load_members(cfg, algebra))
     functionals = [
-        [Fraction(str(w)) for w in node] for node in _require(cfg, "functionals")
+        [as_fraction(w) for w in node] for node in _require(cfg, "functionals")
     ]
     seed = int(_resolved(cfg, args, "seed", 0))
 
@@ -374,7 +373,7 @@ def cmd_vdc(cfg: Mapping, args, out_dir: Path) -> int:
         system = system_from_json_dict(signal["system"])
         algebra = _load_algebra(signal)
         [phi] = _load_members(signal, algebra)
-        h = tuple(Fraction(str(v)) for v in signal.get("h", ()))
+        h = tuple(as_fraction(v) for v in signal.get("h", ()))
         f = function_from_json_dict(signal["function"])
         n_samples = int(signal.get("n_samples", 1000))
         trajectory = flow_correlation_trajectory(

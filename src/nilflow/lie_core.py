@@ -14,6 +14,8 @@ from functools import lru_cache
 from math import factorial
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
+from .multipoly import as_fraction
+
 MAX_BCH_STEP = 6
 
 BracketRow = Dict[int, Fraction]
@@ -21,12 +23,6 @@ BracketTable = Dict[Tuple[int, int], BracketRow]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def _as_fraction(value: Union[int, str, Fraction]) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
 
 
 class LieAlgebraSpec:
@@ -68,7 +64,7 @@ class LieAlgebraSpec:
             for k, coef in row.items():
                 if not 0 <= k < self.dim:
                     raise ValueError(f"bracket target {k} out of range for dim {self.dim}")
-                coef = _as_fraction(coef)
+                coef = as_fraction(coef)
                 if coef != 0:
                     clean[int(k)] = coef
             if clean:
@@ -105,8 +101,13 @@ class LieAlgebraSpec:
     def basis_index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def layer_of(self, index: int) -> int:
-        return self.layers[index]
+
+def _exact_coords(algebra: LieAlgebraSpec, coords: Sequence) -> Tuple[Fraction, ...]:
+    """`coords` as exact rationals, one per basis vector of `algebra`."""
+    coords = tuple(as_fraction(c) for c in coords)
+    if len(coords) != algebra.dim:
+        raise ValueError(f"expected {algebra.dim} coordinates, got {len(coords)}")
+    return coords
 
 
 @dataclass(frozen=True)
@@ -117,10 +118,7 @@ class LieElement:
     coords: Tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coords = tuple(_as_fraction(c) for c in self.coords)
-        if len(coords) != self.algebra.dim:
-            raise ValueError(f"expected {self.algebra.dim} coordinates, got {len(coords)}")
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", _exact_coords(self.algebra, self.coords))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -134,10 +132,7 @@ class GroupElement:
     coords: Tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coords = tuple(_as_fraction(c) for c in self.coords)
-        if len(coords) != self.algebra.dim:
-            raise ValueError(f"expected {self.algebra.dim} coordinates, got {len(coords)}")
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", _exact_coords(self.algebra, self.coords))
 
     @classmethod
     def _make(cls, algebra: LieAlgebraSpec, coords: Tuple[Fraction, ...]) -> "GroupElement":
@@ -547,7 +542,7 @@ def algebra_from_json_dict(data: Mapping) -> LieAlgebraSpec:
     labels = [str(l) for l in data["labels"]]
     if "dim" in data and int(data["dim"]) != len(labels):
         raise ValueError("dim field disagrees with label count")
-    brackets: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+    brackets: Dict[Tuple[int, int], Dict[int, Union[int, str]]] = {}
     for i, j, row in data.get("brackets", []):
-        brackets[(int(i), int(j))] = {int(k): Fraction(str(v)) for k, v in row}
+        brackets[(int(i), int(j))] = {int(k): v for k, v in row}
     return LieAlgebraSpec(labels, data["layers"], brackets, step=data.get("step"))

@@ -17,9 +17,16 @@ Scalar = Union[int, Fraction]
 Affine = Tuple[Fraction, Dict[str, Fraction]]
 
 
-def _as_fraction(value: Union[int, str, Fraction]) -> Fraction:
+def as_fraction(value: Union[int, float, str, Fraction]) -> Fraction:
+    """The exact rational of an int, a Fraction or a string such as "1/3".
+
+    A float is read as its shortest decimal, so 0.1 gives 1/10, not the
+    binary fraction nearest to it.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, float):
+        return Fraction(repr(value))
     return Fraction(value)
 
 
@@ -47,7 +54,7 @@ class MultiPoly:
         if terms:
             arity = len(self.vars)
             for exp, coef in terms.items():
-                coef = _as_fraction(coef)
+                coef = as_fraction(coef)
                 if coef == 0:
                     continue
                 exp = tuple(int(e) for e in exp)
@@ -76,7 +83,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, variables: Sequence[str], value: Union[int, str, Fraction]) -> "MultiPoly":
-        value = _as_fraction(value)
+        value = as_fraction(value)
         if value == 0:
             return cls(variables)
         return cls(variables, {(0,) * len(variables): value})
@@ -142,7 +149,7 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return MultiPoly(self.vars)
-            other = _as_fraction(other)
+            other = as_fraction(other)
             return MultiPoly._make(self.vars, {exp: coef * other for exp, coef in self.terms.items()})
         self._check_vars(other)
         terms: Dict[Exponent, Fraction] = {}
@@ -182,11 +189,11 @@ class MultiPoly:
     def eval(self, point: Union[Sequence[Union[int, str, Fraction]], Mapping[str, Union[int, str, Fraction]]]) -> Fraction:
         """Exact evaluation at a rational point."""
         if isinstance(point, Mapping):
-            values = [_as_fraction(point[v]) for v in self.vars]
+            values = [as_fraction(point[v]) for v in self.vars]
         else:
             if len(point) != len(self.vars):
                 raise ValueError(f"point arity {len(point)} != {len(self.vars)} variables")
-            values = [_as_fraction(p) for p in point]
+            values = [as_fraction(p) for p in point]
         total = Fraction(0)
         for exp, coef in self.terms.items():
             prod = coef
@@ -241,8 +248,8 @@ class MultiPoly:
         powers: Dict[int, List[List[Tuple[tuple, Fraction]]]] = {}
         for i in sorted(self.vars.index(v) for v in assignment if v in self.vars):
             c0, linear = assignment[self.vars[i]]
-            image = [((), _as_fraction(c0))]
-            image += [(((place(name), 1),), _as_fraction(coeff)) for name, coeff in linear.items()]
+            image = [((), as_fraction(c0))]
+            image += [(((place(name), 1),), as_fraction(coeff)) for name, coeff in linear.items()]
             powers[i] = [[((), Fraction(1))], [(mono, c) for mono, c in image if c]]
         padding = [0] * (n - m)
 
@@ -339,8 +346,7 @@ class MultiPoly:
 
     @classmethod
     def from_terms(cls, variables: Sequence[str], data: Iterable[Mapping]) -> "MultiPoly":
-        terms = {tuple(entry["exp"]): Fraction(str(entry["coef"])) for entry in data}
-        return cls(variables, terms)
+        return cls(variables, {tuple(entry["exp"]): entry["coef"] for entry in data})
 
     def __str__(self) -> str:
         if not self.terms:

@@ -8,13 +8,17 @@ degree), ordered by class descending then degree ascending, and a family is
 summarized by counting leading-term equivalence classes per weight.  The
 trace repeatedly replaces a family by its derived family at a pivot and
 certifies that each step strictly descends.
+
+The order and the derivation have one implementation, on members with
+multiplicities: the trace keeps each level as distinct maps with their
+multiplicities, and `family_precedes` and `derived_family` run the same
+code on a family whose members each count once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import CertificateError, TruncationError
@@ -27,8 +31,6 @@ from .poly_maps import (
     substitute,
 )
 from .lie_core import algebra_to_json_dict
-
-MAX_MATCHING_FAMILY = 12
 
 # Cap on one PET level's size: coordinate terms summed over its members.
 # The descents in the test pools and the benchmark peak at 192.  A family
@@ -222,49 +224,51 @@ def lt_partition(family: PolyFamily) -> List[List[int]]:
     return _member_partition(_leading_info(family))
 
 
-def weight_assignment(family: PolyFamily) -> WeightAssignment:
-    """Number of leading-term classes at each weight; constants are skipped."""
-    return _classify(_leading_info(family), [1] * len(family))[1][0]
+def _sorted_matching(f_sizes: Sequence[int], g_sizes: Sequence[int]) -> Tuple[bool, bool]:
+    """(some size-respecting bijection f -> g, some strict one), without a search.
+
+    Such a bijection exists exactly when the descending-sorted vectors
+    compare componentwise, and it can be strict somewhere exactly when the
+    totals differ.  The exhaustive search is the test suite's oracle.
+    """
+    if len(f_sizes) != len(g_sizes):
+        return False, False
+    fs = sorted(f_sizes, reverse=True)
+    gs = sorted(g_sizes, reverse=True)
+    valid = all(a <= b for a, b in zip(fs, gs))
+    return valid, valid and sum(fs) < sum(gs)
 
 
-def _weight_matching(f_sizes: Sequence[int], g_sizes: Sequence[int]) -> Tuple[bool, bool]:
-    """Exhaustive bijection search: (some valid matching, some strict one)."""
-    valid = False
-    strict = False
-    for perm in permutations(range(len(g_sizes))):
-        if all(a <= g_sizes[p] for a, p in zip(f_sizes, perm)):
-            valid = True
-            if any(a < g_sizes[p] for a, p in zip(f_sizes, perm)):
-                strict = True
-                break
-    return valid, strict
-
-
-def family_precedes(
-    f_family: PolyFamily,
-    g_family: PolyFamily,
-    max_family_size: int = MAX_MATCHING_FAMILY,
-) -> bool:
-    """Strict order on families: assignment descent, or equal assignments
-    with a weight-preserving class matching that shrinks somewhere."""
-    _, (f, f_sizes) = _classify(_leading_info(f_family), [1] * len(f_family))
-    _, (g, g_sizes) = _classify(_leading_info(g_family), [1] * len(g_family))
-    if _assignment_witness(f, g) is not None:
+def _members_precede(f: Summary, g: Summary) -> bool:
+    """The strict order on summaries, whose class sizes count multiplicities."""
+    (f_assignment, f_sizes), (g_assignment, g_sizes) = f, g
+    if _assignment_witness(f_assignment, g_assignment) is not None:
         return True
-    if f != g:
+    if f_assignment != g_assignment:
         return False
-    if max(len(f_family), len(g_family)) > max_family_size:
-        raise ValueError(
-            f"family of size {max(len(f_family), len(g_family))} exceeds the "
-            f"exhaustive matching cap {max_family_size}"
-        )
     any_strict = False
-    for w in f.support():
-        valid, strict = _weight_matching(f_sizes[w], g_sizes[w])
+    for w in f_assignment.support():
+        valid, strict = _sorted_matching(f_sizes[w], g_sizes[w])
         if not valid:
             return False
         any_strict = any_strict or strict
     return any_strict
+
+
+def _family_summary(family: PolyFamily) -> Summary:
+    """The summary of a family, every member counted once."""
+    return _classify(_leading_info(family), [1] * len(family))[1]
+
+
+def weight_assignment(family: PolyFamily) -> WeightAssignment:
+    """Number of leading-term classes at each weight; constants are skipped."""
+    return _family_summary(family)[0]
+
+
+def family_precedes(f_family: PolyFamily, g_family: PolyFamily) -> bool:
+    """Strict order on families: assignment descent, or equal assignments
+    with a weight-preserving class matching that shrinks somewhere."""
+    return _members_precede(_family_summary(f_family), _family_summary(g_family))
 
 
 def pivot(family: PolyFamily) -> int:
@@ -311,20 +315,7 @@ def derived_family(family: PolyFamily, i: int) -> PolyFamily:
     """
     if not 0 <= i < len(family):
         raise ValueError(f"pivot index {i} out of range for family of size {len(family)}")
-    _, extended, at_k, shifted = _differencing_tools(family[i].vars)
-    inv_pivot = pointwise_inverse(extended(family[i]))
-    maps: List[PolyMap] = []
-    for j in range(len(family)):
-        if j != i:
-            maps.append(pointwise_product(extended(family[j]), inv_pivot))
-    for j in range(len(family)):
-        head = pointwise_product(pointwise_inverse(at_k(family[j])), shifted(family[j]))
-        maps.append(pointwise_product(head, inv_pivot))
-    derived = PolyFamily(maps)
-    for phi in derived:
-        if not phi.fixes_time_origin():
-            raise RuntimeError("derived member lost the time-origin normalization")
-    return derived
+    return PolyFamily(phi for phi, _ in _derive_members([(phi, 1) for phi in family], i))
 
 
 # ----------------------------------------------------------------------
@@ -359,42 +350,12 @@ def _merge_members(pairs: Iterable[Tuple[PolyMap, int]]) -> List[Tuple[PolyMap, 
     return [(phi, mult) for phi, mult in out]
 
 
-def _sorted_matching(f_sizes: Sequence[int], g_sizes: Sequence[int]) -> Tuple[bool, bool]:
-    """Same verdict as the exhaustive bijection search.
-
-    A size-respecting bijection exists exactly when the descending-sorted
-    vectors compare componentwise, and it can be strict somewhere exactly
-    when the totals differ.
-    """
-    if len(f_sizes) != len(g_sizes):
-        return False, False
-    fs = sorted(f_sizes, reverse=True)
-    gs = sorted(g_sizes, reverse=True)
-    valid = all(a <= b for a, b in zip(fs, gs))
-    return valid, valid and sum(fs) < sum(gs)
-
-
-def _members_precede(f: Summary, g: Summary) -> bool:
-    (f_assignment, f_sizes), (g_assignment, g_sizes) = f, g
-    if _assignment_witness(f_assignment, g_assignment) is not None:
-        return True
-    if f_assignment != g_assignment:
-        return False
-    any_strict = False
-    for w in f_assignment.support():
-        valid, strict = _sorted_matching(f_sizes[w], g_sizes[w])
-        if not valid:
-            return False
-        any_strict = any_strict or strict
-    return any_strict
-
-
 def _derive_members(members: Sequence[Tuple[PolyMap, int]], p: int) -> List[Tuple[PolyMap, int]]:
     """One derivation step on a multiset level, pivoting at entry p.
 
     Order matches the tuple definition: quotients for members other than the
     pivot, then shifted quotients for every member.  Sibling copies of the
-    pivot map quotient to the identity.
+    pivot map quotient to the identity.  Repeats are not merged.
     """
     base = members[p][0]
     new_vars, extended, at_k, shifted = _differencing_tools(base.vars)
@@ -409,11 +370,10 @@ def _derive_members(members: Sequence[Tuple[PolyMap, int]], p: int) -> List[Tupl
     for phi, mult in members:
         head = pointwise_product(pointwise_inverse(at_k(phi)), shifted(phi))
         produced.append((pointwise_product(head, inv_pivot), mult))
-    merged = _merge_members(produced)
-    for phi, _ in merged:
+    for phi, _ in produced:
         if not phi.fixes_time_origin():
             raise RuntimeError("derived member lost the time-origin normalization")
-    return merged
+    return produced
 
 
 @dataclass(frozen=True)
@@ -482,7 +442,7 @@ def pet_trace(family: PolyFamily, max_depth: int = 64) -> PETTrace:
             )
         infos = [info for info in infos if info is not None]
         p = _pivot_index(infos)
-        derived = _derive_members(active, p)
+        derived = _merge_members(_derive_members(active, p))
         derived_infos = _leading_info(phi for phi, _ in derived)
         classes, summary = _classify(infos, [mult for _, mult in active])
         _, derived_summary = _classify(derived_infos, [mult for _, mult in derived])

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import CertificateError
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, as_fraction
 from .poly_maps import PolyMap
 
 Point = Union[Sequence, Mapping]
@@ -109,7 +109,7 @@ def vanishing_variety(phi: PolyMap, ell: Sequence[Union[int, str, Fraction]]) ->
         raise ValueError(f"functional has {len(ell)} entries for a {phi.algebra.dim}-dim algebra")
     combo = MultiPoly.zero(phi.vars)
     for coord, weight in zip(phi.coords, ell):
-        weight = Fraction(str(weight)) if isinstance(weight, str) else Fraction(weight)
+        weight = as_fraction(weight)
         if weight:
             combo = combo + coord * weight
     return Variety(t_coefficients(combo, phi.time_var))

@@ -5,13 +5,16 @@ models, where exp and log are finite polynomial sums and stay exact over
 Fraction.  Free Lie algebra dimensions are cross-checked against the Witt
 necklace-counting formula.  The float action and test functions are
 cross-checked against whole-array formulas that make the same float
-operations in the same order.  Nothing here imports the package under test.
+operations in the same order.  The PET order's class matching is
+cross-checked against an exhaustive search over bijections.  Nothing here
+imports the package under test.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import permutations
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -184,3 +187,21 @@ def character_reference(freq: Sequence[int], part: str, pts: np.ndarray) -> np.n
         phase = phase + float(k) * col
     phase = 2.0 * math.pi * phase
     return np.cos(phase) if part == "cos" else np.sin(phase)
+
+
+# ----------------------------------------------------------------------
+# class matching of the PET order
+
+
+def weight_matching(f_sizes: Sequence[int], g_sizes: Sequence[int]) -> Tuple[bool, bool]:
+    """Exhaustive search over bijections f -> g: (one has every f size <= its
+    g size, one of those has some f size < its g size)."""
+    if len(f_sizes) != len(g_sizes):
+        return False, False
+    valid = False
+    for perm in permutations(range(len(g_sizes))):
+        if all(a <= g_sizes[p] for a, p in zip(f_sizes, perm)):
+            valid = True
+            if any(a < g_sizes[p] for a, p in zip(f_sizes, perm)):
+                return True, True
+    return valid, False

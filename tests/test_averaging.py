@@ -10,9 +10,11 @@ import pytest
 import nilflow.averaging as averaging
 from nilflow.averaging import (
     AverageReport,
-    _flow_elements,
     _flow_floats,
+    _horner,
     _per_sample_averages,
+    _pinned_coefficients,
+    _translated,
     JoiningSpec,
     convergence_scan,
     flow_correlation_trajectory,
@@ -31,7 +33,7 @@ from nilflow.dynamics import (
     heisenberg3,
     torus,
 )
-from nilflow.lie_core import GroupElement, identity, make_builtin
+from nilflow.lie_core import GroupElement, bch_product, group_inverse, identity, make_builtin
 from nilflow.multipoly import MultiPoly
 from nilflow.pet import PolyFamily
 from nilflow.poly_maps import PolyMap
@@ -145,6 +147,10 @@ def test_arity_and_grid_errors():
         joining_average(joining, fam, (), [ones(1), ones(1)], T=1, dt="0.3", n_samples=5)
     with pytest.raises(ValueError):
         convergence_scan(joining, fam, (), [ones(1), ones(1)], [4, 2], dt="0.5", n_samples=5)
+    with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
+        joining_average(joining, fam, (), [ones(1), ones(1)], T=1, dt="0.5", n_samples=0)
+    with pytest.raises(ValueError, match="threads must be at least 1, got -4"):
+        joining_average(joining, fam, (), [ones(1), ones(1)], T=1, dt="0.5", n_samples=5, threads=-4)
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +233,7 @@ def test_per_sample_averages_match_the_act_then_eval_loop(monkeypatch):
         PolyMap.build(H3, ("t",), {"y1": t_times(SQRT2), "x1": t_times(Fraction(-1, 9))}),
     ]
     n = 301
-    flows = [_flow_elements(phi, (), start, step, 40) for phi in maps]
+    flows = [eval_along(phi, (), start, step, 40) for phi in maps]
     floats = [_flow_floats(sys, phi, (), start, step, 40) for sys, phi in zip(systems[1:], maps)]
     factors = averaging._draw_factors(joining, n, 21)
     factors[1][:20, 0] = 0.0
@@ -319,11 +325,12 @@ def test_offdiagonal_deviation_shrinks_and_matches_shift_oracle():
 
 def test_invariance_tuple_arity_checked():
     joining = JoiningSpec([torus(1), torus(1)], "diagonal")
-    with pytest.raises(ValueError):
-        invariance_check(
-            joining, rotation_family(SQRT2), (), [char((1,)), char((1,))], 5,
-            g_list=[(identity(A1),)], dt="0.5", n_samples=10,
-        )
+    for tup in ((identity(A1),), (identity(A1), identity(A2)), (identity(A2), identity(A1))):
+        with pytest.raises(ValueError):
+            invariance_check(
+                joining, rotation_family(SQRT2), (), [char((1,)), char((1,))], 5,
+                g_list=[tup], dt="0.5", n_samples=10,
+            )
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +389,7 @@ def test_flow_correlation_trajectory_matches_the_per_step_loop(n):
     got = flow_correlation_trajectory(heisenberg3(), phi, (), f, 2, 1, dt, n_samples=n, seed=n)
     pts = haar_array(heisenberg3(), n, n)
     static = eval_fn_array(f, pts)
-    flow = _flow_elements(phi, (), Fraction(0), dt / 2, 25)
+    flow = eval_along(phi, (), Fraction(0), dt / 2, 25)
     want = [float((eval_fn_array(f, act_array(heisenberg3(), g, pts)) * static).mean()) for g in flow]
     assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
@@ -408,6 +415,15 @@ def eval_along(phi, h, start, step, count):
     return [phi.eval({phi.vars[0]: start + j * step, **fixed}) for j in range(count)]
 
 
+def horner_along(phi, h, start, step, count):
+    """The exact coordinates Fraction(N_j, den) that the integers of `_horner` stand for."""
+    columns = []
+    for coefs in _pinned_coefficients(phi, h):
+        nums, den = _horner(coefs, start, step, count)
+        columns.append([Fraction(n, den) for n in nums])
+    return list(zip(*columns))
+
+
 def random_flow(alg, rng, n_params, scale=9, den=8):
     variables = ("t",) + tuple(f"h{i}" for i in range(n_params))
     coords = []
@@ -431,7 +447,8 @@ def test_flow_elements_equal_exact_eval_on_both_grids(alg):
         # the midpoint grid, the half-step grid from 0, and an arbitrary one
         offset = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
         for start, step in ((dt / 2, dt), (Fraction(0), dt / 2), (offset, dt)):
-            assert _flow_elements(phi, h, start, step, 30) == eval_along(phi, h, start, step, 30)
+            want = [g.coords for g in eval_along(phi, h, start, step, 30)]
+            assert horner_along(phi, h, start, step, 30) == want
 
 
 @pytest.mark.parametrize("sys", [torus(2), heisenberg3()], ids=["torus", "heisenberg"])
@@ -444,7 +461,7 @@ def test_flow_floats_equal_floated_elements(sys):
         dt = Fraction(rng.randint(1, 5), rng.randint(1, 30))
         offset = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
         for start, step in ((dt / 2, dt), (Fraction(0), dt / 2), (offset, dt)):
-            want = element_floats(sys, _flow_elements(phi, h, start, step, 30))
+            want = element_floats(sys, eval_along(phi, h, start, step, 30))
             got = _flow_floats(sys, phi, h, start, step, 30)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -455,8 +472,29 @@ def test_flow_floats_through_an_acting_matrix():
     for _ in range(10):
         phi = random_flow(A1, rng, 1, scale=10**6, den=10**4)
         h = [Fraction(rng.randint(-9, 9), 7)]
-        want = element_floats(sys, _flow_elements(phi, h, Fraction(1, 40), Fraction(1, 20), 50))
+        want = element_floats(sys, eval_along(phi, h, Fraction(1, 40), Fraction(1, 20), 50))
         got = _flow_floats(sys, phi, h, Fraction(1, 40), Fraction(1, 20), 50)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("sys", [torus(2), heisenberg3()], ids=["torus", "heisenberg"])
+def test_translated_flow_floats_equal_the_floated_bch_chain(sys):
+    """g phi g0^{-1} as one map gives the floats of the exact products
+    g * phi(t) * g0^{-1} taken one grid time at a time."""
+    rng = random.Random(20 + sys.dim)
+    for _ in range(30):
+        n_params = rng.randint(0, 2)
+        phi = random_flow(sys.algebra, rng, n_params, scale=10**6, den=10**4)
+        h = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n_params)]
+        g, g0 = (
+            GroupElement(sys.algebra, [Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(sys.dim)])
+            for _ in range(2)
+        )
+        dt = Fraction(rng.randint(1, 5), rng.randint(1, 30))
+        inv0 = group_inverse(g0)
+        chain = [bch_product(bch_product(g, el), inv0) for el in eval_along(phi, h, dt / 2, dt, 200)]
+        want = element_floats(sys, chain)
+        got = _flow_floats(sys, _translated(g, phi, g0), h, dt / 2, dt, 200)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -474,16 +512,16 @@ def test_flow_elements_zero_constant_and_negative_coordinates():
     h = ("-5/4",)
     dt = Fraction(1, 50)
     for start, step in ((dt / 2, dt), (Fraction(0), dt / 2)):
-        got = _flow_elements(phi, h, start, step, 2000)
-        assert got == eval_along(phi, (Fraction(-5, 4),), start, step, 2000)
-        assert all(g.coords[0] == 0 and g.coords[1] == Fraction(-75, 112) for g in got)
-    assert _flow_elements(phi, h, Fraction(0), dt, 1)[0].coords[2] == -2
+        got = horner_along(phi, h, start, step, 2000)
+        assert got == [g.coords for g in eval_along(phi, (Fraction(-5, 4),), start, step, 2000)]
+        assert all(c[0] == 0 and c[1] == Fraction(-75, 112) for c in got)
+    assert horner_along(phi, h, Fraction(0), dt, 1)[0][2] == -2
 
 
 def test_flow_elements_checks_parameter_arity():
     phi = random_flow(A2, random.Random(7), 2)
     with pytest.raises(ValueError, match="parameter point has arity 1, map needs 2"):
-        _flow_elements(phi, (1,), Fraction(1, 2), Fraction(1), 3)
+        _flow_floats(torus(2), phi, (1,), Fraction(1, 2), Fraction(1), 3)
 
 
 # ----------------------------------------------------------------------

@@ -157,6 +157,23 @@ def test_average_rejects_elements_of_the_wrong_arity(tmp_path, capsys, key):
     assert not (tmp_path / "out" / "certificate.json").exists()
 
 
+@pytest.mark.parametrize(
+    "override, extra, message",
+    [
+        ({"n_samples": 0}, [], "n_samples must be at least 1, got 0"),
+        ({}, ["--threads", "0"], "threads must be at least 1, got 0"),
+        ({}, ["--threads", "-4"], "threads must be at least 1, got -4"),
+    ],
+    ids=["no-samples", "zero-threads", "negative-threads"],
+)
+def test_average_rejects_no_samples_and_no_threads(tmp_path, capsys, override, extra, message):
+    """No NaN estimates from zero samples, and no thread count recorded that was not used."""
+    cfg = {**json.loads((DEMOS / "demo_heisenberg_joining.json").read_text()), **override}
+    assert run("average", write_config(tmp_path, cfg), tmp_path / "out", extra) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "certificate.json").exists()
+
+
 def test_generic_demo_avoids_both_lines(tmp_path):
     assert run("generic", DEMOS / "demo_generic_lines.json", tmp_path) == 0
     cert = json.loads((tmp_path / "certificate.json").read_text())

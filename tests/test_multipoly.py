@@ -5,13 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from nilflow.multipoly import MultiPoly
+from nilflow.multipoly import MultiPoly, as_fraction
 
 
 def poly_t_h():
     t = MultiPoly.variable(("t", "h"), "t")
     h = MultiPoly.variable(("t", "h"), "h")
     return t, h
+
+
+def test_as_fraction_reads_floats_as_their_shortest_decimal():
+    third = Fraction(1, 3)
+    assert as_fraction(0.1) == Fraction(1, 10) != Fraction(0.1)
+    assert as_fraction("1/3") == third
+    assert as_fraction(3) == 3 and isinstance(as_fraction(3), Fraction)
+    assert as_fraction(third) is third
+    assert MultiPoly.const(("t",), 0.1).constant_value() == Fraction(1, 10)
 
 
 def test_construction_drops_zero_coefficients():
