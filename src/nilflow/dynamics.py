@@ -25,6 +25,7 @@ from typing import Mapping, Sequence, Tuple
 import numpy as np
 
 from .lie_core import GroupElement, LieAlgebraSpec, make_builtin
+from .multipoly import as_fraction
 
 TWO_PI = 2.0 * np.pi
 
@@ -58,7 +59,7 @@ class NilSystem:
         if acting_matrix is not None:
             if kind != "torus":
                 raise ValueError("acting matrices are only supported on torus systems")
-            rows = tuple(tuple(Fraction(entry) for entry in row) for row in acting_matrix)
+            rows = tuple(tuple(as_fraction(entry) for entry in row) for row in acting_matrix)
             if len(rows) != self.algebra.dim:
                 raise ValueError("acting matrix must have one row per algebra coordinate")
             self.acting_matrix = rows
@@ -444,11 +445,7 @@ def system_to_json_dict(sys: NilSystem) -> dict:
 
 
 def system_from_json_dict(data: Mapping) -> NilSystem:
-    kind = data["kind"]
-    matrix = data.get("acting_matrix")
-    if matrix is not None:
-        matrix = [[Fraction(e) for e in row] for row in matrix]
-    return NilSystem(kind, dim=data.get("dim"), acting_matrix=matrix)
+    return NilSystem(data["kind"], dim=data.get("dim"), acting_matrix=data.get("acting_matrix"))
 
 
 def function_to_json_dict(f: TestFunction) -> dict:

@@ -327,6 +327,9 @@ def test_system_json_round_trip():
     for sys in (torus(2), heisenberg3(), torus(2, acting_matrix=[["1/2"], ["3"]])):
         again = system_from_json_dict(system_to_json_dict(sys))
         assert again == sys
+    # a float entry reads as its shortest decimal, as everywhere else
+    floated = system_from_json_dict({"kind": "torus", "dim": 1, "acting_matrix": [[0.1]]})
+    assert floated.acting_matrix == ((Fraction(1, 10),),)
 
 
 def test_function_json_round_trip():
