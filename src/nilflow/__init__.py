@@ -6,10 +6,7 @@ from .averaging import (
     AverageReport,
     JoiningSpec,
     MeanErgodicReport,
-    convergence_scan,
     flow_correlation_trajectory,
-    invariance_check,
-    joining_average,
     mean_ergodic_base,
     scan_with_invariance,
     vdc_check,
@@ -89,7 +86,6 @@ __all__ = [
     "act",
     "bch_product",
     "bracket",
-    "convergence_scan",
     "derived_family",
     "difference",
     "family_precedes",
@@ -98,8 +94,6 @@ __all__ = [
     "group_inverse",
     "heisenberg3",
     "identity",
-    "invariance_check",
-    "joining_average",
     "leading_term",
     "lt_equivalent",
     "make_builtin",

@@ -182,8 +182,6 @@ def _horner(
         for k in range(d, -1, -1)
     ]
     den = D * q**d
-    if d == 0:
-        return scaled * count, den
     nums = []
     for x in range(a, a + count * b, b):
         n = 0
@@ -228,14 +226,14 @@ def _translated(g: GroupElement, phi: PolyMap, g0: GroupElement) -> PolyMap:
 
 def _slab_steps(rows: int) -> int:
     """Time steps per kernel call for a block of `rows` samples, at most BLOCK_ROWS values."""
-    return max(1, BLOCK_ROWS // max(1, rows))
+    return max(1, BLOCK_ROWS // rows)
 
 
 # ----------------------------------------------------------------------
 # core estimator
 
 
-def _check_sampling(n_samples: int, threads: int) -> None:
+def _check_sampling(n_samples: int, threads: int = 1) -> None:
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     if threads < 1:
@@ -289,7 +287,7 @@ def _per_sample_averages(
             out[stop] = sums / stop
         return out
 
-    size = max(1, min(BLOCK_ROWS, -(-n // threads)))
+    size = min(BLOCK_ROWS, -(-n // threads))
     blocks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
     if threads == 1 or len(blocks) == 1:
         chunks = [run_block(*b) for b in blocks]
@@ -351,18 +349,6 @@ def report_to_json_dict(report: AverageReport) -> dict:
 # joint averages
 
 
-def _prepare_scan(joining, family, fns, t_grid, dt):
-    k = joining.k
-    if len(family) != k:
-        raise ValueError(f"family has {len(family)} maps for a {k + 1}-factor joining")
-    if len(fns) != k + 1:
-        raise ValueError(f"need {k + 1} test functions, got {len(fns)}")
-    for i, phi in enumerate(family, start=1):
-        if phi.algebra != joining.systems[i].algebra:
-            raise ValueError(f"family member {i - 1} does not match factor {i}'s algebra")
-    return _scan_steps(t_grid, dt)
-
-
 def scan_with_invariance(
     joining: JoiningSpec,
     family: PolyFamily,
@@ -384,11 +370,19 @@ def scan_with_invariance(
     g_i phi_i(t) g_0^{-1}.  Identity tuples therefore deviate by exactly
     zero, and abelian diagonal tuples cancel exactly.
     """
-    dt_f, snapshots = _prepare_scan(joining, family, fns, t_grid, dt)
+    k = joining.k
+    if len(family) != k:
+        raise ValueError(f"family has {len(family)} maps for a {k + 1}-factor joining")
+    if len(fns) != k + 1:
+        raise ValueError(f"need {k + 1} test functions, got {len(fns)}")
+    for i, phi in enumerate(family, start=1):
+        if phi.algebra != joining.systems[i].algebra:
+            raise ValueError(f"family member {i - 1} does not match factor {i}'s algebra")
+    dt_f, snapshots = _scan_steps(t_grid, dt)
     _check_sampling(n_samples, threads)
     for tup in g_list:
-        if len(tup) != joining.k + 1:
-            raise ValueError(f"translation tuple has arity {len(tup)}, need {joining.k + 1}")
+        if len(tup) != k + 1:
+            raise ValueError(f"translation tuple has arity {len(tup)}, need {k + 1}")
     moved_families = [
         [_translated(g, phi, tup[0]) for g, phi in zip(tup[1:], family)] for tup in g_list
     ]
@@ -418,61 +412,6 @@ def scan_with_invariance(
             [abs(float(shifted[s].mean()) - e) for s, e in zip(snapshots, estimates)]
         )
     return report, deviations
-
-
-def convergence_scan(
-    joining: JoiningSpec,
-    family: PolyFamily,
-    h: Sequence[Rational],
-    fns: Sequence[TestFunction],
-    t_grid: Sequence[Rational],
-    dt: Rational = "0.05",
-    n_samples: int = 1000,
-    seed: int = 0,
-    threads: int = 1,
-) -> AverageReport:
-    """Joint average per horizon in one pass, sharing draws and quadrature."""
-    return scan_with_invariance(
-        joining, family, h, fns, t_grid, (), dt, n_samples, seed, threads
-    )[0]
-
-
-def joining_average(
-    joining: JoiningSpec,
-    family: PolyFamily,
-    h: Sequence[Rational],
-    fns: Sequence[TestFunction],
-    T: Rational,
-    dt: Rational = "0.05",
-    n_samples: int = 1000,
-    seed: int = 0,
-    threads: int = 1,
-) -> Tuple[float, float]:
-    report = convergence_scan(joining, family, h, fns, [T], dt, n_samples, seed, threads)
-    return report.estimates[0], report.std_errors[0]
-
-
-def invariance_check(
-    joining: JoiningSpec,
-    family: PolyFamily,
-    h: Sequence[Rational],
-    fns: Sequence[TestFunction],
-    T: Union[Rational, Sequence[Rational]],
-    g_list: Sequence[Sequence[GroupElement]],
-    dt: Rational = "0.05",
-    n_samples: int = 1000,
-    seed: int = 0,
-    threads: int = 1,
-) -> List[List[float]]:
-    """Deviation of the averaged joining under each translation tuple.
-
-    Returns one list per tuple with the deviation at every horizon; see
-    `scan_with_invariance`.
-    """
-    t_grid = list(T) if isinstance(T, (list, tuple)) else [T]
-    return scan_with_invariance(
-        joining, family, h, fns, t_grid, g_list, dt, n_samples, seed, threads
-    )[1]
 
 
 # ----------------------------------------------------------------------
@@ -526,6 +465,7 @@ def flow_correlation_trajectory(
     seed: int = 0,
 ) -> np.ndarray:
     """Empirical correlation a(t) = mean_x f(u^{phi(t)}x) f(x) on the half-step grid."""
+    _check_sampling(n_samples)
     dt_f = _positive_dt(dt)
     flow = _flow_floats(sys, phi, h, Fraction(0), dt_f / 2, _half_steps(T, S, dt_f) + 1)
     pts = haar_array(sys, seed, n_samples)

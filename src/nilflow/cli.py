@@ -39,6 +39,7 @@ from .lie_core import (
     algebra_from_json_dict,
     algebra_to_json_dict,
     make_builtin,
+    verify_algebra,
 )
 from .multipoly import MultiPoly, as_fraction
 from .pet import PolyFamily, pet_trace, trace_to_json_dict, weight
@@ -78,7 +79,11 @@ def _load_algebra(cfg: Mapping) -> LieAlgebraSpec:
     if "builtin" in node:
         params = {k: v for k, v in node.items() if k != "builtin"}
         return make_builtin(node["builtin"], **params)
-    return algebra_from_json_dict(node)
+    algebra = algebra_from_json_dict(node)
+    violations = verify_algebra(algebra)
+    if violations:
+        raise ConfigError("algebra is not a graded nilpotent Lie algebra: " + "; ".join(violations))
+    return algebra
 
 
 def _parse_monomial(text: str, variables: Sequence[str]) -> Tuple[int, ...]:
@@ -210,7 +215,7 @@ def cmd_verify_poly(cfg: Mapping, args, out_dir: Path) -> int:
     sidecar = {
         "command": "verify-poly",
         "algebra": algebra_to_json_dict(algebra),
-        "family": [polymap_to_json_dict(phi, include_algebra=False) for phi in members],
+        "family": [polymap_to_json_dict(phi) for phi in members],
     }
     _emit(out_dir, header, rows, certificate, sidecar)
     for row in rows:
@@ -236,7 +241,7 @@ def cmd_pet(cfg: Mapping, args, out_dir: Path) -> int:
     sidecar = {
         "command": "pet",
         "algebra": algebra_to_json_dict(algebra),
-        "family": [polymap_to_json_dict(phi, include_algebra=False) for phi in family],
+        "family": [polymap_to_json_dict(phi) for phi in family],
         "max_depth": max_depth,
     }
     _emit(out_dir, header, rows, certificate, sidecar)
@@ -290,7 +295,7 @@ def cmd_average(cfg: Mapping, args, out_dir: Path) -> int:
         "joining": kind,
         "elements": None if elements is None else [[str(c) for c in el.coords] for el in elements],
         "algebra": algebra_to_json_dict(algebra),
-        "family": [polymap_to_json_dict(phi, include_algebra=False) for phi in family],
+        "family": [polymap_to_json_dict(phi) for phi in family],
         "h": [str(v) for v in h],
         "functions": [function_to_json_dict(f) for f in fns],
         "t_grid": t_grid,
@@ -341,7 +346,7 @@ def cmd_generic(cfg: Mapping, args, out_dir: Path) -> int:
     sidecar = {
         "command": "generic",
         "algebra": algebra_to_json_dict(algebra),
-        "family": [polymap_to_json_dict(phi, include_algebra=False) for phi in family],
+        "family": [polymap_to_json_dict(phi) for phi in family],
         "functionals": [[str(w) for w in ell] for ell in functionals],
         "seed": seed,
     }
@@ -396,20 +401,13 @@ def cmd_vdc(cfg: Mapping, args, out_dir: Path) -> int:
     return 0
 
 
+# name: (command, help text)
 _COMMANDS = {
-    "verify-poly": cmd_verify_poly,
-    "pet": cmd_pet,
-    "average": cmd_average,
-    "generic": cmd_generic,
-    "vdc": cmd_vdc,
-}
-
-_HELP = {
-    "verify-poly": "report degree, leading term, and weight for each family member",
-    "pet": "run the descent induction and write a step-by-step certificate",
-    "average": "Monte Carlo joint averages over a time grid, optional invariance check",
-    "generic": "sample a certified point off the family's vanishing varieties",
-    "vdc": "correlation bound check on a scalar trajectory",
+    "verify-poly": (cmd_verify_poly, "report degree, leading term, and weight for each family member"),
+    "pet": (cmd_pet, "run the descent induction and write a step-by-step certificate"),
+    "average": (cmd_average, "Monte Carlo joint averages over a time grid, optional invariance check"),
+    "generic": (cmd_generic, "sample a certified point off the family's vanishing varieties"),
+    "vdc": (cmd_vdc, "correlation bound check on a scalar trajectory"),
 }
 
 
@@ -419,8 +417,8 @@ def main(argv=None) -> int:
         description="polynomial flows on nilmanifolds: symbolic certificates and seeded experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -440,14 +438,14 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
-        return _COMMANDS[args.command](cfg, args, out_dir)
+        return _COMMANDS[args.command][0](cfg, args, out_dir)
     except TruncationError as exc:
         print(f"truncated: {exc}", file=sys.stderr)
         return 4
     except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -471,7 +471,7 @@ def pet_trace(family: PolyFamily, max_depth: int = 64) -> PETTrace:
 
 def _members_to_json(members: Members) -> list:
     return [
-        {"multiplicity": mult, "map": polymap_to_json_dict(phi, include_algebra=False)}
+        {"multiplicity": mult, "map": polymap_to_json_dict(phi)}
         for phi, mult in members
     ]
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .lie_core import GroupElement, LieAlgebraSpec, algebra_from_json_dict, algebra_to_json_dict, bch_coords
-from .multipoly import MultiPoly
+from .lie_core import GroupElement, LieAlgebraSpec, bch_coords
+from .multipoly import MultiPoly, as_fraction
 
-AffineValue = Union[int, str, Fraction, Tuple, MultiPoly]
+AffineValue = Union[int, float, str, Fraction, Tuple]
 
 
 class PolyMap:
@@ -145,10 +145,10 @@ def pointwise_inverse(phi: PolyMap) -> PolyMap:
 def _as_affine(value: AffineValue) -> Tuple[Fraction, Dict[str, Fraction]]:
     if isinstance(value, tuple):
         const, linear = value
-        return Fraction(const), {str(n): Fraction(c) for n, c in linear.items()}
+        return as_fraction(const), {str(n): as_fraction(c) for n, c in linear.items()}
     if isinstance(value, str):
         return Fraction(0), {value: Fraction(1)}
-    return Fraction(value), {}
+    return as_fraction(value), {}
 
 
 def substitute(
@@ -200,53 +200,32 @@ def _fresh_shift_names(phi: PolyMap) -> Dict[str, str]:
     return {v: f"{v}_d{n}" for v in phi.domain}
 
 
-def difference(phi: PolyMap, direction: Union[Sequence, Mapping, None] = None) -> PolyMap:
+def difference(phi: PolyMap) -> PolyMap:
     """The map g -> phi(g - h) * phi(g)^{-1} over the domain variables.
 
-    With `direction` a rational vector (or mapping) the shift h is fixed;
-    with no direction the shift is symbolic and the fresh shift variables
-    join the result as parameters, leaving the domain unchanged.
+    The shift h is symbolic: the fresh shift variables join the result as
+    parameters, leaving the domain unchanged.
     """
-    if direction is None:
-        names = _fresh_shift_names(phi)
-        new_vars = phi.vars + tuple(names[v] for v in phi.domain)
-        assignment = {
-            v: (Fraction(0), {v: Fraction(1), names[v]: Fraction(-1)}) for v in phi.domain
-        }
-        shifted = substitute(phi, assignment, new_variables=new_vars, new_domain=phi.domain)
-        base = PolyMap(
-            phi.algebra,
-            new_vars,
-            [c.with_vars(new_vars) for c in phi.coords],
-            domain=phi.domain,
-        )
-    else:
-        if isinstance(direction, Mapping):
-            shift = {v: Fraction(direction.get(v, 0)) for v in phi.domain}
-        else:
-            if len(direction) != len(phi.domain):
-                raise ValueError(
-                    f"direction arity {len(direction)} does not match domain {phi.domain}"
-                )
-            shift = {v: Fraction(d) for v, d in zip(phi.domain, direction)}
-        assignment = {
-            v: (-shift[v], {v: Fraction(1)}) for v in phi.domain if shift[v] != 0
-        }
-        shifted = (
-            substitute(phi, assignment, new_variables=phi.vars, new_domain=phi.domain)
-            if assignment
-            else phi
-        )
-        base = phi
+    names = _fresh_shift_names(phi)
+    new_vars = phi.vars + tuple(names[v] for v in phi.domain)
+    assignment = {
+        v: (Fraction(0), {v: Fraction(1), names[v]: Fraction(-1)}) for v in phi.domain
+    }
+    shifted = substitute(phi, assignment, new_variables=new_vars, new_domain=phi.domain)
+    base = PolyMap(
+        phi.algebra,
+        new_vars,
+        [c.with_vars(new_vars) for c in phi.coords],
+        domain=phi.domain,
+    )
     return pointwise_product(shifted, pointwise_inverse(base))
 
 
-def polynomial_degree(phi: PolyMap, max_iterations: int | None = None) -> int:
+def polynomial_degree(phi: PolyMap) -> int:
     """Least d such that d symbolic differences leave a map constant on the
     domain variables (equivalently, d+1 differences give the identity)."""
-    if max_iterations is None:
-        max_total = max((c.total_degree_in(phi.domain) for c in phi.coords), default=0)
-        max_iterations = phi.algebra.step * (max_total + 1) + 2
+    max_total = max((c.total_degree_in(phi.domain) for c in phi.coords), default=0)
+    max_iterations = phi.algebra.step * (max_total + 1) + 2
     current = phi
     for d in range(max_iterations + 1):
         if current.is_constant_on_domain():
@@ -310,21 +289,18 @@ def lt_equivalent(phi: PolyMap, psi: PolyMap) -> bool:
 # serialization
 
 
-def polymap_to_json_dict(phi: PolyMap, include_algebra: bool = True) -> dict:
+def polymap_to_json_dict(phi: PolyMap) -> dict:
+    """The map's variables, coordinates and domain; its algebra is stored once by the caller."""
     data: dict = {
         "vars": list(phi.vars),
         "coords": [c.to_terms() for c in phi.coords],
     }
     if phi.domain != phi.vars:
         data["domain"] = list(phi.domain)
-    if include_algebra:
-        data["algebra"] = algebra_to_json_dict(phi.algebra)
     return data
 
 
-def polymap_from_json_dict(data: Mapping, algebra: LieAlgebraSpec | None = None) -> PolyMap:
-    if algebra is None:
-        algebra = algebra_from_json_dict(data["algebra"])
+def polymap_from_json_dict(data: Mapping, algebra: LieAlgebraSpec) -> PolyMap:
     variables = tuple(str(v) for v in data["vars"])
     coords = [MultiPoly.from_terms(variables, entry) for entry in data["coords"]]
     return PolyMap(algebra, variables, coords, domain=data.get("domain"))

@@ -179,7 +179,7 @@ def restrict_to_line(v: Variety, base: Sequence, direction: Sequence, param: str
     if len(base) != len(names) or len(direction) != len(names):
         raise ValueError(f"line data must have arity {len(names)}")
     assignment = {
-        name: (Fraction(b), {param: Fraction(d)})
+        name: (as_fraction(b), {param: as_fraction(d)})
         for name, b, d in zip(names, base, direction)
     }
     gens = [

@@ -24,9 +24,8 @@ import numpy as np
 
 from nilflow.averaging import (
     JoiningSpec,
-    convergence_scan,
-    invariance_check,
     mean_ergodic_base,
+    scan_with_invariance,
     vdc_check,
     half_step_times,
 )
@@ -285,20 +284,20 @@ def test_07_joint_averages_converge_and_gain_invariance():
     ]
     joining = JoiningSpec([heisenberg3()] * 3, "diagonal")
 
-    report = convergence_scan(
+    report = scan_with_invariance(
         joining, family, (), fns, [250, 500, 1000], dt="0.1", n_samples=10**5, seed=77
-    )
+    )[0]
     assert report.cauchy_gap <= 5 * max(report.std_errors)
 
     g = GroupElement(H3, (Fraction(1, 3), Fraction(1, 5), Fraction(0)))
     e = identity(H3)
     push_x = GroupElement(H3, (Fraction(1), Fraction(0), Fraction(0)))
     push_y = GroupElement(H3, (Fraction(0), Fraction(1), Fraction(0)))
-    deviations = invariance_check(
+    deviations = scan_with_invariance(
         joining, family, (), fns, [100, 1000],
         g_list=[(g, g, g), (e, push_x, push_y)],
         dt="0.2", n_samples=10**5, seed=77,
-    )
+    )[1]
     for dev_100, dev_1000 in deviations:
         assert dev_100 >= 3 * dev_1000
     assert time.monotonic() - start < 600

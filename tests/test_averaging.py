@@ -16,12 +16,10 @@ from nilflow.averaging import (
     _pinned_coefficients,
     _translated,
     JoiningSpec,
-    convergence_scan,
     flow_correlation_trajectory,
     half_step_times,
-    invariance_check,
-    joining_average,
     mean_ergodic_base,
+    scan_with_invariance,
     vdc_check,
 )
 from nilflow.dynamics import (
@@ -97,7 +95,8 @@ def test_all_ones_functions_give_exactly_one():
         ("graph", [identity(A1), GroupElement(A1, (Fraction(1, 3),))]),
     ):
         joining = JoiningSpec([torus(1), torus(1)], kind, elements=elements)
-        est, se = joining_average(joining, fam, (), fns, T=5, dt="0.5", n_samples=50, seed=9)
+        report, _ = scan_with_invariance(joining, fam, (), fns, [5], dt="0.5", n_samples=50, seed=9)
+        est, se = report.estimates[0], report.std_errors[0]
         assert est == 1.0
         assert se == 0.0
 
@@ -105,7 +104,8 @@ def test_all_ones_functions_give_exactly_one():
 def test_estimates_are_bounded_by_one():
     joining = JoiningSpec([torus(1), torus(1)], "diagonal")
     fam = rotation_family(SQRT2)
-    est, _ = joining_average(joining, fam, (), [char((1,)), char((2,), "sin")], T=3, dt="0.1", n_samples=200, seed=4)
+    report, _ = scan_with_invariance(joining, fam, (), [char((1,)), char((2,), "sin")], [3], dt="0.1", n_samples=200, seed=4)
+    est = report.estimates[0]
     assert abs(est) <= 1.0
 
 
@@ -114,7 +114,7 @@ def test_scan_is_deterministic_and_thread_invariant():
     fam = PolyFamily([PolyMap.build(H3, ("t",), {"x1": t_times(1)})])
     fns = [TestFunction("heis_abelian", (1, 0)), TestFunction("heis_abelian", (0, 1))]
     runs = [
-        convergence_scan(joining, fam, (), fns, [5, 10], dt="0.25", n_samples=900, seed=17, threads=w)
+        scan_with_invariance(joining, fam, (), fns, [5, 10], dt="0.25", n_samples=900, seed=17, threads=w)[0]
         for w in (1, 1, 3)
     ]
     assert runs[0] == runs[1] == runs[2]
@@ -122,7 +122,7 @@ def test_scan_is_deterministic_and_thread_invariant():
 
 def test_constant_functions_have_zero_cauchy_gap():
     joining = JoiningSpec([torus(1), torus(1)], "diagonal")
-    report = convergence_scan(
+    report, _ = scan_with_invariance(
         joining, rotation_family(SQRT2), (), [ones(1), ones(1)], [2, 4, 6, 8], dt="0.5", n_samples=20, seed=0
     )
     assert report.cauchy_gap == 0.0
@@ -140,17 +140,17 @@ def test_arity_and_grid_errors():
     joining = JoiningSpec([torus(1), torus(1)], "diagonal")
     fam = rotation_family(SQRT2)
     with pytest.raises(ValueError):
-        joining_average(joining, fam, (), [ones(1)], T=1, dt="0.5", n_samples=5)
+        scan_with_invariance(joining, fam, (), [ones(1)], [1], dt="0.5", n_samples=5)
     with pytest.raises(ValueError):
-        joining_average(joining, fam, (), [ones(1), ones(1)], T=1, dt="-0.5", n_samples=5)
+        scan_with_invariance(joining, fam, (), [ones(1), ones(1)], [1], dt="-0.5", n_samples=5)
     with pytest.raises(ValueError):
-        joining_average(joining, fam, (), [ones(1), ones(1)], T=1, dt="0.3", n_samples=5)
+        scan_with_invariance(joining, fam, (), [ones(1), ones(1)], [1], dt="0.3", n_samples=5)
     with pytest.raises(ValueError):
-        convergence_scan(joining, fam, (), [ones(1), ones(1)], [4, 2], dt="0.5", n_samples=5)
+        scan_with_invariance(joining, fam, (), [ones(1), ones(1)], [4, 2], dt="0.5", n_samples=5)
     with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
-        joining_average(joining, fam, (), [ones(1), ones(1)], T=1, dt="0.5", n_samples=0)
+        scan_with_invariance(joining, fam, (), [ones(1), ones(1)], [1], dt="0.5", n_samples=0)
     with pytest.raises(ValueError, match="threads must be at least 1, got -4"):
-        joining_average(joining, fam, (), [ones(1), ones(1)], T=1, dt="0.5", n_samples=5, threads=-4)
+        scan_with_invariance(joining, fam, (), [ones(1), ones(1)], [1], dt="0.5", n_samples=5, threads=-4)
 
 
 # ----------------------------------------------------------------------
@@ -160,9 +160,10 @@ def test_arity_and_grid_errors():
 def test_rotation_correlation_matches_seedwise_oracle():
     T, dt, n, seed = 200, 0.05, 4000, 23
     joining = JoiningSpec([torus(1), torus(1)], "diagonal")
-    est, se = joining_average(
-        joining, rotation_family(SQRT2), (), [char((1,)), char((1,))], T=T, dt=str(dt), n_samples=n, seed=seed
+    report, _ = scan_with_invariance(
+        joining, rotation_family(SQRT2), (), [char((1,)), char((1,))], [T], dt=str(dt), n_samples=n, seed=seed
     )
+    est, se = report.estimates[0], report.std_errors[0]
     alpha = float(SQRT2)
     x = haar_array(torus(1), seed, n)[:, 0]
     c = np.exp(2j * np.pi * alpha * midpoints(T, dt)).mean()
@@ -175,9 +176,10 @@ def test_quadratic_flow_kills_mean_zero_character():
     T = 500
     joining = JoiningSpec([torus(1), torus(1)], "diagonal")
     fam = PolyFamily([PolyMap.build(A1, ("t",), {"e1": t_times(1, power=2)})])
-    est, se = joining_average(
-        joining, fam, (), [ones(1), char((1,))], T=T, dt="0.02", n_samples=2000, seed=5
+    report, _ = scan_with_invariance(
+        joining, fam, (), [ones(1), char((1,))], [T], dt="0.02", n_samples=2000, seed=5
     )
+    est, se = report.estimates[0], report.std_errors[0]
     assert abs(est) <= 3 * se + 1 / T
 
 
@@ -185,7 +187,7 @@ def test_resonant_triple_stabilizes_at_orbit_average():
     fns = [char((1,)), char((-2,)), char((1,))]
     joining = JoiningSpec([torus(1)] * 3, "diagonal")
     fam = rotation_family(SQRT2, 2 * SQRT2)
-    report = convergence_scan(joining, fam, (), fns, [50, 100, 200], dt="0.05", n_samples=3000, seed=11)
+    report, _ = scan_with_invariance(joining, fam, (), fns, [50, 100, 200], dt="0.05", n_samples=3000, seed=11)
 
     grid = (np.arange(16) + 0.5) / 16
     xs, ss = np.meshgrid(grid, grid, indexing="ij")
@@ -209,7 +211,7 @@ def test_heisenberg_pair_scan_is_sane():
         TestFunction("heis_abelian", (0, 1)),
         TestFunction("heis_abelian", (1, 1)),
     ]
-    report = convergence_scan(joining, fam, (), fns, [20, 40], dt="0.05", n_samples=1500, seed=2)
+    report, _ = scan_with_invariance(joining, fam, (), fns, [20, 40], dt="0.05", n_samples=1500, seed=2)
     assert all(abs(e) <= 1.0 for e in report.estimates)
     assert report.cauchy_gap == abs(report.estimates[1] - report.estimates[0])
 
@@ -282,7 +284,7 @@ def test_per_sample_averages_match_the_act_then_eval_loop(monkeypatch):
 def test_identity_tuple_deviation_is_exactly_zero():
     joining = JoiningSpec([torus(1), torus(1)], "diagonal")
     fam = rotation_family(SQRT2)
-    devs = invariance_check(
+    _, devs = scan_with_invariance(
         joining, fam, (), [char((1,)), char((1,))], [5, 10],
         g_list=[(identity(A1), identity(A1))], dt="0.5", n_samples=100, seed=3,
     )
@@ -293,8 +295,8 @@ def test_abelian_diagonal_tuple_cancels_exactly():
     joining = JoiningSpec([torus(1), torus(1)], "diagonal")
     fam = rotation_family(SQRT2)
     g = GroupElement(A1, (Fraction(2, 7),))
-    devs = invariance_check(
-        joining, fam, (), [char((1,)), char((1,))], 5,
+    _, devs = scan_with_invariance(
+        joining, fam, (), [char((1,)), char((1,))], [5],
         g_list=[(g, g)], dt="0.5", n_samples=100, seed=3,
     )
     assert devs == [[0.0]]
@@ -305,7 +307,7 @@ def test_offdiagonal_deviation_shrinks_and_matches_shift_oracle():
     joining = JoiningSpec([torus(1), torus(1)], "diagonal")
     fam = rotation_family(SQRT2)
     tuple_off = (identity(A1), GroupElement(A1, (SQRT2,)))
-    devs = invariance_check(
+    _, devs = scan_with_invariance(
         joining, fam, (), [char((1,)), char((1,))], [T_small, T_big],
         g_list=[tuple_off], dt=str(dt), n_samples=n, seed=seed,
     )
@@ -327,8 +329,8 @@ def test_invariance_tuple_arity_checked():
     joining = JoiningSpec([torus(1), torus(1)], "diagonal")
     for tup in ((identity(A1),), (identity(A1), identity(A2)), (identity(A2), identity(A1))):
         with pytest.raises(ValueError):
-            invariance_check(
-                joining, rotation_family(SQRT2), (), [char((1,)), char((1,))], 5,
+            scan_with_invariance(
+                joining, rotation_family(SQRT2), (), [char((1,)), char((1,))], [5],
                 g_list=[tup], dt="0.5", n_samples=10,
             )
 
@@ -376,6 +378,13 @@ def test_half_step_grids_reject_nonpositive_dt(dt):
     with pytest.raises(ValueError, match="dt must be positive"):
         flow_correlation_trajectory(
             torus(1), rotation_family(SQRT2)[0], (), char((1,)), 2, 2, dt, n_samples=10
+        )
+
+
+def test_flow_correlation_trajectory_rejects_no_samples():
+    with pytest.raises(ValueError, match="n_samples must be at least 1, got 0"):
+        flow_correlation_trajectory(
+            torus(1), rotation_family(SQRT2)[0], (), char((1,)), 2, 2, "0.5", n_samples=0
         )
 
 
@@ -585,6 +594,6 @@ def test_scan_validation_is_shared(t_grid, dt, message):
     phi = PolyMap.build(A1, ("t",), {"e1": t_times(1)})
     joining = JoiningSpec([torus(1), torus(1)], "diagonal")
     with pytest.raises(ValueError, match=message):
-        convergence_scan(joining, PolyFamily([phi]), (), [ones(1), ones(1)], t_grid, dt, n_samples=5)
+        scan_with_invariance(joining, PolyFamily([phi]), (), [ones(1), ones(1)], t_grid, dt=dt, n_samples=5)
     with pytest.raises(ValueError, match=message):
         mean_ergodic_base(torus(1), phi, (), char((1,)), t_grid, dt, n_samples=5)

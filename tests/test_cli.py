@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nilflow.averaging import JoiningSpec, invariance_check
+from nilflow.averaging import JoiningSpec, scan_with_invariance
 from nilflow.cli import _load_algebra, _load_group_element, _load_members, main
 from nilflow.dynamics import function_from_json_dict, system_from_json_dict
 from nilflow.pet import MAX_LEVEL_TERMS, PolyFamily
@@ -51,6 +51,30 @@ def test_verify_poly_flags_origin_violation(tmp_path, capsys):
     )
     assert run("verify-poly", cfg, tmp_path) == 2
     assert "'y1'" in capsys.readouterr().err
+
+
+# H3 written out: [x1, y1] = z, with x1 and y1 on layer 1 and z on layer 2
+H3_EXPLICIT = {"labels": ["x1", "y1", "z"], "layers": [1, 1, 2], "step": 2, "brackets": [[0, 1, [[2, "1"]]]]}
+
+
+def test_explicit_algebra_runs_like_the_builtin(tmp_path):
+    family = [{"coords": {"x1": {"t": 1}}}, {"coords": {"y1": {"t^2": 1}}}]
+    for name, algebra in (("builtin", {"builtin": "heisenberg", "dim": 3}), ("explicit", H3_EXPLICIT)):
+        cfg = write_config(tmp_path, {"algebra": algebra, "family": family}, f"{name}.json")
+        assert run("pet", cfg, tmp_path / name) == 0
+    assert (tmp_path / "builtin" / "report.csv").read_bytes() == (tmp_path / "explicit" / "report.csv").read_bytes()
+    assert (tmp_path / "builtin" / "certificate.json").read_bytes() == (tmp_path / "explicit" / "certificate.json").read_bytes()
+
+
+def test_explicit_algebra_that_fails_verification_is_config_error(tmp_path, capsys):
+    # [a, b] = c and [b, a] = c break antisymmetry; c on layer 1 breaks the grading
+    bad = {"labels": ["a", "b", "c"], "layers": [1, 1, 1], "step": 1, "brackets": [[0, 1, [[2, 1]]], [1, 0, [[2, 1]]]]}
+    cfg = write_config(tmp_path, {"algebra": bad, "family": [{"coords": {"a": {"t": 1}}}]})
+    assert run("pet", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "antisymmetry violation at (0,1,2)" in err
+    assert "grading violation at (0,1,2)" in err
+    assert not (tmp_path / "out" / "report.csv").exists()
 
 
 def test_pet_demo_writes_certified_trace(tmp_path):
@@ -118,8 +142,8 @@ def test_average_invariance_block(tmp_path):
 
 
 def test_average_invariance_reuses_the_scan_pass(tmp_path):
-    """The certificate's deviations are those of a standalone invariance_check,
-    and the report does not depend on the invariance block."""
+    """The certificate's deviations are those of a library scan_with_invariance
+    call, and the report does not depend on the invariance block."""
     cfg = json.loads((DEMOS / "demo_heisenberg_joining.json").read_text())
     assert run("average", DEMOS / "demo_heisenberg_joining.json", tmp_path / "with") == 0
     plain = {key: value for key, value in cfg.items() if key != "invariance"}
@@ -128,7 +152,7 @@ def test_average_invariance_reuses_the_scan_pass(tmp_path):
 
     algebra = _load_algebra(cfg)
     systems = [system_from_json_dict(node) for node in cfg["systems"]]
-    deviations = invariance_check(
+    _, deviations = scan_with_invariance(
         JoiningSpec(systems, cfg["joining"]),
         PolyFamily(_load_members(cfg, algebra)),
         (),
@@ -200,23 +224,30 @@ def test_vdc_constant_signal(tmp_path):
     assert cert["lhs_norm"] == 1.0 and cert["rhs_corr"] == 1.0
 
 
+FLOW_VDC = {
+    "T": 4, "S": 4, "dt": "0.5",
+    "signal": {
+        "kind": "flow",
+        "system": {"kind": "torus", "dim": 1},
+        "algebra": {"builtin": "abelian", "dim": 1},
+        "family": [{"coords": {"e1": {"t": "1/3"}}}],
+        "function": {"kind": "torus_character", "freq": [1]},
+        "n_samples": 200,
+    },
+}
+
+
 def test_vdc_flow_signal(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {
-            "T": 4, "S": 4, "dt": "0.5",
-            "signal": {
-                "kind": "flow",
-                "system": {"kind": "torus", "dim": 1},
-                "algebra": {"builtin": "abelian", "dim": 1},
-                "family": [{"coords": {"e1": {"t": "1/3"}}}],
-                "function": {"kind": "torus_character", "freq": [1]},
-                "n_samples": 200,
-            },
-        },
-    )
-    assert run("vdc", cfg, tmp_path) == 0
+    assert run("vdc", write_config(tmp_path, FLOW_VDC), tmp_path) == 0
     assert len(read_rows(tmp_path)) == 2
+
+
+def test_vdc_flow_signal_rejects_no_samples(tmp_path, capsys):
+    """No NaN correlations from zero samples."""
+    cfg = write_config(tmp_path, {**FLOW_VDC, "signal": {**FLOW_VDC["signal"], "n_samples": 0}})
+    assert run("vdc", cfg, tmp_path / "out") == 2
+    assert "n_samples must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.csv").exists()
 
 
 def test_vdc_rejects_empty_window(tmp_path):

@@ -141,6 +141,15 @@ def test_substitute_time_zero_gives_identity():
     assert pinned.vars == ("h",)
 
 
+def test_substitute_reads_floats_as_their_shortest_decimal():
+    t = t_poly(("t", "h"))
+    h = MultiPoly.variable(("t", "h"), "h")
+    phi = exp_map({"x1": t * h, "z": t ** 2}, variables=("t", "h"))
+    scaled = substitute(phi, {"t": (0.1, {"t": 0.1})})
+    assert scaled == substitute(phi, {"t": ("1/10", {"t": "1/10"})})
+    assert substitute(phi, {"t": 0.1}).coords[2] == Fraction(1, 100)
+
+
 def test_substitute_unknown_variable():
     phi = exp_map({"x1": t_poly()})
     with pytest.raises(ValueError):
@@ -165,7 +174,7 @@ def test_difference_linear_abelian():
     h = MultiPoly.variable(("t", "t_d1"), "t_d1")
     assert diff.coords[0] == -2 * h
     assert diff.coords[1] == h
-    numeric = difference(phi, [Fraction(1, 2)])
+    numeric = substitute(diff, {"t_d1": Fraction(1, 2)})
     assert numeric.coords[0] == -1
     assert numeric.coords[1] == Fraction(1, 2)
 
@@ -306,7 +315,7 @@ def test_polymap_json_roundtrip():
     h = MultiPoly.variable(("t", "h"), "h")
     phi = exp_map({"x1": t * h + t ** 2, "z": t * Fraction(1, 3)}, variables=("t", "h"))
     data = polymap_to_json_dict(phi)
-    back = polymap_from_json_dict(data)
+    back = polymap_from_json_dict(data, H3)
     assert back == phi
     assert back.domain == phi.domain
 
@@ -316,5 +325,5 @@ def test_polymap_json_domain_field():
     diff = difference(phi)
     data = polymap_to_json_dict(diff)
     assert data["domain"] == ["t"]
-    back = polymap_from_json_dict(data)
+    back = polymap_from_json_dict(data, H3)
     assert back.domain == ("t",)

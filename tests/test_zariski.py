@@ -189,6 +189,14 @@ def test_line_inside_variety_gives_zero_generators():
     assert all(g.is_zero() for g in sliced.generators)
 
 
+def test_line_data_reads_floats_as_their_shortest_decimal():
+    quadric = Variety([hpoly({(2, 0): 1, (0, 2): -1})])
+    exact = restrict_to_line(quadric, base=("1/10", 0), direction=(1, "1/10"))
+    assert restrict_to_line(quadric, base=(0.1, 0), direction=(1, 0.1)).generators == exact.generators
+    s = MultiPoly.variable(("s",), "s")
+    assert exact.generators[0] == (Fraction(1, 10) + s) ** 2 - (Fraction(1, 10) * s) ** 2
+
+
 def test_random_lines_slice_to_proper_or_contained():
     rng = random.Random(7)
     quadric = Variety([hpoly({(2, 0): 1, (0, 2): -1})])
