@@ -15,10 +15,10 @@ the same path: each is the polynomial map g_i phi_i g_0^{-1}, built once
 by BCH on polynomial coordinates, so no exact group element is built per
 grid time.
 
-The time loop runs over blocks of samples, with one `dynamics.StepKernel`
-per factor and block.  Each kernel call computes a slab of consecutive time
-steps, and a block holds at most BLOCK_ROWS samples x steps; each sample's
-arithmetic is the same whatever the blocks, slabs and threads.
+The time loop runs over blocks of samples.  Each `dynamics.step_values`
+call computes one factor on a slab of consecutive time steps, and a slab
+holds at most BLOCK_ROWS samples x steps; each sample's arithmetic is the
+same whatever the blocks, slabs and threads.
 `scan_with_invariance` makes the pass over the base flows once and uses it
 both for the report and as the baseline of every invariance deviation.
 """
@@ -35,12 +35,12 @@ import numpy as np
 
 from .dynamics import (
     NilSystem,
-    StepKernel,
     TestFunction,
     act_array,
     acting_rows,
     eval_fn_array,
     haar_array,
+    step_values,
 )
 from .lie_core import GroupElement, group_inverse
 from .multipoly import as_fraction
@@ -50,8 +50,8 @@ from .zariski import MeagreSet, generic_sample, is_proper, vanishing_variety
 
 Rational = Union[int, str, Fraction]
 
-# samples x time steps per block of the time loop: a block's kernel buffers
-# stay in cache
+# samples x time steps per slab of the time loop: a slab's arrays stay in
+# cache
 BLOCK_ROWS = 8192
 
 
@@ -225,7 +225,7 @@ def _translated(g: GroupElement, phi: PolyMap, g0: GroupElement) -> PolyMap:
 
 
 def _slab_steps(rows: int) -> int:
-    """Time steps per kernel call for a block of `rows` samples, at most BLOCK_ROWS values."""
+    """Time steps per `step_values` call for a block of `rows` samples, at most BLOCK_ROWS values."""
     return max(1, BLOCK_ROWS // rows)
 
 
@@ -252,8 +252,8 @@ def _per_sample_averages(
 
     `flows` holds the float coordinates of each acting factor's flow, one
     row per time step.  Returns one n-vector per snapshot step.  Samples are
-    split into row blocks, each run through the whole time loop by one
-    `StepKernel` per factor, a slab of steps per call.  A slab ends at every
+    split into row blocks, each run through the whole time loop with one
+    `step_values` call per factor and slab of steps.  A slab ends at every
     snapshot step, and its products are added to the running sums in step
     order.  Every row's arithmetic is independent of the blocks, slabs and
     threads, so any thread count reproduces the same numbers.
@@ -264,24 +264,19 @@ def _per_sample_averages(
     def run_block(lo: int, hi: int) -> Dict[int, np.ndarray]:
         steps = _slab_steps(hi - lo)
         base = eval_fn_array(fns[0], factors[0][lo:hi])
-        kernels = [
-            StepKernel(systems[i], fns[i], factors[i][lo:hi], steps) for i in range(1, len(systems))
-        ]
+        cols = [np.ascontiguousarray(pts[lo:hi].T) for pts in factors[1:]]
         sums = np.zeros(hi - lo)
-        products = np.empty((steps, hi - lo))
         out: Dict[int, np.ndarray] = {}
         j = 0
         for stop in snapshot_steps:
             while j < stop:
                 s = min(steps, stop - j)
-                slab = products[:s]
                 product = base
-                for kernel, flow in zip(kernels, flows):
-                    np.multiply(product, kernel(flow[j : j + s].T), out=slab)
-                    product = slab
-                if product is base:
-                    slab[...] = base
-                for row in slab:  # one add per step, in step order
+                for sys, f, c, flow in zip(systems[1:], fns[1:], cols, flows):
+                    product = product * step_values(sys, f, c, flow[j : j + s].T)
+                if product is base:  # no acting factor: each step adds the base values
+                    product = np.broadcast_to(base, (s, hi - lo))
+                for row in product:  # one add per step, in step order
                     sums += row
                 j += s
             out[stop] = sums / stop
@@ -470,11 +465,11 @@ def flow_correlation_trajectory(
     flow = _flow_floats(sys, phi, h, Fraction(0), dt_f / 2, _half_steps(T, S, dt_f) + 1)
     pts = haar_array(sys, seed, n_samples)
     static = eval_fn_array(f, pts)
+    cols = np.ascontiguousarray(pts.T)
     steps = _slab_steps(n_samples)
-    kernel = StepKernel(sys, f, pts, steps)
     out = np.empty(len(flow))
     for j in range(0, len(flow), steps):
-        vals = kernel(flow[j : j + steps].T)
+        vals = step_values(sys, f, cols, flow[j : j + steps].T)
         vals *= static
         out[j : j + len(vals)] = vals.mean(axis=1)
     return out
@@ -496,7 +491,7 @@ class MeanErgodicReport:
     generic: Optional["MeanErgodicReport"]
 
 
-def _functional_from_test_function(sys: NilSystem, f: TestFunction) -> Optional[List[int]]:
+def _functional_from_test_function(f: TestFunction) -> Optional[List[int]]:
     if f.kind == "torus_character":
         return list(f.freq)
     if f.kind == "heis_abelian":
@@ -527,7 +522,7 @@ def mean_ergodic_base(
     if phi.algebra != sys.algebra:
         raise ValueError("flow does not match system algebra")
     _check_sampling(n_samples, threads)
-    ell = _functional_from_test_function(sys, f)
+    ell = _functional_from_test_function(f)
     variety = None if ell is None else vanishing_variety(phi, ell)
 
     def report_at(point: Sequence[Rational]) -> MeanErgodicReport:

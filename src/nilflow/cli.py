@@ -424,6 +424,10 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None, help="worker threads for sampling")
     args = parser.parse_args(argv)
+    # every subcommand takes the flag; none may accept a count it cannot run
+    if args.threads is not None and args.threads < 1:
+        print(f"config error: threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return 2
 
     try:
         cfg = json.loads(Path(args.config).read_text())

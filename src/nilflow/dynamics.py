@@ -6,14 +6,14 @@ layer only ever adds, multiplies, and reduces mod 1, so no error compounds
 across a time loop.
 
 The translate, the reduction and a test function's phase are each written
-once, and each broadcasts over everything after the coordinate axis.
-`act_array`, `reduce_array` and `eval_fn_array` run them on fresh arrays of
-shape (coordinate, sample).  `StepKernel`, which the time loops use, runs
-them on a slab of consecutive time steps at once, in buffers of shape
-(coordinate, step, sample) that it allocates once per block of sample
-points; each value equals `eval_fn_array(f, act_array(sys, g, pts))` for its
-step bit for bit.  The phase is the sum of freq_k * coord_k in coordinate
-order, not a BLAS product, so its bits do not depend on the BLAS build.
+once, as array expressions that broadcast over everything after the
+coordinate axis.  `act_array`, `reduce_array` and `eval_fn_array` run them
+on coordinate rows of shape (sample,).  `step_values`, which the time loops
+use, runs them on a slab of consecutive time steps at once, on rows of shape
+(step, sample); each value equals `eval_fn_array(f, act_array(sys, g, pts))`
+for its step bit for bit.  The phase is the sum of freq_k * coord_k in
+coordinate order, not a BLAS product, so its bits do not depend on the BLAS
+build.
 """
 
 from __future__ import annotations
@@ -111,65 +111,44 @@ class NilPoint:
 # ----------------------------------------------------------------------
 # translate, reduction and phase
 #
-# The helpers work on coordinate rows (shape (rows, ...), one row per
-# coordinate, the rest broadcast) and write into buffers the caller passes in.
+# The helpers take coordinate rows (one row per coordinate, the rest
+# broadcast) and return fresh arrays.  They work in place only on arrays
+# they allocated themselves, never on their inputs.  On the Heisenberg
+# system the rows are a list, so that the x and y rows can be computed
+# without the central one.
 
 
-class _Buffers:
-    """Scratch space for the helpers, for `rows` coordinate rows of the given shape."""
-
-    __slots__ = ("floor", "mask", "tmp", "tmp2")
-
-    def __init__(self, floor: np.ndarray, mask: np.ndarray, tmp: np.ndarray, tmp2: np.ndarray):
-        self.floor, self.mask, self.tmp, self.tmp2 = floor, mask, tmp, tmp2
-
-    @classmethod
-    def empty(cls, rows: int, shape: Tuple[int, ...]) -> "_Buffers":
-        return cls(
-            np.empty((rows, *shape)), np.empty((rows, *shape), dtype=bool), np.empty(shape), np.empty(shape)
-        )
-
-    def head(self, steps: int) -> "_Buffers":
-        """Views of the first `steps` time steps of slab-shaped buffers."""
-        return _Buffers(self.floor[:, :steps], self.mask[:, :steps], self.tmp[:steps], self.tmp2[:steps])
-
-
-def _frac_into(v: np.ndarray, out: np.ndarray, floor: np.ndarray, mask: np.ndarray) -> None:
-    """out = v mod 1 in [0, 1); floor keeps floor(v)."""
-    np.floor(v, out=floor)
-    np.subtract(v, floor, out=out)
+def _frac(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """v mod 1 in [0, 1), and floor(v)."""
+    floor = np.floor(v)
+    out = v - floor
     # roundoff can push x - floor(x) to exactly 1.0 for tiny negative x
-    np.greater_equal(out, 1.0, out=mask)
+    mask = out >= 1.0
     if mask.any():
-        np.subtract(out, 1.0, out=out, where=mask)
+        out[mask] -= 1.0
+    return out, floor
 
 
-def _translate_into(kind: str, g: np.ndarray, cols: np.ndarray, moved: np.ndarray, buf: _Buffers) -> None:
+def _translate(kind: str, g: np.ndarray, cols):
     """Rows of g x for the points x with coordinate rows `cols`.
 
     g holds one float per coordinate, or one column of floats per time step
     of a slab; it gains a trailing sample axis, so it broadcasts against
-    `cols`.  On the Heisenberg system `moved` may hold only the x and y rows;
+    `cols`.  On the Heisenberg system `cols` may hold only the x and y rows;
     the central row is then not computed.
     """
     g = g[..., None]
     if kind == "torus":
-        np.add(cols, g, out=moved)
-        return
-    np.add(cols[:2], g[:2], out=moved[:2])
-    if len(moved) == 3:
+        return cols + g
+    moved = [cols[0] + g[0], cols[1] + g[1]]
+    if len(cols) == 3:
         a, b, c = g
         x, y, z = cols
-        # z' = c + z + (a y - b x) / 2
-        np.add(z, c, out=moved[2])
-        np.multiply(y, a, out=buf.tmp)
-        np.multiply(x, b, out=buf.tmp2)
-        buf.tmp -= buf.tmp2
-        buf.tmp *= 0.5
-        moved[2] += buf.tmp
+        moved.append(z + c + (y * a - x * b) * 0.5)  # z' = c + z + (a y - b x) / 2
+    return moved
 
 
-def _reduce_into(kind: str, moved: np.ndarray, out: np.ndarray, buf: _Buffers) -> None:
+def _reduce(kind: str, moved):
     """Fundamental-domain representative of the points with coordinate rows `moved`.
 
     For the Heisenberg system the representative of the right lattice coset
@@ -179,65 +158,42 @@ def _reduce_into(kind: str, moved: np.ndarray, out: np.ndarray, buf: _Buffers) -
     reduced.
     """
     if kind == "torus":
-        _frac_into(moved, out, buf.floor, buf.mask)
-        return
-    _frac_into(moved[:2], out[:2], buf.floor[:2], buf.mask[:2])
+        return _frac(moved)[0]
+    (xr, _), (yr, fy) = _frac(moved[0]), _frac(moved[1])
     if len(moved) < 3:
-        return
+        return [xr, yr]
     x, y, z = moved
-    _, fy, fz = buf.floor
-    xr, yr = out[0], out[1]
-    offset, tmp = buf.tmp, buf.tmp2
     # offset = x y / 2 - x fy - xr yr / 2; on a row that is already reduced
     # (floor(x) = floor(y) = 0) it is exactly +0.0, so z keeps its bits
-    np.multiply(x, y, out=offset)
-    offset *= 0.5
-    np.multiply(x, fy, out=tmp)
-    offset -= tmp
-    np.multiply(xr, yr, out=tmp)
-    tmp *= 0.5
-    offset -= tmp
-    np.add(z, offset, out=offset)
-    _frac_into(offset, out[2], fz, buf.mask[2])
+    offset = x * y * 0.5 - x * fy - xr * yr * 0.5
+    return [xr, yr, _frac(z + offset)[0]]
 
 
-def _phase_terms(f: TestFunction, rows: np.ndarray) -> list:
-    """(frequency, coordinate row) pairs of the phase, zero frequencies dropped."""
-    return [(float(k), row) for k, row in zip(f.freq, rows) if k]
-
-
-def _phase_into(terms: list, part: str, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = cos or sin of 2 pi sum_k freq_k coord_k, summed in coordinate order.
+def _phase(f: TestFunction, rows) -> np.ndarray:
+    """cos or sin of 2 pi sum_k freq_k coord_k, summed over the coordinate rows in order.
 
     A frequency of +1 or -1 goes into the addition as the row itself or a
     subtraction, which gives the same bits as multiplying by it first.
     """
     phase = None
-    for k, row in terms:
+    for k, row in zip(f.freq, rows):
+        if not k:
+            continue
         if phase is None:
-            if k == 1.0:
-                phase = row
-                continue
-            np.multiply(row, k, out=out)
-        elif k == 1.0:
-            np.add(phase, row, out=out)
-        elif k == -1.0:
-            np.subtract(phase, row, out=out)
+            phase = row if k == 1 else row * float(k)
+        elif k == 1:
+            phase = phase + row
+        elif k == -1:
+            phase = phase - row
         else:
-            np.multiply(row, k, out=tmp)
-            np.add(phase, tmp, out=out)
-        phase = out
-    if phase is None:
-        out.fill(0.0)
-    else:
-        np.multiply(phase, TWO_PI, out=out)
-    if part == "cos":
-        np.cos(out, out=out)
-    else:
-        # a zero phase is +0.0, as in a dot product that starts from 0.0;
-        # unlike cos, sin keeps the sign of a zero
-        out += 0.0
-        np.sin(out, out=out)
+            phase = phase + row * float(k)
+    out = np.zeros(rows[0].shape) if phase is None else phase * TWO_PI
+    if f.part == "cos":
+        return np.cos(out, out=out)
+    # a zero phase is +0.0, as in a dot product that starts from 0.0;
+    # unlike cos, sin keeps the sign of a zero
+    out += 0.0
+    return np.sin(out, out=out)
 
 
 # ----------------------------------------------------------------------
@@ -251,9 +207,7 @@ def reduce_array(sys: NilSystem, pts: np.ndarray) -> np.ndarray:
     input, except that a -0.0 becomes +0.0.
     """
     pts = np.asarray(pts, dtype=float)
-    out = np.empty(pts.shape)
-    _reduce_into(sys.kind, pts.T, out.T, _Buffers.empty(pts.shape[1], pts.shape[:1]))
-    return out
+    return np.stack(_reduce(sys.kind, pts.T), axis=1)
 
 
 def reduce_point(sys: NilSystem, coords: Sequence[float]) -> NilPoint:
@@ -294,13 +248,8 @@ def element_floats(sys: NilSystem, elements: Sequence[GroupElement]) -> np.ndarr
 def act_array(sys: NilSystem, g: GroupElement, pts: np.ndarray) -> np.ndarray:
     """Left translation by g applied to every row, then reduction."""
     pts = np.asarray(pts, dtype=float)
-    m = pts.shape[0]
-    buf = _Buffers.empty(sys.dim, (m,))
-    moved = np.empty((sys.dim, m))
-    _translate_into(sys.kind, element_floats(sys, [g])[0], pts.T, moved, buf)
-    out = np.empty((m, sys.dim))
-    _reduce_into(sys.kind, moved, out.T, buf)
-    return out
+    moved = _translate(sys.kind, element_floats(sys, [g])[0], pts.T)
+    return np.stack(_reduce(sys.kind, moved), axis=1)
 
 
 def act(sys: NilSystem, g: GroupElement, x: NilPoint) -> NilPoint:
@@ -377,10 +326,7 @@ def _fn_coord_slice(f: TestFunction, width: int) -> slice:
 
 def eval_fn_array(f: TestFunction, pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
-    window = pts[:, _fn_coord_slice(f, pts.shape[1])]
-    out = np.empty(pts.shape[0])
-    _phase_into(_phase_terms(f, window.T), f.part, out, np.empty(pts.shape[0]))
-    return out
+    return _phase(f, pts[:, _fn_coord_slice(f, pts.shape[1])].T)
 
 
 def eval_fn(f: TestFunction, x: NilPoint) -> float:
@@ -391,46 +337,21 @@ def eval_fn(f: TestFunction, x: NilPoint) -> float:
 # step kernel
 
 
-class StepKernel:
-    """f(g x) on fixed points x, for a slab of consecutive group elements g at a time.
+def step_values(sys: NilSystem, f: TestFunction, cols: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """f(g_s x) for the columns g_s of g, shape (dim, s), and fixed points x.
 
-    Set up once per block of rows, for slabs of up to `steps` time steps:
-    the coordinates are copied into contiguous rows and every buffer, of
-    shape (coordinate, step, sample), is allocated here; a call works in
-    views of their first s steps.  A call runs the translate, reduction and phase
-    helpers that `act_array` and `eval_fn_array` run, so each row of its
-    result is eval_fn_array(f, act_array(sys, g, pts)) for that step's g bit
-    for bit.  An abelianized Heisenberg function does not read the central
-    coordinate, so its kernel does not compute it.
+    `cols` holds the coordinate rows of the points, shape (dim, sample);
+    callers that run many slabs on the same points make them contiguous once.
+    Returns one row of values per column, shape (s, sample).  It runs the
+    translate, reduction and phase helpers that `act_array` and
+    `eval_fn_array` run, so each row is eval_fn_array(f, act_array(sys, g_s,
+    pts)) for that step's g_s bit for bit.  An abelianized Heisenberg
+    function does not read the central coordinate, so it is not computed.
     """
-
-    __slots__ = ("kind", "f", "cols", "moved", "reduced", "buf", "out")
-
-    def __init__(self, sys: NilSystem, f: TestFunction, pts: np.ndarray, steps: int):
-        pts = np.asarray(pts, dtype=float)
-        _fn_coord_slice(f, pts.shape[1])  # rejects a frequency of the wrong arity
-        shape = (steps, pts.shape[0])
-        rows = 2 if sys.kind == "heisenberg3" and f.kind == "heis_abelian" else sys.dim
-        self.kind = sys.kind
-        self.f = f
-        self.cols = np.ascontiguousarray(pts.T)[:, None]
-        self.moved = np.empty((rows, *shape))
-        self.reduced = np.empty((rows, *shape))
-        self.buf = _Buffers.empty(rows, shape)
-        self.out = np.empty(shape)
-
-    def __call__(self, g: np.ndarray) -> np.ndarray:
-        """Values at g_s x for the columns g_s of g, shape (dim, s) with s <= steps.
-
-        Returns one row of values per column, shape (s, sample); the next call
-        overwrites them.
-        """
-        s = g.shape[1]
-        moved, reduced, out, buf = self.moved[:, :s], self.reduced[:, :s], self.out[:s], self.buf.head(s)
-        _translate_into(self.kind, g, self.cols, moved, buf)
-        _reduce_into(self.kind, moved, reduced, buf)
-        _phase_into(_phase_terms(self.f, reduced), self.f.part, out, buf.tmp)
-        return out
+    _fn_coord_slice(f, len(cols))  # rejects a frequency of the wrong arity
+    if sys.kind == "heisenberg3" and f.kind == "heis_abelian":
+        cols = cols[:2]
+    return _phase(f, _reduce(sys.kind, _translate(sys.kind, g, cols[:, None])))
 
 
 # ----------------------------------------------------------------------

@@ -54,16 +54,14 @@ def weight(phi: PolyMap) -> Weight:
     return Weight(lt.internal_class, lt.leading_degree)
 
 
-def weight_less(w1: Weight, w2: Weight) -> bool:
-    """w1 comes strictly earlier: deeper class first, then lower degree."""
-    if w1.internal_class != w2.internal_class:
-        return w1.internal_class > w2.internal_class
-    return w1.leading_degree < w2.leading_degree
-
-
 def _descending_key(w: Weight) -> Tuple[int, int]:
     # sort so the latest weight in the order comes first
     return (w.internal_class, -w.leading_degree)
+
+
+def weight_less(w1: Weight, w2: Weight) -> bool:
+    """w1 comes strictly earlier: deeper class first, then lower degree."""
+    return _descending_key(w1) > _descending_key(w2)
 
 
 class WeightAssignment:

@@ -19,6 +19,9 @@ from .poly_maps import PolyMap
 
 Point = Union[Sequence, Mapping]
 
+# draws before `generic_sample` gives up; the bound doubles after each miss
+GENERIC_ATTEMPTS = 64
+
 
 def t_coefficients(p: MultiPoly, time_var: str = "t") -> List[MultiPoly]:
     """Coefficients of the powers of the time variable, constant term first.
@@ -145,7 +148,6 @@ def nonvanishing_certificate(m: MeagreSet, point: Point) -> List[dict]:
 def generic_sample(
     m: MeagreSet,
     seed: int = 0,
-    max_attempts: int = 64,
     params: Sequence[str] | None = None,
 ) -> Tuple[Fraction, ...]:
     """Random rational point certified to avoid every variety of the union.
@@ -157,14 +159,14 @@ def generic_sample(
     names = tuple(params) if params is not None else m.params
     rng = random.Random(seed)
     bound = 1
-    for _ in range(max_attempts):
+    for _ in range(GENERIC_ATTEMPTS):
         point = {name: Fraction(rng.randint(-bound, bound)) for name in names}
         if not membership(m, point):
             nonvanishing_certificate(m, point)
             return tuple(point[name] for name in names)
         bound *= 2
     raise CertificateError(
-        f"no generic point found in {max_attempts} attempts; "
+        f"no generic point found in {GENERIC_ATTEMPTS} attempts; "
         "an improper variety may have slipped through"
     )
 

@@ -198,6 +198,21 @@ def test_average_rejects_no_samples_and_no_threads(tmp_path, capsys, override, e
     assert not (tmp_path / "out" / "certificate.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, demo, threads",
+    [
+        ("vdc", "demo_vdc_one", "-4"),
+        ("pet", "demo_pet_pair", "0"),
+        ("verify-poly", "demo_verify_poly", "0"),
+        ("generic", "demo_generic_lines", "0"),
+    ],
+)
+def test_every_subcommand_rejects_no_threads(tmp_path, capsys, command, demo, threads):
+    assert run(command, DEMOS / f"{demo}.json", tmp_path / "out", ["--threads", threads]) == 2
+    assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_generic_demo_avoids_both_lines(tmp_path):
     assert run("generic", DEMOS / "demo_generic_lines.json", tmp_path) == 0
     cert = json.loads((tmp_path / "certificate.json").read_text())

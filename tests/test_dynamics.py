@@ -10,7 +10,6 @@ import pytest
 from nilflow.dynamics import (
     NilPoint,
     NilSystem,
-    StepKernel,
     TestFunction,
     act,
     act_array,
@@ -25,6 +24,7 @@ from nilflow.dynamics import (
     reduce_array,
     reduce_point,
     sample_haar,
+    step_values,
     system_from_json_dict,
     system_to_json_dict,
     torus,
@@ -227,6 +227,8 @@ def test_fn_arity_validation():
         TestFunction("torus_character", (1,), "tan")
     with pytest.raises(ValueError):
         eval_fn(TestFunction("torus_character", (1, 2)), NilPoint((0.1,)))
+    with pytest.raises(ValueError):
+        step_values(torus(1), TestFunction("torus_character", (1, 2)), np.zeros((1, 3)), np.zeros((1, 2)))
 
 
 # ----------------------------------------------------------------------
@@ -300,10 +302,10 @@ def test_step_kernel_is_bit_identical_to_act_then_eval(sys, kinds):
             want = np.array([character_reference(freq, part, act_reference(sys.kind, gf, pts)) for gf in rows])
             for g, w in zip(elements, want):
                 assert np.array_equal(bits(eval_fn_array(f, act_array(sys, g, pts))), bits(w))
+            cols = np.ascontiguousarray(pts.T)
             for steps in (1, 5, len(rows)):
-                kernel = StepKernel(sys, f, pts, steps)
                 for j in range(0, len(rows), steps):
-                    got = kernel(rows[j : j + steps].T)
+                    got = step_values(sys, f, cols, rows[j : j + steps].T)
                     assert np.array_equal(bits(got), bits(want[j : j + steps])), (f, steps, j)
 
 
@@ -313,10 +315,55 @@ def test_step_kernel_with_acting_matrix():
     pts = haar_array(sys, seed=4, n=700)
     f = TestFunction("torus_character", (1, 2), "sin")
     elements = [GroupElement(param, (Fraction(c),)) for c in ("7/3", "-12345/7", "0")]
-    kernel = StepKernel(sys, f, pts, steps=3)
-    got = kernel(element_floats(sys, elements).T)
+    got = step_values(sys, f, pts.T, element_floats(sys, elements).T)
     for g, row in zip(elements, got):
         assert np.array_equal(bits(row), bits(eval_fn_array(f, act_array(sys, g, pts))))
+
+
+def test_kernel_never_writes_into_its_inputs():
+    """The helpers work in place only on arrays they allocate themselves."""
+    tiny = Fraction(-1, 2**60)
+    cases = [
+        (torus(3), [("torus_character", (1, 0, 0)), ("torus_character", (2, -1, 1))]),
+        (
+            heisenberg3(),
+            [
+                ("torus_character", (1, 1, 3)),
+                ("heis_abelian", (1, 0)),
+                ("heis_abelian", (-2, 1)),
+                ("heis_vertical", (0, 0, 1)),
+                ("heis_vertical", (2, 0, -1)),
+            ],
+        ),
+    ]
+    for sys, kinds in cases:
+        pts = haar_array(sys, seed=5, n=60)
+        pts[:10] = 0.0  # the first element moves these to x - floor(x) == 1.0
+        pts[10:20] = float(tiny)  # reduce_array's own x - floor(x) == 1.0
+        pts[20:30] += 2.5  # not reduced; the rest are
+        elements = [
+            GroupElement(sys.algebra, (tiny,) * sys.dim),
+            GroupElement(sys.algebra, tuple(Fraction(c, 7) for c in (-15, 4, 30)[: sys.dim])),
+            GroupElement(sys.algebra, (Fraction(0),) * sys.dim),
+        ]
+        flow = element_floats(sys, elements)
+        assert np.any((pts + flow[0]) - np.floor(pts + flow[0]) >= 1.0)
+        assert np.any(pts - np.floor(pts) >= 1.0)
+        assert np.all((pts[30:] >= 0.0) & (pts[30:] < 1.0))
+        cols = np.ascontiguousarray(pts.T)
+        inputs = (pts, cols, flow)
+        before = [a.tobytes() for a in inputs]
+        calls = [lambda: reduce_array(sys, pts)]
+        calls += [lambda g=g: act_array(sys, g, pts) for g in elements]
+        for kind, freq in kinds:
+            for part in ("cos", "sin"):
+                f = TestFunction(kind, freq, part)
+                calls.append(lambda f=f: eval_fn_array(f, pts))
+                calls.append(lambda f=f: step_values(sys, f, cols, flow.T))
+                calls.append(lambda f=f: step_values(sys, f, pts.T, flow[1:].T))
+        for call in calls:
+            call()
+            assert [a.tobytes() for a in inputs] == before
 
 
 # ----------------------------------------------------------------------

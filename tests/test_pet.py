@@ -12,6 +12,7 @@ from nilflow.pet import (
     PETTrace,
     PolyFamily,
     Weight,
+    _descending_key,
     _sorted_matching,
     assignment_less,
     derived_family,
@@ -57,6 +58,17 @@ def test_weight_order_examples():
     assert weight_less(Weight(1, 1), Weight(1, 2))
     assert not weight_less(Weight(1, 2), Weight(1, 2))
     assert not weight_less(Weight(1, 1), Weight(2, 5))
+
+
+def test_weight_less_is_the_sort_key_order():
+    """weight_less(w1, w2) exactly when sorting by the key puts w2 first."""
+    weights = [Weight(c, d) for c in range(1, 4) for d in range(1, 5)]
+    order = sorted(weights, key=_descending_key)
+    for w1, w2 in itertools.product(weights, repeat=2):
+        assert weight_less(w1, w2) == (order.index(w1) > order.index(w2))
+        deeper = w1.internal_class > w2.internal_class
+        lower = w1.internal_class == w2.internal_class and w1.leading_degree < w2.leading_degree
+        assert weight_less(w1, w2) == (deeper or lower)
 
 
 def test_weight_of_map():

@@ -8,6 +8,7 @@ import pytest
 from nilflow.errors import CertificateError
 from nilflow.lie_core import make_builtin
 from nilflow.multipoly import MultiPoly
+from nilflow import zariski
 from nilflow.poly_maps import PolyMap
 from nilflow.zariski import (
     MeagreSet,
@@ -159,10 +160,11 @@ def test_generic_sample_is_deterministic():
     assert generic_sample(m, seed=11) == generic_sample(m, seed=11)
 
 
-def test_generic_sample_exhaustion_raises():
+def test_generic_sample_exhaustion_raises(monkeypatch):
     m = MeagreSet([Variety([hpoly({(1, 0): 1})])])
+    monkeypatch.setattr(zariski, "GENERIC_ATTEMPTS", 0)
     with pytest.raises(CertificateError):
-        generic_sample(m, seed=0, max_attempts=0)
+        generic_sample(m, seed=0)
 
 
 def test_nonvanishing_certificate_contents():
