@@ -19,8 +19,12 @@ The time loop runs over blocks of samples.  Each `dynamics.step_values`
 call computes one factor on a slab of consecutive time steps, and a slab
 holds at most BLOCK_ROWS samples x steps; each sample's arithmetic is the
 same whatever the blocks, slabs and threads.
-`scan_with_invariance` makes the pass over the base flows once and uses it
-both for the report and as the baseline of every invariance deviation.
+
+Every estimator first runs `_check_factors`: each test function must fit
+its system (`dynamics.check_function`) and each flow act on its system
+(`dynamics.acting_rows`).  `_joint_pass` is the one pass over the draws.
+`scan_with_invariance` makes it once for the report, which is also the
+baseline of every invariance deviation, and once per tuple.
 """
 
 from __future__ import annotations
@@ -38,7 +42,9 @@ from .dynamics import (
     TestFunction,
     act_array,
     acting_rows,
+    check_function,
     eval_fn_array,
+    functional,
     haar_array,
     step_values,
 )
@@ -233,6 +239,20 @@ def _slab_steps(rows: int) -> int:
 # core estimator
 
 
+def _check_factors(systems: Sequence[NilSystem], maps: Sequence[PolyMap], fns: Sequence[TestFunction]) -> None:
+    """Refuse factors that do not fit: one test function per system, one
+    map per system after the base, each acting on its system."""
+    k = len(systems) - 1
+    if len(maps) != k:
+        raise ValueError(f"family has {len(maps)} maps for a {k + 1}-factor joining")
+    if len(fns) != k + 1:
+        raise ValueError(f"need {k + 1} test functions, got {len(fns)}")
+    for sys, f in zip(systems, fns):
+        check_function(sys, f)
+    for sys, phi in zip(systems[1:], maps):
+        acting_rows(sys, phi.algebra)
+
+
 def _check_sampling(n_samples: int, threads: int = 1) -> None:
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
@@ -294,17 +314,13 @@ def _per_sample_averages(
     }
 
 
-def _mean_and_se(vec: np.ndarray) -> Tuple[float, float]:
-    est = float(vec.mean())
-    se = float(vec.std(ddof=1) / math.sqrt(len(vec))) if len(vec) > 1 else 0.0
-    return est, se
-
-
-def _cauchy_gap(estimates: Sequence[float]) -> float:
-    if len(estimates) < 2:
-        return 0.0
-    window = estimates[-max(2, math.ceil(len(estimates) / 4)):]
-    return float(max(window) - min(window))
+def _joint_pass(
+    systems: Sequence[NilSystem], maps: Sequence[PolyMap], h: Sequence[Rational], fns: Sequence[TestFunction],
+    factors: Sequence[np.ndarray], dt: Fraction, snapshots: Sequence[int], threads: int,
+) -> Dict[int, np.ndarray]:
+    """Per-sample averages at each snapshot, the maps flowing on the midpoint grid."""
+    flows = [_flow_floats(sys, phi, h, dt / 2, dt, snapshots[-1]) for sys, phi in zip(systems[1:], maps)]
+    return _per_sample_averages(systems, flows, fns, factors, snapshots, threads)
 
 
 # ----------------------------------------------------------------------
@@ -328,16 +344,22 @@ class AverageReport:
             raise ValueError("standard errors cannot be negative")
 
 
-def report_to_json_dict(report: AverageReport) -> dict:
-    return {
-        "t_grid": list(report.t_grid),
-        "estimates": list(report.estimates),
-        "std_errors": list(report.std_errors),
-        "cauchy_gap": report.cauchy_gap,
-        "dt": report.dt,
-        "n_samples": report.n_samples,
-        "seed": report.seed,
-    }
+def _average_report(
+    t_grid: Sequence[Rational], dt: Fraction, n_samples: int, seed: int,
+    estimates: Sequence[float], std_errors: Sequence[float],
+) -> AverageReport:
+    """The report of estimates along t_grid; its Cauchy gap is the spread of
+    the last quarter of the estimates, and at least of the last two."""
+    window = estimates[-max(2, math.ceil(len(estimates) / 4)):]
+    return AverageReport(
+        t_grid=tuple(float(as_fraction(T)) for T in t_grid),
+        estimates=tuple(estimates),
+        std_errors=tuple(std_errors),
+        cauchy_gap=float(max(window) - min(window)) if len(estimates) > 1 else 0.0,
+        dt=float(dt),
+        n_samples=n_samples,
+        seed=seed,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -365,48 +387,28 @@ def scan_with_invariance(
     g_i phi_i(t) g_0^{-1}.  Identity tuples therefore deviate by exactly
     zero, and abelian diagonal tuples cancel exactly.
     """
-    k = joining.k
-    if len(family) != k:
-        raise ValueError(f"family has {len(family)} maps for a {k + 1}-factor joining")
-    if len(fns) != k + 1:
-        raise ValueError(f"need {k + 1} test functions, got {len(fns)}")
-    for i, phi in enumerate(family, start=1):
-        if phi.algebra != joining.systems[i].algebra:
-            raise ValueError(f"family member {i - 1} does not match factor {i}'s algebra")
+    systems = joining.systems
+    _check_factors(systems, family, fns)
     dt_f, snapshots = _scan_steps(t_grid, dt)
     _check_sampling(n_samples, threads)
     for tup in g_list:
-        if len(tup) != k + 1:
-            raise ValueError(f"translation tuple has arity {len(tup)}, need {k + 1}")
+        if len(tup) != len(systems):
+            raise ValueError(f"translation tuple has arity {len(tup)}, need {len(systems)}")
     moved_families = [
         [_translated(g, phi, tup[0]) for g, phi in zip(tup[1:], family)] for tup in g_list
     ]
-    acting = joining.systems[1:]
     factors = _draw_factors(joining, n_samples, seed)
 
-    def per_snapshot(maps: Sequence[PolyMap]) -> Dict[int, np.ndarray]:
-        flows = [_flow_floats(sys, phi, h, dt_f / 2, dt_f, snapshots[-1]) for sys, phi in zip(acting, maps)]
-        return _per_sample_averages(joining.systems, flows, fns, factors, snapshots, threads)
-
-    base = per_snapshot(family)
-    stats = [_mean_and_se(base[s]) for s in snapshots]
-    estimates = tuple(e for e, _ in stats)
-    report = AverageReport(
-        t_grid=tuple(float(as_fraction(T)) for T in t_grid),
-        estimates=estimates,
-        std_errors=tuple(se for _, se in stats),
-        cauchy_gap=_cauchy_gap(estimates),
-        dt=float(dt_f),
-        n_samples=n_samples,
-        seed=seed,
-    )
+    base = _joint_pass(systems, family, h, fns, factors, dt_f, snapshots, threads)
+    estimates = [float(base[s].mean()) for s in snapshots]
+    std_errors = [float(base[s].std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0 for s in snapshots]
     deviations = []
     for moved in moved_families:
-        shifted = per_snapshot(moved)
+        shifted = _joint_pass(systems, moved, h, fns, factors, dt_f, snapshots, threads)
         deviations.append(
             [abs(float(shifted[s].mean()) - e) for s, e in zip(snapshots, estimates)]
         )
-    return report, deviations
+    return _average_report(t_grid, dt_f, n_samples, seed, estimates, std_errors), deviations
 
 
 # ----------------------------------------------------------------------
@@ -460,6 +462,7 @@ def flow_correlation_trajectory(
     seed: int = 0,
 ) -> np.ndarray:
     """Empirical correlation a(t) = mean_x f(u^{phi(t)}x) f(x) on the half-step grid."""
+    _check_factors([sys, sys], [phi], [f, f])
     _check_sampling(n_samples)
     dt_f = _positive_dt(dt)
     flow = _flow_floats(sys, phi, h, Fraction(0), dt_f / 2, _half_steps(T, S, dt_f) + 1)
@@ -487,16 +490,8 @@ class MeanErgodicReport:
     classification: str
     report: AverageReport
     dist_to_f: Tuple[float, ...]
-    generic_h: Optional[Tuple[Fraction, ...]]
-    generic: Optional["MeanErgodicReport"]
-
-
-def _functional_from_test_function(f: TestFunction) -> Optional[List[int]]:
-    if f.kind == "torus_character":
-        return list(f.freq)
-    if f.kind == "heis_abelian":
-        return list(f.freq) + [0]
-    return None
+    generic_h: Optional[Tuple[Fraction, ...]] = None
+    generic: Optional["MeanErgodicReport"] = None
 
 
 def mean_ergodic_base(
@@ -513,20 +508,47 @@ def mean_ergodic_base(
     """L2 norm of A_T f and its distance to f, with the orbit-invariance prediction.
 
     The prediction is exact: the test function's frequency gives a linear
-    functional, and the flow is orbit-invariant for f at h exactly when h
-    lies on the functional's vanishing variety.  When the map has parameters
-    and the function a functional, the same report is produced at a
-    certified generic parameter point, so the generic and exceptional
+    functional on the flow's algebra (`dynamics.functional`), and the flow
+    is orbit-invariant for f at h exactly when h lies on the functional's
+    vanishing variety.  When the map has parameters and the function a
+    functional, the same report is produced at a certified generic
+    parameter point on the same draw, so the generic and exceptional
     behaviors can be compared side by side.
     """
-    if phi.algebra != sys.algebra:
-        raise ValueError("flow does not match system algebra")
+    systems = [sys, sys]
+    fns = [TestFunction("torus_character", (0,) * sys.dim), f]
+    _check_factors(systems, [phi], fns)
+    dt_f, snapshots = _scan_steps(t_grid, dt)
     _check_sampling(n_samples, threads)
-    ell = _functional_from_test_function(f)
+    ell = functional(sys, phi.algebra, f)
     variety = None if ell is None else vanishing_variety(phi, ell)
+    pts = haar_array(sys, seed, n_samples)
+    f_values = eval_fn_array(f, pts)
 
     def report_at(point: Sequence[Rational]) -> MeanErgodicReport:
-        return _mean_ergodic_report(sys, phi, point, f, variety, t_grid, dt, n_samples, seed, threads)
+        point = tuple(as_fraction(v) for v in point)
+        per_snap = _joint_pass(systems, [phi], point, fns, [pts, pts], dt_f, snapshots, threads)
+        norms, ses, dists = [], [], []
+        for s in snapshots:
+            vec = per_snap[s]
+            sq = vec * vec
+            norm = math.sqrt(float(sq.mean()))
+            se_sq = float(sq.std(ddof=1)) / math.sqrt(len(sq)) if len(sq) > 1 else 0.0
+            norms.append(norm)
+            ses.append(se_sq / (2 * norm) if norm * norm > se_sq else math.sqrt(se_sq))
+            dists.append(math.sqrt(float(((vec - f_values) ** 2).mean())))
+        if variety is None:
+            classification = "unknown"
+        elif not is_proper(variety) or variety.contains(dict(zip(phi.vars[1:], point))):
+            classification = "invariant"
+        else:
+            classification = "mean_zero"
+        return MeanErgodicReport(
+            h=point,
+            classification=classification,
+            report=_average_report(t_grid, dt_f, n_samples, seed, norms, ses),
+            dist_to_f=tuple(dists),
+        )
 
     out = report_at(h)
     params = phi.vars[1:]
@@ -535,56 +557,3 @@ def mean_ergodic_base(
     meagre = MeagreSet([variety]) if is_proper(variety) else MeagreSet()
     generic_h = generic_sample(meagre, seed=seed + 7919, params=params)
     return replace(out, generic_h=generic_h, generic=report_at(generic_h))
-
-
-def _mean_ergodic_report(sys, phi, h, f, variety, t_grid, dt, n_samples, seed, threads) -> MeanErgodicReport:
-    """The report of `mean_ergodic_base` at one parameter point, without a generic one."""
-    dt_f, snapshots = _scan_steps(t_grid, dt)
-    h = tuple(as_fraction(v) for v in h)
-    flow = _flow_floats(sys, phi, h, dt_f / 2, dt_f, snapshots[-1])
-    pts = haar_array(sys, seed, n_samples)
-    if sys.kind == "torus":
-        constant_one = TestFunction("torus_character", (0,) * sys.dim)
-    else:
-        constant_one = TestFunction("heis_abelian", (0, 0))
-    per_snap = _per_sample_averages([sys, sys], [flow], [constant_one, f], [pts, pts], snapshots, threads)
-    f_values = eval_fn_array(f, pts)
-
-    norms, ses, dists = [], [], []
-    for s in snapshots:
-        vec = per_snap[s]
-        sq = vec * vec
-        norm = math.sqrt(float(sq.mean()))
-        se_sq = float(sq.std(ddof=1)) / math.sqrt(len(sq)) if len(sq) > 1 else 0.0
-        if norm * norm > se_sq:
-            se = se_sq / (2 * norm)
-        else:
-            se = math.sqrt(se_sq)
-        norms.append(norm)
-        ses.append(se)
-        dists.append(math.sqrt(float(((vec - f_values) ** 2).mean())))
-
-    report = AverageReport(
-        t_grid=tuple(float(as_fraction(T)) for T in t_grid),
-        estimates=tuple(norms),
-        std_errors=tuple(ses),
-        cauchy_gap=_cauchy_gap(norms),
-        dt=float(dt_f),
-        n_samples=n_samples,
-        seed=seed,
-    )
-
-    if variety is None:
-        classification = "unknown"
-    elif not is_proper(variety) or variety.contains(dict(zip(phi.vars[1:], h))):
-        classification = "invariant"
-    else:
-        classification = "mean_zero"
-    return MeanErgodicReport(
-        h=h,
-        classification=classification,
-        report=report,
-        dist_to_f=tuple(dists),
-        generic_h=None,
-        generic=None,
-    )

@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from csv import writer as csv_writer
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Mapping, Sequence, Tuple
@@ -22,7 +23,6 @@ from .averaging import (
     JoiningSpec,
     flow_correlation_trajectory,
     half_step_times,
-    report_to_json_dict,
     scan_with_invariance,
     vdc_check,
 )
@@ -42,7 +42,7 @@ from .lie_core import (
     verify_algebra,
 )
 from .multipoly import MultiPoly, as_fraction
-from .pet import PolyFamily, pet_trace, trace_to_json_dict, weight
+from .pet import MAX_DEPTH, PolyFamily, pet_trace, trace_to_json_dict, weight
 from .poly_maps import (
     PolyMap,
     leading_term,
@@ -226,7 +226,7 @@ def cmd_verify_poly(cfg: Mapping, args, out_dir: Path) -> int:
 def cmd_pet(cfg: Mapping, args, out_dir: Path) -> int:
     algebra = _load_algebra(cfg)
     family = PolyFamily(_load_members(cfg, algebra))
-    max_depth = int(cfg.get("max_depth", 128))
+    max_depth = int(cfg.get("max_depth", MAX_DEPTH))
 
     trace = pet_trace(family, max_depth=max_depth)
 
@@ -278,7 +278,7 @@ def cmd_average(cfg: Mapping, args, out_dir: Path) -> int:
         dt=dt, n_samples=n_samples, seed=seed, threads=threads,
     )
 
-    certificate = {"command": "average", "report": report_to_json_dict(report)}
+    certificate = {"command": "average", "report": asdict(report)}
     if tuples_node:
         certificate["invariance"] = {
             "tuples": [[[str(c) for c in el.coords] for el in tup] for tup in g_list],
@@ -421,7 +421,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name in ("average", "generic", "vdc"):  # the ones that read a seed
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None, help="worker threads for sampling")
     args = parser.parse_args(argv)
     # every subcommand takes the flag; none may accept a count it cannot run

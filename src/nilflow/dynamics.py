@@ -14,6 +14,10 @@ use, runs them on a slab of consecutive time steps at once, on rows of shape
 for its step bit for bit.  The phase is the sum of freq_k * coord_k in
 coordinate order, not a BLAS product, so its bits do not depend on the BLAS
 build.
+
+Whether a flow and a test function fit a system is decided here once, by
+`acting_rows` and `check_function`; `functional` gives the frequency a test
+function induces on the algebra that acts.
 """
 
 from __future__ import annotations
@@ -221,14 +225,15 @@ def reduce_point(sys: NilSystem, coords: Sequence[float]) -> NilPoint:
 
 def acting_rows(sys: NilSystem, algebra: LieAlgebraSpec) -> Tuple[Tuple[Fraction, ...], ...] | None:
     """How elements of `algebra` act on `sys`: None when by their own
-    coordinates, otherwise the acting matrix that maps them into sys's algebra."""
+    coordinates, otherwise the acting matrix that maps them into sys's algebra.
+    The one test of whether an element or a flow acts on a system."""
     if algebra == sys.algebra:
         return None
     if sys.acting_matrix is not None and algebra.step == 1:
         cols = len(sys.acting_matrix[0]) if sys.acting_matrix else 0
         if algebra.dim == cols:
             return sys.acting_matrix
-    raise ValueError("algebra mismatch between group element and system")
+    raise ValueError(f"algebra mismatch: a {algebra.dim}-dim algebra does not act on {sys!r}")
 
 
 def _group_coords(sys: NilSystem, g: GroupElement) -> Tuple[Fraction, ...]:
@@ -316,17 +321,38 @@ class TestFunction:
         return any(self.freq) or self.part == "sin"
 
 
-def _fn_coord_slice(f: TestFunction, width: int) -> slice:
-    if f.kind == "torus_character":
-        if len(f.freq) != width:
-            raise ValueError(f"frequency arity {len(f.freq)} != torus dimension {width}")
-        return slice(0, width)
-    return slice(0, len(f.freq))
+def _check_width(f: TestFunction, width: int) -> None:
+    """Refuse points of `width` coordinates for f: a torus character reads
+    all of them, a Heisenberg kind the three of the Heisenberg system."""
+    need = len(f.freq) if f.kind == "torus_character" else 3
+    if need != width:
+        raise ValueError(f"{f.kind} frequency {list(f.freq)} needs {need} coordinates, got {width}")
+
+
+def check_function(sys: NilSystem, f: TestFunction) -> None:
+    """Refuse a test function that does not fit `sys`: a Heisenberg kind on
+    a torus, or a frequency of the wrong arity."""
+    if f.kind != "torus_character" and sys.kind != "heisenberg3":
+        raise ValueError(f"a {f.kind} test function needs a heisenberg3 system, not {sys!r}")
+    _check_width(f, sys.dim)
+
+
+def functional(sys: NilSystem, algebra: LieAlgebraSpec, f: TestFunction) -> list | None:
+    """The frequency m of f pulled back to `algebra`, M^T m through an acting
+    matrix: exp(v) fixes f exactly when it vanishes on v.  None for a
+    vertical function, whose central coordinate moves with the point."""
+    check_function(sys, f)
+    if f.kind == "heis_vertical":
+        return None
+    m = list(f.freq) + [0] * (sys.dim - len(f.freq))
+    rows = acting_rows(sys, algebra)
+    return m if rows is None else [sum(k * c for k, c in zip(m, column)) for column in zip(*rows)]
 
 
 def eval_fn_array(f: TestFunction, pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
-    return _phase(f, pts[:, _fn_coord_slice(f, pts.shape[1])].T)
+    _check_width(f, pts.shape[1])
+    return _phase(f, pts.T)
 
 
 def eval_fn(f: TestFunction, x: NilPoint) -> float:
@@ -348,7 +374,7 @@ def step_values(sys: NilSystem, f: TestFunction, cols: np.ndarray, g: np.ndarray
     pts)) for that step's g_s bit for bit.  An abelianized Heisenberg
     function does not read the central coordinate, so it is not computed.
     """
-    _fn_coord_slice(f, len(cols))  # rejects a frequency of the wrong arity
+    check_function(sys, f)
     if sys.kind == "heisenberg3" and f.kind == "heis_abelian":
         cols = cols[:2]
     return _phase(f, _reduce(sys.kind, _translate(sys.kind, g, cols[:, None])))

@@ -38,6 +38,9 @@ from .lie_core import algebra_to_json_dict
 # memory long before max_depth stops it.
 MAX_LEVEL_TERMS = 10_000
 
+# Levels `pet_trace` derives before it raises TruncationError, by default.
+MAX_DEPTH = 128
+
 
 @dataclass(frozen=True, order=False)
 class Weight:
@@ -416,7 +419,7 @@ def _descent_certificate(derived: Summary, current: Summary) -> dict:
     return {"kind": "class_size_descent", "per_weight": per_weight}
 
 
-def pet_trace(family: PolyFamily, max_depth: int = 64) -> PETTrace:
+def pet_trace(family: PolyFamily, max_depth: int = MAX_DEPTH) -> PETTrace:
     """Run the induction: drop constants, derive at a pivot, certify, repeat.
 
     Stops when at most one member remains.  A depth overrun, or a level

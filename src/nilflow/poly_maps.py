@@ -146,8 +146,6 @@ def _as_affine(value: AffineValue) -> Tuple[Fraction, Dict[str, Fraction]]:
     if isinstance(value, tuple):
         const, linear = value
         return as_fraction(const), {str(n): as_fraction(c) for n, c in linear.items()}
-    if isinstance(value, str):
-        return Fraction(0), {value: Fraction(1)}
     return as_fraction(value), {}
 
 
@@ -159,10 +157,11 @@ def substitute(
 ) -> PolyMap:
     """Affine change of variables.
 
-    Assignment values are rational constants, variable names, or pairs
-    (const, {var: coeff}).  Untouched variables carry over.  The variable
-    list of the result keeps the original order, substituted variables being
-    replaced in place by the new names their image introduces.
+    Assignment values are rational constants, read by `as_fraction` (so the
+    string "1/2" is the number 1/2), or pairs (const, {var: coeff}).
+    Untouched variables carry over.  The variable list of the result keeps
+    the original order, substituted variables being replaced in place by the
+    new names their image introduces.
     """
     affine = {v: _as_affine(expr) for v, expr in assignment.items()}
     for v in affine:

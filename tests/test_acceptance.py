@@ -375,6 +375,7 @@ DEMO_COMMANDS = {
     "demo_pet_weights": "verify-poly",
     "demo_pet_pair": "pet",
     "demo_weyl_square": "average",
+    "demo_acting_matrix": "average",
     "demo_dichotomy_exceptional": "average",
     "demo_heisenberg_joining": "average",
     "demo_dichotomy_generic": "generic",

@@ -277,6 +277,52 @@ def test_per_sample_averages_match_the_act_then_eval_loop(monkeypatch):
     check(_per_sample_averages(systems, floats, fns, [f[:7] for f in factors], snapshots, 3), rows=7)
 
 
+def test_base_factor_alone_averages_to_the_mean_of_f0():
+    """With no acting factor every step adds the base values."""
+    f0 = char((3,), "sin")
+    joining = JoiningSpec([torus(1)], "diagonal")
+    report, _ = scan_with_invariance(joining, PolyFamily([]), (), [f0], [1, 2, 5], dt="0.25", n_samples=300, seed=8)
+    mean = float(eval_fn_array(f0, haar_array(torus(1), 8, 300)).mean())
+    assert len(report.estimates) == 3
+    for est in report.estimates:
+        assert abs(est - mean) <= 1e-12
+
+
+def test_acting_matrix_scan_matches_a_numpy_oracle():
+    sys = torus(2, acting_matrix=[["1/2"], ["-3"]])
+    matrix = np.array([0.5, -3.0])
+    phi = PolyMap.build(A1, ("t", "h"), {"e1": MultiPoly(("t", "h"), {(2, 0): Fraction(1, 7), (1, 1): Fraction(1)})})
+    fns = [char((1, 2), "sin"), char((2, 1))]
+    h, dt, n, seed = ("2/3",), Fraction(1, 8), 400, 5
+    report, _ = scan_with_invariance(
+        JoiningSpec([sys, sys], "diagonal"), PolyFamily([phi]), h, fns, [2, 5], dt=dt, n_samples=n, seed=seed
+    )
+    pts = haar_array(sys, seed, n)
+    base = np.sin(2 * np.pi * (pts @ np.array([1.0, 2.0])))
+    acc = np.zeros(n)
+    for j in range(40):
+        t = (j + 0.5) * float(dt)
+        moved = np.mod(pts + matrix * (t * t / 7 + t * 2 / 3), 1.0)
+        acc += np.cos(2 * np.pi * (moved @ np.array([2.0, 1.0])))
+        if j + 1 in (16, 40):
+            want = float((base * acc / (j + 1)).mean())
+            assert abs(report.estimates[(16, 40).index(j + 1)] - want) <= 1e-12
+
+
+@pytest.mark.parametrize("second", [(1, 0, 1), (1, 0, 5), (1, 0, 0)])
+def test_heisenberg_functions_on_a_torus_are_refused(second):
+    """A vertical function reads a central coordinate a torus does not have."""
+    fns = [TestFunction("heis_vertical", (1, 0, 1)), TestFunction("heis_vertical", second)]
+    phi = PolyMap.build(A2, ("t",), {"e1": t_times(1), "e2": t_times(SQRT2)})
+    joining = JoiningSpec([torus(2), torus(2)], "diagonal")
+    with pytest.raises(ValueError, match="heis_vertical"):
+        scan_with_invariance(joining, PolyFamily([phi]), (), fns, [1], dt="0.5", n_samples=5)
+    with pytest.raises(ValueError, match="heis_vertical"):
+        flow_correlation_trajectory(torus(2), phi, (), fns[1], 1, 1, "0.5", n_samples=5)
+    with pytest.raises(ValueError, match="heis_vertical"):
+        mean_ergodic_base(torus(2), phi, (), fns[1], [1], "0.5", n_samples=5)
+
+
 # ----------------------------------------------------------------------
 # invariance diagnostics
 
@@ -563,6 +609,25 @@ def test_parametrized_rotation_exhibits_generic_dichotomy():
     c = np.exp(2j * np.pi * beat * midpoints(T, dt)).mean()
     assert abs(gen.report.estimates[-1] - abs(c) / math.sqrt(2)) <= 3 * gen.report.std_errors[-1] + 1e-9
     assert gen.report.estimates[-1] <= 0.05
+
+
+def test_mean_ergodic_prediction_through_an_acting_matrix():
+    """The prediction reads the frequency pulled back through the matrix, M^T m."""
+    sys = torus(2, acting_matrix=[[1], [2]])
+    phi = PolyMap.build(A1, ("t", "h"), {"e1": MultiPoly(("t", "h"), {(1, 1): Fraction(1)})})
+    # M^T (2, -1) = 0: every flow fixes the function
+    out = mean_ergodic_base(sys, phi, (1,), char((2, -1)), [10], dt="0.25", n_samples=500, seed=4)
+    assert out.classification == "invariant"
+    assert out.dist_to_f[-1] <= 1e-9
+    assert out.generic.classification == "invariant"
+    # M^T (1, 0) = 1: the variety is h = 0
+    on = mean_ergodic_base(sys, phi, (0,), char((1, 0)), [10], dt="0.25", n_samples=500, seed=4)
+    assert on.classification == "invariant"
+    assert on.dist_to_f[-1] <= 1e-9
+    assert on.generic.classification == "mean_zero" and on.generic_h[0] != 0
+    off = mean_ergodic_base(sys, phi, (1,), char((1, 0)), [10], dt="0.25", n_samples=500, seed=4)
+    assert off.classification == "mean_zero"
+    assert off.report.estimates[-1] <= 1e-9
 
 
 def test_quadratic_orbit_average_decays():

@@ -127,6 +127,39 @@ def test_average_seed_override_lands_in_sidecar(tmp_path):
     assert json.loads((out2 / "sidecar.json").read_text())["seed"] == 7
 
 
+@pytest.mark.parametrize("command, demo", [("pet", "demo_pet_pair"), ("verify-poly", "demo_verify_poly")])
+def test_seed_is_refused_where_no_seed_is_read(tmp_path, command, demo):
+    with pytest.raises(SystemExit) as exc:
+        run(command, DEMOS / f"{demo}.json", tmp_path / "out", ["--seed", "5"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("second", [[1, 0, 1], [1, 0, 5], [1, 0, 0]])
+def test_average_refuses_heisenberg_functions_on_a_torus(tmp_path, capsys, second):
+    """A torus has no central coordinate for a vertical function to read."""
+    cfg = {
+        "systems": [{"kind": "torus", "dim": 2}, {"kind": "torus", "dim": 2}],
+        "algebra": {"builtin": "abelian", "dim": 2},
+        "family": [{"coords": {"e1": {"t": 1}, "e2": {"t": "1/3"}}}],
+        "functions": [{"kind": "heis_vertical", "freq": [1, 0, 1]}, {"kind": "heis_vertical", "freq": second}],
+        "t_grid": [5],
+        "n_samples": 50,
+    }
+    assert run("average", write_config(tmp_path, cfg), tmp_path / "out") == 2
+    assert "heis_vertical" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_average_tuple_on_an_acting_matrix_factor_is_config_error(tmp_path, capsys):
+    """Tuple elements live in each factor's own algebra, not in the flow's."""
+    cfg = json.loads((DEMOS / "demo_acting_matrix.json").read_text())
+    cfg["invariance"] = {"tuples": [[["0", "0"], ["1/3", "0"]]]}
+    assert run("average", write_config(tmp_path, cfg), tmp_path / "out") == 2
+    assert "maps target different algebras" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
 def test_average_empty_grid_is_config_error(tmp_path):
     cfg = json.loads((DEMOS / "demo_weyl_square.json").read_text())
     cfg["t_grid"] = []

@@ -13,11 +13,13 @@ from nilflow.dynamics import (
     TestFunction,
     act,
     act_array,
+    check_function,
     element_floats,
     eval_fn,
     eval_fn_array,
     function_from_json_dict,
     function_to_json_dict,
+    functional,
     fundamental_distance,
     haar_array,
     heisenberg3,
@@ -229,6 +231,58 @@ def test_fn_arity_validation():
         eval_fn(TestFunction("torus_character", (1, 2)), NilPoint((0.1,)))
     with pytest.raises(ValueError):
         step_values(torus(1), TestFunction("torus_character", (1, 2)), np.zeros((1, 3)), np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize(
+    "sys, f, message",
+    [
+        (torus(2), TestFunction("heis_vertical", (1, 0, 5)), "heis_vertical"),
+        (torus(3), TestFunction("heis_vertical", (1, 0, 5)), "heis_vertical"),
+        (torus(2), TestFunction("heis_abelian", (1, 0)), "heis_abelian"),
+        (torus(2, acting_matrix=[[1], [2]]), TestFunction("heis_abelian", (1, 0)), "heis_abelian"),
+        (torus(2), TestFunction("torus_character", (1, 0, 1)), "needs 3 coordinates, got 2"),
+        (heisenberg3(), TestFunction("torus_character", (1, 0)), "needs 2 coordinates, got 3"),
+    ],
+)
+def test_check_function_refuses_what_does_not_fit(sys, f, message):
+    with pytest.raises(ValueError, match=message):
+        check_function(sys, f)
+    with pytest.raises(ValueError, match=message):
+        step_values(sys, f, np.zeros((sys.dim, 4)), np.zeros((sys.dim, 2)))
+
+
+def test_check_function_accepts_what_fits():
+    for sys, f in (
+        (torus(2), TestFunction("torus_character", (1, -1))),
+        (torus(2, acting_matrix=[[1], [2]]), TestFunction("torus_character", (2, -1))),
+        (heisenberg3(), TestFunction("torus_character", (0, 0, 0))),
+        (heisenberg3(), TestFunction("heis_abelian", (1, 0))),
+        (heisenberg3(), TestFunction("heis_vertical", (0, 1, 2))),
+    ):
+        check_function(sys, f)
+
+
+def test_functional_pulls_the_frequency_back():
+    A1 = make_builtin("abelian", dim=1)
+    A2 = make_builtin("abelian", dim=2)
+    assert functional(torus(2), A2, TestFunction("torus_character", (3, -1))) == [3, -1]
+    assert functional(heisenberg3(), H3, TestFunction("heis_abelian", (1, 4))) == [1, 4, 0]
+    assert functional(heisenberg3(), H3, TestFunction("heis_vertical", (1, 0, 1))) is None
+    sys = torus(2, acting_matrix=[["1/2"], [3]])
+    assert functional(sys, A1, TestFunction("torus_character", (2, -1))) == [Fraction(-2)]
+    assert functional(sys, A1, TestFunction("torus_character", (6, -1))) == [Fraction(0)]
+    # the pulled-back frequency gives the phase of f along the flow
+    aux = GroupElement(A1, (Fraction(5, 7),))
+    f = TestFunction("torus_character", (2, -1), "sin")
+    pts = haar_array(sys, seed=3, n=50)
+    moved = act_array(sys, aux, pts)
+    shift = float(functional(sys, A1, f)[0] * aux.coords[0])
+    want = np.sin(2 * np.pi * (pts @ np.array([2.0, -1.0]) + shift))
+    assert np.max(np.abs(eval_fn_array(f, moved) - want)) < 1e-12
+    with pytest.raises(ValueError, match="algebra mismatch"):
+        functional(torus(2), A1, TestFunction("torus_character", (1, 0)))
+    with pytest.raises(ValueError, match="heis_abelian"):
+        functional(torus(3), make_builtin("abelian", dim=3), TestFunction("heis_abelian", (1, 0)))
 
 
 # ----------------------------------------------------------------------

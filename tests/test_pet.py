@@ -12,7 +12,10 @@ from nilflow.pet import (
     PETTrace,
     PolyFamily,
     Weight,
+    WeightAssignment,
     _descending_key,
+    _descent_certificate,
+    _members_precede,
     _sorted_matching,
     assignment_less,
     derived_family,
@@ -139,6 +142,17 @@ def test_class_size_clause():
     two = PolyFamily([h3_map(x1=tpow(1)), h3_map(x1=tpow(1))])
     assert family_precedes(one, two)
     assert not family_precedes(two, one)
+
+
+def test_class_size_descent_certificate():
+    """Equal assignments, one class shrinking from 3 members to 2."""
+    w = Weight(2, 1)
+    derived = (WeightAssignment({w: 1}), {w: [2]})
+    current = (WeightAssignment({w: 1}), {w: [3]})
+    cert = _descent_certificate(derived, current)
+    assert cert == {"kind": "class_size_descent", "per_weight": [[2, 1, [2], [3]]]}
+    assert _members_precede(derived, current)
+    assert not _members_precede(current, derived)
 
 
 def test_family_precedes_is_strict_partial_order():

@@ -150,6 +150,15 @@ def test_substitute_reads_floats_as_their_shortest_decimal():
     assert substitute(phi, {"t": 0.1}).coords[2] == Fraction(1, 100)
 
 
+def test_substitute_reads_strings_as_numbers():
+    t = t_poly(("t", "h"))
+    h = MultiPoly.variable(("t", "h"), "h")
+    phi = exp_map({"x1": t * h, "z": t ** 2}, variables=("t", "h"))
+    pinned = substitute(phi, {"h": "1/2"})
+    assert pinned == substitute(phi, {"h": Fraction(1, 2)})
+    assert pinned.vars == ("t",)
+
+
 def test_substitute_unknown_variable():
     phi = exp_map({"x1": t_poly()})
     with pytest.raises(ValueError):
