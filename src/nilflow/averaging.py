@@ -7,13 +7,15 @@ composite midpoint rule handles the time integral, and each estimate carries
 the Monte Carlo standard error of its per-sample time averages.  Fixed seed
 and draw order make every number bit-reproducible.
 
-One integer Horner pass (`_horner`) gives each flow coordinate at every grid
-time as N_j / den.  The averages float it straight from there
-(`_flow_floats`): N_j / den is a correctly rounded int division, equal to
+Each flow enters as `_pinned(sys, phi, h)`: pushed into its system's own
+algebra (`dynamics.pushed`) and pinned at the parameter point h, a map of t
+alone.  One integer Horner pass (`_horner`) gives each of its coordinates at
+every grid time as N_j / den, and `_flow_floats` floats it straight from
+there: N_j / den is a correctly rounded int division, equal to
 float(Fraction(N_j, den)) bit for bit.  An invariance tuple's flows take
-the same path: each is the polynomial map g_i phi_i g_0^{-1}, built once
-by BCH on polynomial coordinates, so no exact group element is built per
-grid time.
+the same path: each is the pinned map g_i phi_i g_0^{-1}, built once by BCH
+on polynomial coordinates in the system's algebra, so no exact group
+element is built per grid time.
 
 The time loop runs over blocks of samples.  Each `dynamics.step_values`
 call computes one factor on a slab of consecutive time steps, and a slab
@@ -46,6 +48,7 @@ from .dynamics import (
     eval_fn_array,
     functional,
     haar_array,
+    pushed,
     step_values,
 )
 from .lie_core import GroupElement, group_inverse
@@ -156,14 +159,13 @@ def _scan_steps(t_grid: Sequence[Rational], dt: Rational) -> Tuple[Fraction, Lis
     return dt, snapshots
 
 
-def _pinned_coefficients(phi: PolyMap, h: Sequence[Rational]) -> List[Dict[int, Fraction]]:
-    """{k: coefficient of t^k} of each coordinate of phi(t, h)."""
+def _pinned(sys: NilSystem, phi: PolyMap, h: Sequence[Rational]) -> PolyMap:
+    """The flow u o phi(t, h) on sys, in sys's algebra, as a map of t alone."""
     params = phi.vars[1:]
     h = tuple(as_fraction(v) for v in h)
     if len(h) != len(params):
         raise ValueError(f"parameter point has arity {len(h)}, map needs {len(params)}")
-    pinned = substitute(phi, dict(zip(params, h)), new_variables=phi.vars[:1])
-    return [{exp[0]: coef for exp, coef in poly.terms.items()} for poly in pinned.coords]
+    return substitute(pushed(sys, phi), dict(zip(params, h)), new_variables=phi.vars[:1])
 
 
 def _horner(
@@ -197,27 +199,16 @@ def _horner(
     return nums, den
 
 
-def _flow_floats(
-    sys: NilSystem, phi: PolyMap, h: Sequence[Rational], start: Fraction, step: Fraction, count: int
-) -> np.ndarray:
-    """Float coordinates of phi(start + j*step, h) as it acts on sys, one row per j.
+def _flow_floats(phi: PolyMap, start: Fraction, step: Fraction, count: int) -> np.ndarray:
+    """Float coordinates of the pinned map phi at start + j*step, one row per j.
 
-    Equal to `element_floats` of the exact elements phi.eval gives, bit for
-    bit: each float is N_j / den, which Python rounds correctly, as it does
-    float(Fraction(N_j, den)).  An acting matrix is applied to the exact
-    coefficients before the Horner pass.
+    Equal to the floats of the exact elements phi.eval gives, bit for bit:
+    each float is N_j / den, which Python rounds correctly, as it does
+    float(Fraction(N_j, den)).
     """
-    coefs = _pinned_coefficients(phi, h)
-    rows = acting_rows(sys, phi.algebra)
-    if rows is not None:
-        powers = set().union(*coefs)
-        coefs = [
-            {k: sum((r * c.get(k, 0) for r, c in zip(row, coefs)), Fraction(0)) for k in powers}
-            for row in rows
-        ]
-    out = np.empty((count, len(coefs)))
-    for i, column in enumerate(coefs):
-        nums, den = _horner(column, start, step, count)
+    out = np.empty((count, len(phi.coords)))
+    for i, poly in enumerate(phi.coords):
+        nums, den = _horner({exp[0]: c for exp, c in poly.terms.items()}, start, step, count)
         out[:, i] = np.fromiter((n / den for n in nums), dtype=float, count=count)
     return out
 
@@ -283,7 +274,7 @@ def _per_sample_averages(
 
     def run_block(lo: int, hi: int) -> Dict[int, np.ndarray]:
         steps = _slab_steps(hi - lo)
-        base = eval_fn_array(fns[0], factors[0][lo:hi])
+        base = eval_fn_array(fns[0], factors[0][lo:hi], systems[0])
         cols = [np.ascontiguousarray(pts[lo:hi].T) for pts in factors[1:]]
         sums = np.zeros(hi - lo)
         out: Dict[int, np.ndarray] = {}
@@ -315,11 +306,11 @@ def _per_sample_averages(
 
 
 def _joint_pass(
-    systems: Sequence[NilSystem], maps: Sequence[PolyMap], h: Sequence[Rational], fns: Sequence[TestFunction],
+    systems: Sequence[NilSystem], pinned: Sequence[PolyMap], fns: Sequence[TestFunction],
     factors: Sequence[np.ndarray], dt: Fraction, snapshots: Sequence[int], threads: int,
 ) -> Dict[int, np.ndarray]:
-    """Per-sample averages at each snapshot, the maps flowing on the midpoint grid."""
-    flows = [_flow_floats(sys, phi, h, dt / 2, dt, snapshots[-1]) for sys, phi in zip(systems[1:], maps)]
+    """Per-sample averages at each snapshot, the pinned maps flowing on the midpoint grid."""
+    flows = [_flow_floats(phi, dt / 2, dt, snapshots[-1]) for phi in pinned]
     return _per_sample_averages(systems, flows, fns, factors, snapshots, threads)
 
 
@@ -384,8 +375,10 @@ def scan_with_invariance(
     deviation; each tuple adds one pass over the same draws.  The estimate
     of the translated integral uses the Haar change of variables
     x -> g_0 x, which turns the tuple (g_0..g_k) into the modified flows
-    g_i phi_i(t) g_0^{-1}.  Identity tuples therefore deviate by exactly
-    zero, and abelian diagonal tuples cancel exactly.
+    g_i phi_i(t) g_0^{-1}.  Tuple elements are in each system's own
+    algebra, and the flows they translate are pinned and pushed there once.
+    Identity tuples therefore deviate by exactly zero, and abelian diagonal
+    tuples cancel exactly.
     """
     systems = joining.systems
     _check_factors(systems, family, fns)
@@ -394,17 +387,18 @@ def scan_with_invariance(
     for tup in g_list:
         if len(tup) != len(systems):
             raise ValueError(f"translation tuple has arity {len(tup)}, need {len(systems)}")
+    pinned = [_pinned(sys, phi, h) for sys, phi in zip(systems[1:], family)]
     moved_families = [
-        [_translated(g, phi, tup[0]) for g, phi in zip(tup[1:], family)] for tup in g_list
+        [_translated(g, phi, tup[0]) for g, phi in zip(tup[1:], pinned)] for tup in g_list
     ]
     factors = _draw_factors(joining, n_samples, seed)
 
-    base = _joint_pass(systems, family, h, fns, factors, dt_f, snapshots, threads)
+    base = _joint_pass(systems, pinned, fns, factors, dt_f, snapshots, threads)
     estimates = [float(base[s].mean()) for s in snapshots]
     std_errors = [float(base[s].std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0 for s in snapshots]
     deviations = []
     for moved in moved_families:
-        shifted = _joint_pass(systems, moved, h, fns, factors, dt_f, snapshots, threads)
+        shifted = _joint_pass(systems, moved, fns, factors, dt_f, snapshots, threads)
         deviations.append(
             [abs(float(shifted[s].mean()) - e) for s, e in zip(snapshots, estimates)]
         )
@@ -465,9 +459,9 @@ def flow_correlation_trajectory(
     _check_factors([sys, sys], [phi], [f, f])
     _check_sampling(n_samples)
     dt_f = _positive_dt(dt)
-    flow = _flow_floats(sys, phi, h, Fraction(0), dt_f / 2, _half_steps(T, S, dt_f) + 1)
+    flow = _flow_floats(_pinned(sys, phi, h), Fraction(0), dt_f / 2, _half_steps(T, S, dt_f) + 1)
     pts = haar_array(sys, seed, n_samples)
-    static = eval_fn_array(f, pts)
+    static = eval_fn_array(f, pts, sys)
     cols = np.ascontiguousarray(pts.T)
     steps = _slab_steps(n_samples)
     out = np.empty(len(flow))
@@ -507,27 +501,27 @@ def mean_ergodic_base(
 ) -> MeanErgodicReport:
     """L2 norm of A_T f and its distance to f, with the orbit-invariance prediction.
 
-    The prediction is exact: the test function's frequency gives a linear
-    functional on the flow's algebra (`dynamics.functional`), and the flow
-    is orbit-invariant for f at h exactly when h lies on the functional's
-    vanishing variety.  When the map has parameters and the function a
-    functional, the same report is produced at a certified generic
-    parameter point on the same draw, so the generic and exceptional
-    behaviors can be compared side by side.
+    The prediction is exact: the test function's frequency is a linear
+    functional on the system's algebra (`dynamics.functional`), and the
+    pushed flow is orbit-invariant for f at h exactly when h lies on the
+    functional's vanishing variety.  When the map has parameters and the
+    function a functional, the same report is produced at a certified
+    generic parameter point on the same draw, so the generic and
+    exceptional behaviors can be compared side by side.
     """
     systems = [sys, sys]
     fns = [TestFunction("torus_character", (0,) * sys.dim), f]
     _check_factors(systems, [phi], fns)
     dt_f, snapshots = _scan_steps(t_grid, dt)
     _check_sampling(n_samples, threads)
-    ell = functional(sys, phi.algebra, f)
-    variety = None if ell is None else vanishing_variety(phi, ell)
+    ell = functional(sys, f)
+    variety = None if ell is None else vanishing_variety(pushed(sys, phi), ell)
     pts = haar_array(sys, seed, n_samples)
-    f_values = eval_fn_array(f, pts)
+    f_values = eval_fn_array(f, pts, sys)
 
     def report_at(point: Sequence[Rational]) -> MeanErgodicReport:
         point = tuple(as_fraction(v) for v in point)
-        per_snap = _joint_pass(systems, [phi], point, fns, [pts, pts], dt_f, snapshots, threads)
+        per_snap = _joint_pass(systems, [_pinned(sys, phi, point)], fns, [pts, pts], dt_f, snapshots, threads)
         norms, ses, dists = [], [], []
         for s in snapshots:
             vec = per_snap[s]

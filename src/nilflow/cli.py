@@ -45,6 +45,7 @@ from .multipoly import MultiPoly, as_fraction
 from .pet import MAX_DEPTH, PolyFamily, pet_trace, trace_to_json_dict, weight
 from .poly_maps import (
     PolyMap,
+    check_time_origin,
     leading_term,
     polymap_from_json_dict,
     polymap_to_json_dict,
@@ -127,17 +128,11 @@ def _load_members(cfg: Mapping, algebra: LieAlgebraSpec) -> List[PolyMap]:
     return members
 
 
-def _load_group_element(node: Sequence, algebra: LieAlgebraSpec) -> GroupElement:
-    if len(node) != algebra.dim:
-        raise ConfigError(f"group element arity {len(node)} != dim {algebra.dim}")
-    return GroupElement(algebra, node)
-
-
 def _load_factor_elements(nodes, systems, what: str) -> list:
     """One group element per factor, each in its factor's algebra."""
     if len(nodes) != len(systems):
         raise ConfigError(f"{what} has {len(nodes)} elements, need one per factor ({len(systems)})")
-    return [_load_group_element(node, sys_i.algebra) for node, sys_i in zip(nodes, systems)]
+    return [GroupElement(sys_i.algebra, node) for node, sys_i in zip(nodes, systems)]
 
 
 def _resolved(cfg: Mapping, args, key: str, default):
@@ -177,18 +172,7 @@ def cmd_verify_poly(cfg: Mapping, args, out_dir: Path) -> int:
     members = _load_members(cfg, algebra)
 
     for idx, phi in enumerate(members):
-        if phi.fixes_time_origin():
-            continue
-        time_var = phi.time_var
-        for label, coord in zip(algebra.labels, phi.coords):
-            origin = coord.coefficients_in(time_var).get(0)
-            if origin is not None and not origin.is_zero():
-                print(
-                    f"member {idx}: coordinate {label!r} is {origin} at {time_var}=0,"
-                    " not the identity",
-                    file=sys.stderr,
-                )
-                return 2
+        check_time_origin(phi, idx)
 
     rows = []
     for idx, phi in enumerate(members):

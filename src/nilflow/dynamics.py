@@ -10,14 +10,17 @@ once, as array expressions that broadcast over everything after the
 coordinate axis.  `act_array`, `reduce_array` and `eval_fn_array` run them
 on coordinate rows of shape (sample,).  `step_values`, which the time loops
 use, runs them on a slab of consecutive time steps at once, on rows of shape
-(step, sample); each value equals `eval_fn_array(f, act_array(sys, g, pts))`
-for its step bit for bit.  The phase is the sum of freq_k * coord_k in
+(step, sample); each value equals `eval_fn_array(f, act_array(sys, g, pts),
+sys)` for its step bit for bit.  The phase is the sum of freq_k * coord_k in
 coordinate order, not a BLAS product, so its bits do not depend on the BLAS
 build.
 
 Whether a flow and a test function fit a system is decided here once, by
-`acting_rows` and `check_function`; `functional` gives the frequency a test
-function induces on the algebra that acts.
+`acting_rows` and `check_function`.  An acting matrix is applied in one
+place, `acting_coords`: to an element's coordinates by `element_floats`, and
+to a flow's coordinate polynomials by `pushed`, which turns phi into the
+flow u o phi in the system's own algebra.  On a pushed flow a test
+function's frequency is itself the functional (`functional`).
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np
 
 from .lie_core import GroupElement, LieAlgebraSpec, make_builtin
 from .multipoly import as_fraction
+from .poly_maps import PolyMap
 
 TWO_PI = 2.0 * np.pi
 
@@ -236,17 +240,25 @@ def acting_rows(sys: NilSystem, algebra: LieAlgebraSpec) -> Tuple[Tuple[Fraction
     raise ValueError(f"algebra mismatch: a {algebra.dim}-dim algebra does not act on {sys!r}")
 
 
-def _group_coords(sys: NilSystem, g: GroupElement) -> Tuple[Fraction, ...]:
-    rows = acting_rows(sys, g.algebra)
+def acting_coords(sys: NilSystem, algebra: LieAlgebraSpec, coords: Sequence) -> tuple:
+    """Coordinates in sys's algebra of the element of `algebra` with `coords`:
+    M coords through an acting matrix M, else `coords`.  Entries may be
+    Fractions or MultiPolys; the one place an acting matrix is applied."""
+    rows = acting_rows(sys, algebra)
     if rows is None:
-        return tuple(g.coords)
-    return tuple(sum((r * c for r, c in zip(row, g.coords)), Fraction(0)) for row in rows)
+        return tuple(coords)
+    return tuple(sum((r * c for r, c in zip(row, coords)), Fraction(0)) for row in rows)
+
+
+def pushed(sys: NilSystem, phi: PolyMap) -> PolyMap:
+    """The flow u o phi that phi drives on `sys`, as a map into sys's algebra."""
+    return PolyMap(sys.algebra, phi.vars, acting_coords(sys, phi.algebra, phi.coords), domain=phi.domain)
 
 
 def element_floats(sys: NilSystem, elements: Sequence[GroupElement]) -> np.ndarray:
     """Float coordinates of each element as it acts on `sys`, one row per element."""
     count = len(elements) * sys.dim
-    values = (float(c) for g in elements for c in _group_coords(sys, g))
+    values = (float(c) for g in elements for c in acting_coords(sys, g.algebra, g.coords))
     return np.fromiter(values, dtype=float, count=count).reshape(len(elements), sys.dim)
 
 
@@ -321,42 +333,39 @@ class TestFunction:
         return any(self.freq) or self.part == "sin"
 
 
-def _check_width(f: TestFunction, width: int) -> None:
-    """Refuse points of `width` coordinates for f: a torus character reads
-    all of them, a Heisenberg kind the three of the Heisenberg system."""
-    need = len(f.freq) if f.kind == "torus_character" else 3
-    if need != width:
-        raise ValueError(f"{f.kind} frequency {list(f.freq)} needs {need} coordinates, got {width}")
-
-
 def check_function(sys: NilSystem, f: TestFunction) -> None:
     """Refuse a test function that does not fit `sys`: a Heisenberg kind on
-    a torus, or a frequency of the wrong arity."""
+    a torus, or a frequency of the wrong arity.  A torus character reads
+    every coordinate, a Heisenberg kind the three of the Heisenberg system."""
     if f.kind != "torus_character" and sys.kind != "heisenberg3":
         raise ValueError(f"a {f.kind} test function needs a heisenberg3 system, not {sys!r}")
-    _check_width(f, sys.dim)
+    need = len(f.freq) if f.kind == "torus_character" else 3
+    if need != sys.dim:
+        raise ValueError(f"{f.kind} frequency {list(f.freq)} needs {need} coordinates, got {sys.dim}")
 
 
-def functional(sys: NilSystem, algebra: LieAlgebraSpec, f: TestFunction) -> list | None:
-    """The frequency m of f pulled back to `algebra`, M^T m through an acting
-    matrix: exp(v) fixes f exactly when it vanishes on v.  None for a
-    vertical function, whose central coordinate moves with the point."""
+def functional(sys: NilSystem, f: TestFunction) -> list | None:
+    """The frequency m of f as a functional on sys's algebra: along a flow
+    pushed into that algebra (`pushed`), exp(v) fixes f exactly when m
+    vanishes on v.  None for a vertical function, whose central coordinate
+    moves with the point."""
     check_function(sys, f)
     if f.kind == "heis_vertical":
         return None
-    m = list(f.freq) + [0] * (sys.dim - len(f.freq))
-    rows = acting_rows(sys, algebra)
-    return m if rows is None else [sum(k * c for k, c in zip(m, column)) for column in zip(*rows)]
+    return list(f.freq) + [0] * (sys.dim - len(f.freq))
 
 
-def eval_fn_array(f: TestFunction, pts: np.ndarray) -> np.ndarray:
+def eval_fn_array(f: TestFunction, pts: np.ndarray, sys: NilSystem) -> np.ndarray:
+    """f at every row of `pts`, points of `sys`."""
+    check_function(sys, f)
     pts = np.asarray(pts, dtype=float)
-    _check_width(f, pts.shape[1])
+    if pts.shape[1] != sys.dim:
+        raise ValueError(f"points have {pts.shape[1]} coordinates, {sys!r} has {sys.dim}")
     return _phase(f, pts.T)
 
 
-def eval_fn(f: TestFunction, x: NilPoint) -> float:
-    return float(eval_fn_array(f, x.as_array()[None, :])[0])
+def eval_fn(f: TestFunction, x: NilPoint, sys: NilSystem) -> float:
+    return float(eval_fn_array(f, x.as_array()[None, :], sys)[0])
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +380,7 @@ def step_values(sys: NilSystem, f: TestFunction, cols: np.ndarray, g: np.ndarray
     Returns one row of values per column, shape (s, sample).  It runs the
     translate, reduction and phase helpers that `act_array` and
     `eval_fn_array` run, so each row is eval_fn_array(f, act_array(sys, g_s,
-    pts)) for that step's g_s bit for bit.  An abelianized Heisenberg
+    pts), sys) for that step's g_s bit for bit.  An abelianized Heisenberg
     function does not read the central coordinate, so it is not computed.
     """
     check_function(sys, f)

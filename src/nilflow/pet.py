@@ -24,6 +24,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 from .errors import CertificateError, TruncationError
 from .poly_maps import (
     PolyMap,
+    check_time_origin,
     leading_term,
     pointwise_inverse,
     pointwise_product,
@@ -138,8 +139,7 @@ class PolyFamily:
                 if phi.vars != first.vars:
                     raise ValueError("family members use different variables")
         for n, phi in enumerate(maps):
-            if not phi.fixes_time_origin():
-                raise ValueError(f"family member {n} does not fix the identity at time 0")
+            check_time_origin(phi, n)
         self.maps = maps
 
     def __len__(self) -> int:

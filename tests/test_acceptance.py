@@ -390,10 +390,14 @@ def test_10_demo_runs_are_byte_identical(tmp_path):
     shipped = {p.stem for p in DEMOS.glob("*.json")}
     assert shipped == set(DEMO_COMMANDS)
 
+    # the third run reads the first run's sidecar, which alone reproduces it
     for name, command in sorted(DEMO_COMMANDS.items()):
-        config = DEMOS / f"{name}.json"
         outputs = []
-        for run_id in ("first", "second"):
+        for run_id, config in (
+            ("first", DEMOS / f"{name}.json"),
+            ("second", DEMOS / f"{name}.json"),
+            ("sidecar", tmp_path / name / "first" / "sidecar.json"),
+        ):
             out_dir = tmp_path / name / run_id
             code = cli_main(
                 [command, "--config", str(config), "--out", str(out_dir)]
@@ -405,4 +409,4 @@ def test_10_demo_runs_are_byte_identical(tmp_path):
                     for f in ("report.csv", "certificate.json", "sidecar.json")
                 }
             )
-        assert outputs[0] == outputs[1], name
+        assert outputs[0] == outputs[1] == outputs[2], name

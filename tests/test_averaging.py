@@ -13,7 +13,7 @@ from nilflow.averaging import (
     _flow_floats,
     _horner,
     _per_sample_averages,
-    _pinned_coefficients,
+    _pinned,
     _translated,
     JoiningSpec,
     flow_correlation_trajectory,
@@ -236,7 +236,7 @@ def test_per_sample_averages_match_the_act_then_eval_loop(monkeypatch):
     ]
     n = 301
     flows = [eval_along(phi, (), start, step, 40) for phi in maps]
-    floats = [_flow_floats(sys, phi, (), start, step, 40) for sys, phi in zip(systems[1:], maps)]
+    floats = [_flow_floats(_pinned(sys, phi, ()), start, step, 40) for sys, phi in zip(systems[1:], maps)]
     factors = averaging._draw_factors(joining, n, 21)
     factors[1][:20, 0] = 0.0
     x = factors[1][0, 0] + floats[0][5, 0]
@@ -246,11 +246,11 @@ def test_per_sample_averages_match_the_act_then_eval_loop(monkeypatch):
 
     acc = np.zeros(n)
     want = {}
-    base = eval_fn_array(fns[0], factors[0])
+    base = eval_fn_array(fns[0], factors[0], systems[0])
     for j in range(40):
         vals = base.copy()
         for i, flow in enumerate(flows, start=1):
-            vals *= eval_fn_array(fns[i], act_array(systems[i], flow[j], factors[i]))
+            vals *= eval_fn_array(fns[i], act_array(systems[i], flow[j], factors[i]), systems[i])
         acc += vals
         if j + 1 in snapshots:
             want[j + 1] = acc / (j + 1)
@@ -282,7 +282,7 @@ def test_base_factor_alone_averages_to_the_mean_of_f0():
     f0 = char((3,), "sin")
     joining = JoiningSpec([torus(1)], "diagonal")
     report, _ = scan_with_invariance(joining, PolyFamily([]), (), [f0], [1, 2, 5], dt="0.25", n_samples=300, seed=8)
-    mean = float(eval_fn_array(f0, haar_array(torus(1), 8, 300)).mean())
+    mean = float(eval_fn_array(f0, haar_array(torus(1), 8, 300), torus(1)).mean())
     assert len(report.estimates) == 3
     for est in report.estimates:
         assert abs(est - mean) <= 1e-12
@@ -371,6 +371,25 @@ def test_offdiagonal_deviation_shrinks_and_matches_shift_oracle():
         assert abs(dev - oracle) <= 1e-8
 
 
+def test_scan_pins_each_map_once_and_translates_the_pinned_maps(monkeypatch):
+    """h is substituted once per map and call, not once per tuple pass, and
+    the tuples translate maps of t alone."""
+    v = ("t", "h")
+    phi = PolyMap.build(A1, v, {"e1": MultiPoly(v, {(1, 1): Fraction(1)})})
+    substitute, translated = averaging.substitute, averaging._translated
+    substituted, translated_vars = [], []
+    monkeypatch.setattr(averaging, "substitute", lambda psi, *a, **k: substituted.append(psi.vars) or substitute(psi, *a, **k))
+    monkeypatch.setattr(averaging, "_translated", lambda g, psi, g0: translated_vars.append(psi.vars) or translated(g, psi, g0))
+    g = GroupElement(A1, (Fraction(1, 3),))
+    tuples = [(identity(A1), g, g), (g, identity(A1), g), (identity(A1),) * 3]
+    scan_with_invariance(
+        JoiningSpec([torus(1)] * 3, "diagonal"), PolyFamily([phi, phi]), ("1/2",), [char((1,))] * 3, [2],
+        g_list=tuples, dt="0.5", n_samples=5,
+    )
+    assert substituted == [v, v]
+    assert translated_vars == [("t",)] * 6
+
+
 def test_invariance_tuple_arity_checked():
     joining = JoiningSpec([torus(1), torus(1)], "diagonal")
     for tup in ((identity(A1),), (identity(A1), identity(A2)), (identity(A2), identity(A1))):
@@ -443,9 +462,9 @@ def test_flow_correlation_trajectory_matches_the_per_step_loop(n):
     dt = Fraction(1, 4)
     got = flow_correlation_trajectory(heisenberg3(), phi, (), f, 2, 1, dt, n_samples=n, seed=n)
     pts = haar_array(heisenberg3(), n, n)
-    static = eval_fn_array(f, pts)
+    static = eval_fn_array(f, pts, heisenberg3())
     flow = eval_along(phi, (), Fraction(0), dt / 2, 25)
-    want = [float((eval_fn_array(f, act_array(heisenberg3(), g, pts)) * static).mean()) for g in flow]
+    want = [float((eval_fn_array(f, act_array(heisenberg3(), g, pts), heisenberg3()) * static).mean()) for g in flow]
     assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
 
@@ -470,11 +489,11 @@ def eval_along(phi, h, start, step, count):
     return [phi.eval({phi.vars[0]: start + j * step, **fixed}) for j in range(count)]
 
 
-def horner_along(phi, h, start, step, count):
+def horner_along(sys, phi, h, start, step, count):
     """The exact coordinates Fraction(N_j, den) that the integers of `_horner` stand for."""
     columns = []
-    for coefs in _pinned_coefficients(phi, h):
-        nums, den = _horner(coefs, start, step, count)
+    for poly in _pinned(sys, phi, h).coords:
+        nums, den = _horner({exp[0]: c for exp, c in poly.terms.items()}, start, step, count)
         columns.append([Fraction(n, den) for n in nums])
     return list(zip(*columns))
 
@@ -491,19 +510,19 @@ def random_flow(alg, rng, n_params, scale=9, den=8):
     return PolyMap(alg, variables, coords)
 
 
-@pytest.mark.parametrize("alg", [A2, H3], ids=["torus", "heisenberg"])
-def test_flow_elements_equal_exact_eval_on_both_grids(alg):
-    rng = random.Random(alg.dim)
+@pytest.mark.parametrize("sys", [torus(2), heisenberg3()], ids=["torus", "heisenberg"])
+def test_flow_elements_equal_exact_eval_on_both_grids(sys):
+    rng = random.Random(sys.dim)
     for _ in range(40):
         n_params = rng.randint(0, 2)
-        phi = random_flow(alg, rng, n_params)
+        phi = random_flow(sys.algebra, rng, n_params)
         h = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n_params)]
         dt = Fraction(rng.randint(1, 5), rng.randint(1, 30))
         # the midpoint grid, the half-step grid from 0, and an arbitrary one
         offset = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
         for start, step in ((dt / 2, dt), (Fraction(0), dt / 2), (offset, dt)):
             want = [g.coords for g in eval_along(phi, h, start, step, 30)]
-            assert horner_along(phi, h, start, step, 30) == want
+            assert horner_along(sys, phi, h, start, step, 30) == want
 
 
 @pytest.mark.parametrize("sys", [torus(2), heisenberg3()], ids=["torus", "heisenberg"])
@@ -517,7 +536,7 @@ def test_flow_floats_equal_floated_elements(sys):
         offset = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
         for start, step in ((dt / 2, dt), (Fraction(0), dt / 2), (offset, dt)):
             want = element_floats(sys, eval_along(phi, h, start, step, 30))
-            got = _flow_floats(sys, phi, h, start, step, 30)
+            got = _flow_floats(_pinned(sys, phi, h), start, step, 30)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -528,7 +547,7 @@ def test_flow_floats_through_an_acting_matrix():
         phi = random_flow(A1, rng, 1, scale=10**6, den=10**4)
         h = [Fraction(rng.randint(-9, 9), 7)]
         want = element_floats(sys, eval_along(phi, h, Fraction(1, 40), Fraction(1, 20), 50))
-        got = _flow_floats(sys, phi, h, Fraction(1, 40), Fraction(1, 20), 50)
+        got = _flow_floats(_pinned(sys, phi, h), Fraction(1, 40), Fraction(1, 20), 50)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -549,7 +568,7 @@ def test_translated_flow_floats_equal_the_floated_bch_chain(sys):
         inv0 = group_inverse(g0)
         chain = [bch_product(bch_product(g, el), inv0) for el in eval_along(phi, h, dt / 2, dt, 200)]
         want = element_floats(sys, chain)
-        got = _flow_floats(sys, _translated(g, phi, g0), h, dt / 2, dt, 200)
+        got = _flow_floats(_translated(g, _pinned(sys, phi, h), g0), dt / 2, dt, 200)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -567,16 +586,16 @@ def test_flow_elements_zero_constant_and_negative_coordinates():
     h = ("-5/4",)
     dt = Fraction(1, 50)
     for start, step in ((dt / 2, dt), (Fraction(0), dt / 2)):
-        got = horner_along(phi, h, start, step, 2000)
+        got = horner_along(heisenberg3(), phi, h, start, step, 2000)
         assert got == [g.coords for g in eval_along(phi, (Fraction(-5, 4),), start, step, 2000)]
         assert all(c[0] == 0 and c[1] == Fraction(-75, 112) for c in got)
-    assert horner_along(phi, h, Fraction(0), dt, 1)[0][2] == -2
+    assert horner_along(heisenberg3(), phi, h, Fraction(0), dt, 1)[0][2] == -2
 
 
 def test_flow_elements_checks_parameter_arity():
     phi = random_flow(A2, random.Random(7), 2)
     with pytest.raises(ValueError, match="parameter point has arity 1, map needs 2"):
-        _flow_floats(torus(2), phi, (1,), Fraction(1, 2), Fraction(1), 3)
+        _pinned(torus(2), phi, (1,))
 
 
 # ----------------------------------------------------------------------

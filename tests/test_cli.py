@@ -4,11 +4,13 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nilflow.averaging import JoiningSpec, scan_with_invariance
-from nilflow.cli import _load_algebra, _load_group_element, _load_members, main
-from nilflow.dynamics import function_from_json_dict, system_from_json_dict
+from nilflow.cli import _load_algebra, _load_members, main
+from nilflow.dynamics import function_from_json_dict, haar_array, system_from_json_dict
+from nilflow.lie_core import GroupElement
 from nilflow.pet import MAX_LEVEL_TERMS, PolyFamily
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -44,12 +46,13 @@ def test_verify_poly_empty_family(tmp_path):
     assert read_rows(tmp_path) == ["member,degree,internal_class,leading_degree,leading_coefficient,weight_c,weight_d"]
 
 
-def test_verify_poly_flags_origin_violation(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["verify-poly", "pet"])
+def test_verify_poly_flags_origin_violation(tmp_path, capsys, command):
     cfg = write_config(
         tmp_path,
         {"algebra": {"builtin": "heisenberg", "dim": 3}, "family": [{"coords": {"y1": {"1": 2, "t": 1}}}]},
     )
-    assert run("verify-poly", cfg, tmp_path) == 2
+    assert run(command, cfg, tmp_path) == 2
     assert "'y1'" in capsys.readouterr().err
 
 
@@ -151,12 +154,36 @@ def test_average_refuses_heisenberg_functions_on_a_torus(tmp_path, capsys, secon
     assert not (tmp_path / "out" / "report.csv").exists()
 
 
-def test_average_tuple_on_an_acting_matrix_factor_is_config_error(tmp_path, capsys):
-    """Tuple elements live in each factor's own algebra, not in the flow's."""
+def test_average_tuple_on_an_acting_matrix_factor_matches_a_numpy_oracle(tmp_path):
+    """Tuple elements live in each factor's own algebra, where the flow
+    t -> (t^2, 2 t^2) acts; the shift (1/3, 0) turns the product
+    cos(2 pi m.x) cos(2 pi m.x') into one with phase 4 pi / 3."""
     cfg = json.loads((DEMOS / "demo_acting_matrix.json").read_text())
-    cfg["invariance"] = {"tuples": [[["0", "0"], ["1/3", "0"]]]}
+    cfg.update(t_grid=[2, 5], n_samples=500, invariance={"tuples": [[["0", "0"], ["1/3", "0"]]]})
+    assert run("average", write_config(tmp_path, cfg), tmp_path / "out") == 0
+    deviations = json.loads((tmp_path / "out" / "certificate.json").read_text())["invariance"]["deviations"]
+
+    pts = haar_array(system_from_json_dict(cfg["systems"][0]), cfg["seed"], 500)
+    base = np.cos(2 * np.pi * (pts @ np.array([-2.0, 1.0])))
+    sums = {shift: np.zeros(500) for shift in (0.0, 1 / 3)}
+    want = []
+    for j in range(100):
+        t = (j + 0.5) * 0.05
+        for shift, acc in sums.items():
+            moved = np.mod(pts + np.array([shift + t * t, 2 * t * t]), 1.0)
+            acc += np.cos(2 * np.pi * (moved @ np.array([2.0, -1.0])))
+        if j + 1 in (40, 100):
+            means = [float((base * acc / (j + 1)).mean()) for acc in sums.values()]
+            want.append(abs(means[1] - means[0]))
+    assert np.max(np.abs(np.array(deviations[0]) - want)) <= 1e-12
+
+
+def test_average_tuple_in_the_flow_algebra_on_an_acting_matrix_factor_is_config_error(tmp_path, capsys):
+    """One coordinate per element fits the flow's algebra, not the factor's."""
+    cfg = json.loads((DEMOS / "demo_acting_matrix.json").read_text())
+    cfg["invariance"] = {"tuples": [[["0"], ["1/3"]]]}
     assert run("average", write_config(tmp_path, cfg), tmp_path / "out") == 2
-    assert "maps target different algebras" in capsys.readouterr().err
+    assert "expected 2 coordinates, got 1" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.csv").exists()
 
 
@@ -191,7 +218,7 @@ def test_average_invariance_reuses_the_scan_pass(tmp_path):
         (),
         [function_from_json_dict(node) for node in cfg["functions"]],
         cfg["t_grid"],
-        [tuple(_load_group_element(el, algebra) for el in tup) for tup in cfg["invariance"]["tuples"]],
+        [tuple(GroupElement(algebra, el) for el in tup) for tup in cfg["invariance"]["tuples"]],
         dt=cfg["dt"],
         n_samples=cfg["n_samples"],
         seed=cfg["seed"],

@@ -13,6 +13,7 @@ from nilflow.dynamics import (
     TestFunction,
     act,
     act_array,
+    acting_coords,
     check_function,
     element_floats,
     eval_fn,
@@ -23,6 +24,7 @@ from nilflow.dynamics import (
     fundamental_distance,
     haar_array,
     heisenberg3,
+    pushed,
     reduce_array,
     reduce_point,
     sample_haar,
@@ -32,6 +34,9 @@ from nilflow.dynamics import (
     torus,
 )
 from nilflow.lie_core import GroupElement, bch_product, identity, make_builtin
+from nilflow.multipoly import MultiPoly
+from nilflow.poly_maps import PolyMap
+from nilflow.zariski import vanishing_variety
 from oracles import act_reference, character_reference
 
 H3 = make_builtin("heisenberg", dim=3)
@@ -169,7 +174,7 @@ def test_character_mean_is_small():
     sys = torus(1)
     n = 100_000
     pts = haar_array(sys, seed=2, n=n)
-    vals = eval_fn_array(TestFunction("torus_character", (1,)), pts)
+    vals = eval_fn_array(TestFunction("torus_character", (1,)), pts, sys)
     assert abs(vals.mean()) <= 4 / math.sqrt(n)
 
 
@@ -179,8 +184,8 @@ def test_haar_invariance_under_fixed_translation():
     pts = haar_array(sys, seed=4, n=n)
     f = TestFunction("heis_abelian", (1, 1))
     g = h3_elt(x=Fraction(2, 7), y=Fraction(1, 5), z=Fraction(3, 11))
-    before = eval_fn_array(f, pts)
-    after = eval_fn_array(f, act_array(sys, g, pts))
+    before = eval_fn_array(f, pts, sys)
+    after = eval_fn_array(f, act_array(sys, g, pts), sys)
     diff = after - before
     se = diff.std(ddof=1) / math.sqrt(n)
     assert abs(diff.mean()) <= 5 * se + 1e-12
@@ -192,34 +197,34 @@ def test_haar_invariance_under_fixed_translation():
 
 def test_zero_frequency_is_constant_one():
     f = TestFunction("torus_character", (0, 0))
-    assert eval_fn(f, NilPoint((0.3, 0.8))) == 1.0
+    assert eval_fn(f, NilPoint((0.3, 0.8)), torus(2)) == 1.0
     assert not f.mean_zero
 
 
 def test_character_values():
     f = TestFunction("torus_character", (1,))
-    assert abs(eval_fn(f, NilPoint((0.25,)))) < 1e-15
+    assert abs(eval_fn(f, NilPoint((0.25,)), torus(1))) < 1e-15
     g = TestFunction("torus_character", (2, 3))
-    assert abs(eval_fn(g, NilPoint((0.5, 0.5))) - (-1.0)) < 1e-12
+    assert abs(eval_fn(g, NilPoint((0.5, 0.5)), torus(2)) - (-1.0)) < 1e-12
 
 
 def test_functions_are_bounded_by_one():
     pts2 = haar_array(torus(2), seed=6, n=500)
     pts3 = haar_array(heisenberg3(), seed=6, n=500)
     cases = [
-        (TestFunction("torus_character", (3, -2), "sin"), pts2),
-        (TestFunction("heis_abelian", (1, 4)), pts3),
-        (TestFunction("heis_vertical", (0, 1, 2), "sin"), pts3),
+        (TestFunction("torus_character", (3, -2), "sin"), pts2, torus(2)),
+        (TestFunction("heis_abelian", (1, 4)), pts3, heisenberg3()),
+        (TestFunction("heis_vertical", (0, 1, 2), "sin"), pts3, heisenberg3()),
     ]
-    for f, pts in cases:
-        vals = eval_fn_array(f, pts)
+    for f, pts, sys in cases:
+        vals = eval_fn_array(f, pts, sys)
         assert np.all(np.abs(vals) <= 1.0 + 1e-15)
 
 
 def test_vertical_function_uses_central_coordinate():
     f = TestFunction("heis_vertical", (0, 0, 1))
-    assert abs(eval_fn(f, NilPoint((0.9, 0.9, 0.0))) - 1.0) < 1e-15
-    assert abs(eval_fn(f, NilPoint((0.9, 0.9, 0.5))) - (-1.0)) < 1e-12
+    assert abs(eval_fn(f, NilPoint((0.9, 0.9, 0.0)), heisenberg3()) - 1.0) < 1e-15
+    assert abs(eval_fn(f, NilPoint((0.9, 0.9, 0.5)), heisenberg3()) - (-1.0)) < 1e-12
 
 
 def test_fn_arity_validation():
@@ -228,7 +233,9 @@ def test_fn_arity_validation():
     with pytest.raises(ValueError):
         TestFunction("torus_character", (1,), "tan")
     with pytest.raises(ValueError):
-        eval_fn(TestFunction("torus_character", (1, 2)), NilPoint((0.1,)))
+        eval_fn(TestFunction("torus_character", (1, 2)), NilPoint((0.1,)), torus(1))
+    with pytest.raises(ValueError, match="points have 1 coordinates"):
+        eval_fn(TestFunction("torus_character", (1, 5)), NilPoint((0.25,)), torus(2))
     with pytest.raises(ValueError):
         step_values(torus(1), TestFunction("torus_character", (1, 2)), np.zeros((1, 3)), np.zeros((1, 2)))
 
@@ -242,11 +249,14 @@ def test_fn_arity_validation():
         (torus(2, acting_matrix=[[1], [2]]), TestFunction("heis_abelian", (1, 0)), "heis_abelian"),
         (torus(2), TestFunction("torus_character", (1, 0, 1)), "needs 3 coordinates, got 2"),
         (heisenberg3(), TestFunction("torus_character", (1, 0)), "needs 2 coordinates, got 3"),
+        (torus(3), TestFunction("heis_vertical", (1, 0, 1)), "heis_vertical"),
     ],
 )
 def test_check_function_refuses_what_does_not_fit(sys, f, message):
     with pytest.raises(ValueError, match=message):
         check_function(sys, f)
+    with pytest.raises(ValueError, match=message):
+        eval_fn_array(f, haar_array(sys, 1, 3), sys)
     with pytest.raises(ValueError, match=message):
         step_values(sys, f, np.zeros((sys.dim, 4)), np.zeros((sys.dim, 2)))
 
@@ -263,26 +273,33 @@ def test_check_function_accepts_what_fits():
 
 
 def test_functional_pulls_the_frequency_back():
+    """The frequency is the functional on the pushed flow; on phi it reads as M^T m."""
     A1 = make_builtin("abelian", dim=1)
-    A2 = make_builtin("abelian", dim=2)
-    assert functional(torus(2), A2, TestFunction("torus_character", (3, -1))) == [3, -1]
-    assert functional(heisenberg3(), H3, TestFunction("heis_abelian", (1, 4))) == [1, 4, 0]
-    assert functional(heisenberg3(), H3, TestFunction("heis_vertical", (1, 0, 1))) is None
+    assert functional(torus(2), TestFunction("torus_character", (3, -1))) == [3, -1]
+    assert functional(heisenberg3(), TestFunction("heis_abelian", (1, 4))) == [1, 4, 0]
+    assert functional(heisenberg3(), TestFunction("heis_vertical", (1, 0, 1))) is None
     sys = torus(2, acting_matrix=[["1/2"], [3]])
-    assert functional(sys, A1, TestFunction("torus_character", (2, -1))) == [Fraction(-2)]
-    assert functional(sys, A1, TestFunction("torus_character", (6, -1))) == [Fraction(0)]
-    # the pulled-back frequency gives the phase of f along the flow
+    v = ("t", "h")
+    phi = PolyMap.build(A1, v, {"e1": MultiPoly(v, {(2, 0): Fraction(1, 7), (1, 1): Fraction(2)})})
+    psi = pushed(sys, phi)
+    assert psi.algebra == sys.algebra and psi.vars == v
+    assert psi.coords == (phi.coords[0] * Fraction(1, 2), phi.coords[0] * 3)
+    for freq, pulled in (((2, -1), -2), ((6, -1), 0)):
+        ell = functional(sys, TestFunction("torus_character", freq))
+        assert ell == list(freq)
+        assert vanishing_variety(psi, ell).generators == vanishing_variety(phi, [pulled]).generators
+    # the same coordinates for elements: the phase of f along the flow is m . (M v)
     aux = GroupElement(A1, (Fraction(5, 7),))
+    assert acting_coords(sys, A1, aux.coords) == (Fraction(5, 14), Fraction(15, 7))
     f = TestFunction("torus_character", (2, -1), "sin")
     pts = haar_array(sys, seed=3, n=50)
-    moved = act_array(sys, aux, pts)
-    shift = float(functional(sys, A1, f)[0] * aux.coords[0])
+    shift = float(sum(k * c for k, c in zip(functional(sys, f), acting_coords(sys, A1, aux.coords))))
     want = np.sin(2 * np.pi * (pts @ np.array([2.0, -1.0]) + shift))
-    assert np.max(np.abs(eval_fn_array(f, moved) - want)) < 1e-12
+    assert np.max(np.abs(eval_fn_array(f, act_array(sys, aux, pts), sys) - want)) < 1e-12
     with pytest.raises(ValueError, match="algebra mismatch"):
-        functional(torus(2), A1, TestFunction("torus_character", (1, 0)))
+        pushed(torus(2), phi)
     with pytest.raises(ValueError, match="heis_abelian"):
-        functional(torus(3), make_builtin("abelian", dim=3), TestFunction("heis_abelian", (1, 0)))
+        functional(torus(3), TestFunction("heis_abelian", (1, 0)))
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +372,7 @@ def test_step_kernel_is_bit_identical_to_act_then_eval(sys, kinds):
             f = TestFunction(kind, freq, part)
             want = np.array([character_reference(freq, part, act_reference(sys.kind, gf, pts)) for gf in rows])
             for g, w in zip(elements, want):
-                assert np.array_equal(bits(eval_fn_array(f, act_array(sys, g, pts))), bits(w))
+                assert np.array_equal(bits(eval_fn_array(f, act_array(sys, g, pts), sys)), bits(w))
             cols = np.ascontiguousarray(pts.T)
             for steps in (1, 5, len(rows)):
                 for j in range(0, len(rows), steps):
@@ -371,7 +388,7 @@ def test_step_kernel_with_acting_matrix():
     elements = [GroupElement(param, (Fraction(c),)) for c in ("7/3", "-12345/7", "0")]
     got = step_values(sys, f, pts.T, element_floats(sys, elements).T)
     for g, row in zip(elements, got):
-        assert np.array_equal(bits(row), bits(eval_fn_array(f, act_array(sys, g, pts))))
+        assert np.array_equal(bits(row), bits(eval_fn_array(f, act_array(sys, g, pts), sys)))
 
 
 def test_kernel_never_writes_into_its_inputs():
@@ -412,7 +429,7 @@ def test_kernel_never_writes_into_its_inputs():
         for kind, freq in kinds:
             for part in ("cos", "sin"):
                 f = TestFunction(kind, freq, part)
-                calls.append(lambda f=f: eval_fn_array(f, pts))
+                calls.append(lambda f=f: eval_fn_array(f, pts, sys))
                 calls.append(lambda f=f: step_values(sys, f, cols, flow.T))
                 calls.append(lambda f=f: step_values(sys, f, pts.T, flow[1:].T))
         for call in calls:
