@@ -21,7 +21,7 @@ from .dynamics import (
     sample_haar,
     torus,
 )
-from .errors import CertificateError, TruncationError
+from .errors import CertificateError, ConfigError, TruncationError
 from .lie_core import (
     GroupElement,
     LieAlgebraSpec,
@@ -66,6 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AverageReport",
     "CertificateError",
+    "ConfigError",
     "GroupElement",
     "JoiningSpec",
     "LeadingTerm",

@@ -14,6 +14,7 @@ import sys
 from csv import writer as csv_writer
 from dataclasses import asdict
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import List, Mapping, Sequence, Tuple
 
@@ -32,7 +33,7 @@ from .dynamics import (
     system_from_json_dict,
     system_to_json_dict,
 )
-from .errors import CertificateError, TruncationError
+from .errors import CertificateError, ConfigError, TruncationError
 from .lie_core import (
     GroupElement,
     LieAlgebraSpec,
@@ -59,10 +60,6 @@ from .zariski import (
     nonvanishing_certificate,
     vanishing_variety,
 )
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent run configuration."""
 
 
 # ----------------------------------------------------------------------
@@ -153,11 +150,61 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
         table.writerows(rows)
 
 
+def _encode_json(node, indent: str = "\n") -> str:
+    """The text `json.dumps(node, indent=2, sort_keys=True)` gives.
+
+    The standard encoder takes its pure-Python path whenever `indent` is
+    set.  This one returns one string per container, joined once, and
+    writes plain `str` and `int` children inline, since most nodes of a PET
+    certificate are exponents and coefficients.  Keys must be strings:
+    `_quote` raises TypeError on any other key.
+    """
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        inner = indent + "  "
+        items = [
+            _quote(k) + ": "
+            + (_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _encode_json(v, inner))
+            for k, v in sorted(node.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(node, (list, tuple)):
+        if not node:
+            return "[]"
+        inner = indent + "  "
+        items = [
+            _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _encode_json(v, inner)
+            for v in node
+        ]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(node, str):
+        return _quote(node)
+    if node is None:
+        return "null"
+    if node is True:
+        return "true"
+    if node is False:
+        return "false"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    if isinstance(node, float):
+        if node != node:
+            return "NaN"
+        if node == math.inf:
+            return "Infinity"
+        if node == -math.inf:
+            return "-Infinity"
+        return float.__repr__(node)
+    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(_encode_json(doc) + "\n")
 
 
 def _emit(out_dir: Path, header, rows, certificate: dict, sidecar: dict) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "report.csv", header, rows)
     _write_json(out_dir / "certificate.json", certificate)
     _write_json(out_dir / "sidecar.json", sidecar)
@@ -344,11 +391,12 @@ def cmd_vdc(cfg: Mapping, args, out_dir: Path) -> int:
     S = cfg.get("S", T)
     dt = str(cfg.get("dt", "0.05"))
     signal = _require(cfg, "signal")
-    seed = int(_resolved(cfg, args, "seed", 0))
+    kind = signal.get("kind", "expr")
 
     times = half_step_times(T, S, dt)
-    kind = signal.get("kind", "expr")
     if kind == "expr":
+        if args.seed is not None:
+            raise ConfigError("--seed applies only to a flow signal; an expr signal draws nothing")
         expr = signal.get("expr")
         if expr == "cos_2pi_t":
             trajectory = np.cos(2 * math.pi * times)
@@ -365,6 +413,7 @@ def cmd_vdc(cfg: Mapping, args, out_dir: Path) -> int:
         h = tuple(as_fraction(v) for v in signal.get("h", ()))
         f = function_from_json_dict(signal["function"])
         n_samples = int(signal.get("n_samples", 1000))
+        seed = int(_resolved(cfg, args, "seed", 0))
         trajectory = flow_correlation_trajectory(
             system, phi, h, f, T, S, dt, n_samples=n_samples, seed=seed
         )
@@ -379,7 +428,9 @@ def cmd_vdc(cfg: Mapping, args, out_dir: Path) -> int:
         "rhs_corr": rhs,
         "contrapositive_C": lhs / math.sqrt(max(rhs, 1e-16)),
     }
-    sidecar = {"command": "vdc", "T": T, "S": S, "dt": dt, "signal": dict(signal), "seed": seed}
+    sidecar = {"command": "vdc", "T": T, "S": S, "dt": dt, "signal": dict(signal)}
+    if kind == "flow":  # only a flow signal draws
+        sidecar["seed"] = seed
     _emit(out_dir, ["lhs_norm", "rhs_corr"], [[lhs, rhs]], certificate, sidecar)
     print(f"lhs {lhs:.3e}  rhs {rhs:.3e}")
     return 0
@@ -423,11 +474,8 @@ def main(argv=None) -> int:
         print("config root must be a JSON object", file=sys.stderr)
         return 2
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     try:
-        return _COMMANDS[args.command][0](cfg, args, out_dir)
+        return _COMMANDS[args.command][0](cfg, args, Path(args.out))
     except TruncationError as exc:
         print(f"truncated: {exc}", file=sys.stderr)
         return 4

@@ -7,3 +7,7 @@ class CertificateError(RuntimeError):
 
 class TruncationError(RuntimeError):
     """An iteration hit its configured cap before reaching its base case."""
+
+
+class ConfigError(ValueError):
+    """Malformed or inconsistent run configuration."""

@@ -176,9 +176,14 @@ def _dynkin_words(step: int) -> Tuple[Tuple[Tuple[int, ...], Fraction], ...]:
     """BCH series as (word, coefficient) pairs up to total degree `step`.
 
     Letter 0 stands for the left factor, 1 for the right.  A word w encodes
-    the right-nested bracket [w_1,[w_2,[...,[w_{m-1},w_m]...]]]; coefficients
-    of equal words across all Dynkin compositions are merged, and words whose
-    nested bracket vanishes identically (repeated last letter) are dropped.
+    the right-nested bracket [w_1,[w_2,[...,[w_{m-1},w_m]...]]].  The Dynkin
+    compositions give each word a coefficient; the table is then folded on
+    the innermost bracket.  A word ending in a repeated letter vanishes and
+    is dropped.  Since [b,a] = -[a,b], a word ending in (1,0) becomes the
+    same word ending in (0,1) with its coefficient negated, so every word of
+    length two or more ends in (0,1).  Equal words are merged and zero
+    coefficients dropped: step 2 gives a + b + 1/2[a,b], and step 3 adds
+    1/12[a,[a,b]] - 1/12[b,[a,b]].
     """
     coeffs: Dict[Tuple[int, ...], Fraction] = {}
 
@@ -198,36 +203,50 @@ def _dynkin_words(step: int) -> Tuple[Tuple[Tuple[int, ...], Fraction], ...]:
                 extend(seq + [(p, total - p)], used + total)
 
     extend([], 0)
-    table = [
-        (word, coef)
-        for word, coef in coeffs.items()
-        if coef != 0 and not (len(word) >= 2 and word[-1] == word[-2])
-    ]
+    folded: Dict[Tuple[int, ...], Fraction] = {}
+    for word, coef in coeffs.items():
+        if len(word) >= 2:
+            if word[-1] == word[-2]:
+                continue
+            if word[-1] == 0:
+                word, coef = word[:-2] + (0, 1), -coef
+        folded[word] = folded.get(word, _F0) + coef
+    table = [(word, coef) for word, coef in folded.items() if coef != 0]
     table.sort(key=lambda item: (len(item[0]), item[0]))
     return tuple(table)
 
 
 def bch_coords(alg: LieAlgebraSpec, a: Sequence, b: Sequence, zero=_F0) -> list:
-    """Coordinates of log(exp(a) exp(b)) over any commutative ring."""
+    """Coordinates of log(exp(a) exp(b)) over any commutative ring.
+
+    Each right-nested bracket is evaluated once: `nested` maps a word
+    suffix to its bracket, or to None once it vanishes, so words sharing
+    inner brackets reuse them.
+    """
     if alg.step > MAX_BCH_STEP:
         raise ValueError(
             f"step {alg.step} exceeds the supported BCH truncation bound {MAX_BCH_STEP}"
         )
     out = [zero] * alg.dim
+    nested: Dict[Tuple[int, ...], list | None] = {(0,): a, (1,): b}
     for word, coef in _dynkin_words(alg.step):
-        vec = list(a if word[-1] == 0 else b)
-        dead = False
-        for letter in reversed(word[:-1]):
-            vec = bracket_coords(alg, a if letter == 0 else b, vec, zero)
+        i = len(word) - 1
+        while i and word[i - 1 :] in nested:
+            i -= 1
+        vec = nested[word[i:]]
+        while i and vec is not None:
+            i -= 1
+            vec = bracket_coords(alg, a if word[i] == 0 else b, vec, zero)
             if all(v == 0 for v in vec):
-                dead = True
-                break
-        if dead:
+                vec = None
+            nested[word[i:]] = vec
+        if vec is None:
             continue
+        scale = coef != 1
         for k, v in enumerate(vec):
             if v == 0:
                 continue
-            out[k] = out[k] + coef * v
+            out[k] = out[k] + (coef * v if scale else v)
     return out
 
 

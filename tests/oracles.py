@@ -2,7 +2,8 @@
 
 Group multiplication is cross-checked against faithful unitriangular matrix
 models, where exp and log are finite polynomial sums and stay exact over
-Fraction.  Free Lie algebra dimensions are cross-checked against the Witt
+Fraction, and against the Dynkin form of the BCH series evaluated word by
+word.  Free Lie algebra dimensions are cross-checked against the Witt
 necklace-counting formula.  The float action and test functions are
 cross-checked against whole-array formulas that make the same float
 operations in the same order.  The PET order's class matching is
@@ -118,6 +119,65 @@ def matrix_bch(to_matrix, from_matrix, a: Sequence[Fraction], b: Sequence[Fracti
     ea = mat_exp_nilpotent(to_matrix(a))
     eb = mat_exp_nilpotent(to_matrix(b))
     return from_matrix(mat_log_unitriangular(mat_mul(ea, eb)))
+
+
+def dynkin_words_unfolded(step: int) -> Tuple[Tuple[Tuple[int, ...], Fraction], ...]:
+    """The Dynkin form of the BCH series up to total degree `step`, unfolded.
+
+    Letter 0 is the left factor, 1 the right; a word is the right-nested
+    bracket [w_1,[w_2,[...,[w_{m-1},w_m]...]]].  Equal words are merged and
+    words ending in a repeated letter dropped, but a word ending in (1, 0)
+    is kept apart from its (0, 1) mirror.
+    """
+    coeffs = {}
+
+    def extend(seq: List[Tuple[int, int]], used: int) -> None:
+        n = len(seq)
+        if n:
+            denom = Fraction(1)
+            letters: List[int] = []
+            for p, q in seq:
+                denom *= math.factorial(p) * math.factorial(q)
+                letters.extend([0] * p + [1] * q)
+            word = tuple(letters)
+            coef = Fraction((-1) ** (n - 1), n) / (used * denom)
+            coeffs[word] = coeffs.get(word, F0) + coef
+        for total in range(1, step - used + 1):
+            for p in range(total + 1):
+                extend(seq + [(p, total - p)], used + total)
+
+    extend([], 0)
+    table = [
+        (word, coef)
+        for word, coef in coeffs.items()
+        if coef != 0 and not (len(word) >= 2 and word[-1] == word[-2])
+    ]
+    table.sort(key=lambda item: (len(item[0]), item[0]))
+    return tuple(table)
+
+
+def dynkin_bch(bracket, step: int, a: Sequence, b: Sequence, zero=F0) -> list:
+    """log(exp(a) exp(b)) word by word over the unfolded Dynkin table.
+
+    `bracket(x, y)` returns the coordinates of [x, y]; every word's nested
+    bracket is evaluated on its own and scaled by its coefficient.
+    """
+    out = [zero] * len(a)
+    for word, coef in dynkin_words_unfolded(step):
+        vec = list(a if word[-1] == 0 else b)
+        dead = False
+        for letter in reversed(word[:-1]):
+            vec = bracket(a if letter == 0 else b, vec)
+            if all(v == 0 for v in vec):
+                dead = True
+                break
+        if dead:
+            continue
+        for k, v in enumerate(vec):
+            if v == 0:
+                continue
+            out[k] = out[k] + coef * v
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -410,3 +410,7 @@ def test_10_demo_runs_are_byte_identical(tmp_path):
                 }
             )
         assert outputs[0] == outputs[1] == outputs[2], name
+        # the on-disk JSON format, whatever writes it
+        for f in ("certificate.json", "sidecar.json"):
+            data = outputs[0][f].decode("ascii")
+            assert data == json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n", (name, f)

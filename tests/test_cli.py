@@ -1,14 +1,17 @@
 """Command front end: exit codes, emitted files, reproducibility."""
 
 import json
+import math
+import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nilflow.averaging import JoiningSpec, scan_with_invariance
-from nilflow.cli import _load_algebra, _load_members, main
+from nilflow.cli import _encode_json, _load_algebra, _load_members, main
 from nilflow.dynamics import function_from_json_dict, haar_array, system_from_json_dict
 from nilflow.lie_core import GroupElement
 from nilflow.pet import MAX_LEVEL_TERMS, PolyFamily
@@ -130,12 +133,26 @@ def test_average_seed_override_lands_in_sidecar(tmp_path):
     assert json.loads((out2 / "sidecar.json").read_text())["seed"] == 7
 
 
-@pytest.mark.parametrize("command, demo", [("pet", "demo_pet_pair"), ("verify-poly", "demo_verify_poly")])
-def test_seed_is_refused_where_no_seed_is_read(tmp_path, command, demo):
-    with pytest.raises(SystemExit) as exc:
-        run(command, DEMOS / f"{demo}.json", tmp_path / "out", ["--seed", "5"])
-    assert exc.value.code == 2
+@pytest.mark.parametrize(
+    "command, demo",
+    [("pet", "demo_pet_pair"), ("verify-poly", "demo_verify_poly"), ("vdc", "demo_vdc_one")],
+)
+def test_seed_is_refused_where_no_seed_is_read(tmp_path, capsys, command, demo):
+    """pet and verify-poly have no --seed flag; vdc has one for flow signals only."""
+    try:
+        code = run(command, DEMOS / f"{demo}.json", tmp_path / "out", ["--seed", "5"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_vdc_sidecar_records_a_seed_only_for_a_flow_signal(tmp_path):
+    assert run("vdc", DEMOS / "demo_vdc_one.json", tmp_path / "expr") == 0
+    assert "seed" not in json.loads((tmp_path / "expr" / "sidecar.json").read_text())
+    assert run("vdc", write_config(tmp_path, FLOW_VDC), tmp_path / "flow", ["--seed", "5"]) == 0
+    assert json.loads((tmp_path / "flow" / "sidecar.json").read_text())["seed"] == 5
 
 
 @pytest.mark.parametrize("second", [[1, 0, 1], [1, 0, 5], [1, 0, 0]])
@@ -352,3 +369,46 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
 
 def test_missing_config_file(tmp_path):
     assert run("pet", tmp_path / "absent.json", tmp_path) == 2
+
+
+# ----------------------------------------------------------------------
+# the JSON writer
+
+
+JSON_EDGE_STRINGS = [
+    "", "plain", "caf\u00e9", "\u2603 snow", "\U0001d538", 'say "hi"', "back\\slash", "\x00\x1f\n\t\x7f",
+]
+JSON_EDGE_VALUES = JSON_EDGE_STRINGS + [
+    0, 7, -7, 2**64 - 1, -(2**70), True, False, None,
+    0.0, -0.0, 1e-05, 1e16, 5e-324, 1.5, -2.25, 0.1, math.nan, math.inf, -math.inf,
+    np.float64(0.1), {}, [], (), (1, "a"),
+]
+
+
+def _random_json(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.4:
+        return rng.choice(JSON_EDGE_VALUES)
+    if roll < 0.6:
+        return [_random_json(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if roll < 0.7:
+        return tuple(_random_json(rng, depth - 1) for _ in range(rng.randint(0, 3)))
+    keys = [rng.choice(JSON_EDGE_STRINGS) + str(rng.randint(0, 9)) for _ in range(rng.randint(0, 5))]
+    return {k: _random_json(rng, depth - 1) for k in keys}
+
+
+def test_json_writer_matches_the_standard_encoder():
+    docs = [[v] for v in JSON_EDGE_VALUES] + JSON_EDGE_VALUES
+    docs.append({str(i): v for i, v in enumerate(JSON_EDGE_VALUES)})
+    rng = random.Random(11)
+    docs += [_random_json(rng, 5) for _ in range(300)]
+    for doc in docs:
+        assert _encode_json(doc) == json.dumps(doc, indent=2, sort_keys=True), repr(doc)
+
+
+@pytest.mark.parametrize(
+    "bad", [Fraction(1, 3), np.int64(3), {1, 2}, {1: "int key"}], ids=["fraction", "int64", "set", "int_key"]
+)
+def test_json_writer_refuses_what_is_not_json(bad):
+    with pytest.raises(TypeError):
+        _encode_json({"outer": [bad]})

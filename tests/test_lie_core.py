@@ -10,19 +10,25 @@ from fractions import Fraction
 import pytest
 
 from nilflow.lie_core import (
+    MAX_BCH_STEP,
     GroupElement,
     LieAlgebraSpec,
     LieElement,
+    _dynkin_words,
     algebra_from_json_dict,
     algebra_to_json_dict,
+    bch_coords,
     bch_product,
     bracket,
+    bracket_coords,
     group_inverse,
     identity,
     make_builtin,
     verify_algebra,
 )
+from nilflow.multipoly import MultiPoly
 from oracles import (
+    dynkin_bch,
     heisenberg_from_matrix,
     heisenberg_to_matrix,
     matrix_bch,
@@ -299,6 +305,72 @@ def test_bch_matches_ut_matrix_oracle(n):
         x = rand_group(rng, alg)
         y = rand_group(rng, alg)
         assert bch_product(x, y).coords == matrix_bch(to_mat, from_mat, x.coords, y.coords)
+
+
+BUILTIN_ALGEBRAS = {
+    "abelian3": ("abelian", {"dim": 3}),
+    "heisenberg3": ("heisenberg", {"dim": 3}),
+    "heisenberg5": ("heisenberg", {"dim": 5}),
+    "sut4": ("strictly_upper_triangular", {"n": 4}),
+    "sut5": ("strictly_upper_triangular", {"n": 5}),
+    "sut6": ("strictly_upper_triangular", {"n": 6}),
+    "free3_3": ("free_nilpotent", {"generators": 3, "step": 3}),
+    "free2_4": ("free_nilpotent", {"generators": 2, "step": 4}),
+    "free2_5": ("free_nilpotent", {"generators": 2, "step": 5}),
+    "free2_6": ("free_nilpotent", {"generators": 2, "step": 6}),
+}
+
+
+def _oracle_bch(alg, a, b, zero=Fraction(0)):
+    return dynkin_bch(lambda x, y: bracket_coords(alg, x, y, zero), alg.step, a, b, zero)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_ALGEBRAS))
+def test_bch_equals_the_unfolded_dynkin_loop(name):
+    kind, params = BUILTIN_ALGEBRAS[name]
+    alg = make_builtin(kind, **params)
+    assert alg.step <= MAX_BCH_STEP
+    rng = random.Random(name)
+    for _ in range(8):
+        a = [rand_fraction(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(alg.dim)]
+        b = [rand_fraction(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(alg.dim)]
+        assert bch_coords(alg, a, b) == _oracle_bch(alg, a, b)
+
+
+def _rand_poly(rng, variables):
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        exp = tuple(rng.randint(0, 2) for _ in variables)
+        terms[exp] = terms.get(exp, Fraction(0)) + rand_fraction(rng)
+    return MultiPoly(variables, terms)
+
+
+@pytest.mark.parametrize("name", ["abelian3", "heisenberg3", "heisenberg5", "sut4", "free3_3", "free2_4", "sut5"])
+def test_bch_on_polynomial_entries_equals_the_unfolded_dynkin_loop(name):
+    kind, params = BUILTIN_ALGEBRAS[name]
+    alg = make_builtin(kind, **params)
+    assert alg.step <= 4
+    variables = ("t", "s")
+    zero = MultiPoly.zero(variables)
+    rng = random.Random(name)
+    for _ in range(3):
+        a = [_rand_poly(rng, variables) for _ in range(alg.dim)]
+        b = [_rand_poly(rng, variables) for _ in range(alg.dim)]
+        assert bch_coords(alg, a, b, zero) == _oracle_bch(alg, a, b, zero)
+
+
+def test_dynkin_table_is_folded():
+    assert _dynkin_words(2) == (
+        ((0,), 1), ((1,), 1), ((0, 1), Fraction(1, 2)),
+    )
+    assert _dynkin_words(3) == _dynkin_words(2) + (
+        ((0, 0, 1), Fraction(1, 12)), ((1, 0, 1), Fraction(-1, 12)),
+    )
+    for step in range(1, MAX_BCH_STEP + 1):
+        for word, coef in _dynkin_words(step):
+            assert coef != 0
+            if len(word) >= 2:
+                assert word[-2:] == (0, 1)
 
 
 def test_bch_step_bound_error():
