@@ -12,22 +12,16 @@ from .averaging import (
     vdc_check,
 )
 from .dynamics import (
-    NilPoint,
     NilSystem,
     TestFunction,
-    act,
     heisenberg3,
-    reduce_point,
-    sample_haar,
     torus,
 )
 from .errors import CertificateError, ConfigError, TruncationError
 from .lie_core import (
     GroupElement,
     LieAlgebraSpec,
-    LieElement,
     bch_product,
-    bracket,
     group_inverse,
     identity,
     make_builtin,
@@ -71,11 +65,9 @@ __all__ = [
     "JoiningSpec",
     "LeadingTerm",
     "LieAlgebraSpec",
-    "LieElement",
     "MeagreSet",
     "MeanErgodicReport",
     "MultiPoly",
-    "NilPoint",
     "NilSystem",
     "PETTrace",
     "PolyFamily",
@@ -84,9 +76,7 @@ __all__ = [
     "TruncationError",
     "Variety",
     "Weight",
-    "act",
     "bch_product",
-    "bracket",
     "derived_family",
     "difference",
     "family_precedes",
@@ -104,8 +94,6 @@ __all__ = [
     "pet_trace",
     "pivot",
     "polynomial_degree",
-    "reduce_point",
-    "sample_haar",
     "scan_with_invariance",
     "torus",
     "vanishing_variety",

@@ -72,6 +72,13 @@ def _require(cfg: Mapping, key: str):
     return cfg[key]
 
 
+def _integer(key: str, value) -> int:
+    """`value`, read for config key `key`, which must be a JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _load_algebra(cfg: Mapping) -> LieAlgebraSpec:
     node = _require(cfg, "algebra")
     if "builtin" in node:
@@ -257,7 +264,7 @@ def cmd_verify_poly(cfg: Mapping, args, out_dir: Path) -> int:
 def cmd_pet(cfg: Mapping, args, out_dir: Path) -> int:
     algebra = _load_algebra(cfg)
     family = PolyFamily(_load_members(cfg, algebra))
-    max_depth = int(cfg.get("max_depth", MAX_DEPTH))
+    max_depth = _integer("max_depth", cfg.get("max_depth", MAX_DEPTH))
 
     trace = pet_trace(family, max_depth=max_depth)
 
@@ -295,9 +302,9 @@ def cmd_average(cfg: Mapping, args, out_dir: Path) -> int:
     fns = [function_from_json_dict(node) for node in _require(cfg, "functions")]
     t_grid = list(_require(cfg, "t_grid"))
     dt = str(cfg.get("dt", "0.05"))
-    n_samples = int(cfg.get("n_samples", 1000))
-    seed = int(_resolved(cfg, args, "seed", 0))
-    threads = int(_resolved(cfg, args, "threads", 1))
+    n_samples = _integer("n_samples", cfg.get("n_samples", 1000))
+    seed = _integer("seed", _resolved(cfg, args, "seed", 0))
+    threads = _integer("threads", _resolved(cfg, args, "threads", 1))
 
     tuples_node = (cfg.get("invariance") or {}).get("tuples")
     g_list = [
@@ -348,7 +355,7 @@ def cmd_generic(cfg: Mapping, args, out_dir: Path) -> int:
     functionals = [
         [as_fraction(w) for w in node] for node in _require(cfg, "functionals")
     ]
-    seed = int(_resolved(cfg, args, "seed", 0))
+    seed = _integer("seed", _resolved(cfg, args, "seed", 0))
 
     varieties = []
     for phi in family:
@@ -412,8 +419,8 @@ def cmd_vdc(cfg: Mapping, args, out_dir: Path) -> int:
         [phi] = _load_members(signal, algebra)
         h = tuple(as_fraction(v) for v in signal.get("h", ()))
         f = function_from_json_dict(signal["function"])
-        n_samples = int(signal.get("n_samples", 1000))
-        seed = int(_resolved(cfg, args, "seed", 0))
+        n_samples = _integer("n_samples", signal.get("n_samples", 1000))
+        seed = _integer("seed", _resolved(cfg, args, "seed", 0))
         trajectory = flow_correlation_trajectory(
             system, phi, h, f, T, S, dt, n_samples=n_samples, seed=seed
         )

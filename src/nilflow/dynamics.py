@@ -1,6 +1,7 @@
 """Torus and Heisenberg nilmanifolds with exact actions and Haar sampling.
 
-Points live in the fundamental cube [0,1)^dim in exponential coordinates.
+Points are the rows of float arrays, in the fundamental cube [0,1)^dim in
+exponential coordinates.
 Group elements stay exact rationals until the moment they act; the float
 layer only ever adds, multiplies, and reduces mod 1, so no error compounds
 across a time loop.
@@ -99,21 +100,6 @@ def torus(dim: int, acting_matrix: Sequence[Sequence] | None = None) -> NilSyste
 
 def heisenberg3() -> NilSystem:
     return NilSystem("heisenberg3")
-
-
-@dataclass(frozen=True)
-class NilPoint:
-    """A point of the nilmanifold in fundamental-domain coordinates."""
-
-    coords: Tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for c in self.coords:
-            if not (0.0 <= c < 1.0):
-                raise ValueError(f"coordinate {c} outside the fundamental domain [0,1)")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=float)
 
 
 # ----------------------------------------------------------------------
@@ -218,11 +204,6 @@ def reduce_array(sys: NilSystem, pts: np.ndarray) -> np.ndarray:
     return np.stack(_reduce(sys.kind, pts.T), axis=1)
 
 
-def reduce_point(sys: NilSystem, coords: Sequence[float]) -> NilPoint:
-    row = reduce_array(sys, np.asarray(coords, dtype=float)[None, :])[0]
-    return NilPoint(tuple(float(c) for c in row))
-
-
 # ----------------------------------------------------------------------
 # group action
 
@@ -269,17 +250,6 @@ def act_array(sys: NilSystem, g: GroupElement, pts: np.ndarray) -> np.ndarray:
     return np.stack(_reduce(sys.kind, moved), axis=1)
 
 
-def act(sys: NilSystem, g: GroupElement, x: NilPoint) -> NilPoint:
-    row = act_array(sys, g, x.as_array()[None, :])[0]
-    return NilPoint(tuple(float(c) for c in row))
-
-
-def fundamental_distance(sys: NilSystem, x: NilPoint, y: NilPoint) -> float:
-    """Largest per-coordinate distance on the circle, accounting for wraparound."""
-    gaps = np.abs(x.as_array() - y.as_array())
-    return float(np.max(np.minimum(gaps, 1.0 - gaps)))
-
-
 # ----------------------------------------------------------------------
 # Haar sampling
 
@@ -289,10 +259,6 @@ def haar_array(sys: NilSystem, seed: int, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("sample count must be nonnegative")
     return np.random.default_rng(seed).random((n, sys.dim))
-
-
-def sample_haar(sys: NilSystem, seed: int, n: int) -> list:
-    return [NilPoint(tuple(float(c) for c in row)) for row in haar_array(sys, seed, n)]
 
 
 # ----------------------------------------------------------------------
@@ -362,10 +328,6 @@ def eval_fn_array(f: TestFunction, pts: np.ndarray, sys: NilSystem) -> np.ndarra
     if pts.shape[1] != sys.dim:
         raise ValueError(f"points have {pts.shape[1]} coordinates, {sys!r} has {sys.dim}")
     return _phase(f, pts.T)
-
-
-def eval_fn(f: TestFunction, x: NilPoint, sys: NilSystem) -> float:
-    return float(eval_fn_array(f, x.as_array()[None, :], sys)[0])
 
 
 # ----------------------------------------------------------------------

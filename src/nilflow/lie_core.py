@@ -3,7 +3,10 @@
 An algebra is given by rational structure constants on a finite basis plus a
 layer grading; group elements live in exponential coordinates and multiply
 through the exact Dynkin expansion of the Baker-Campbell-Hausdorff series,
-truncated at the algebra's nilpotency step.  Everything is Fraction-exact.
+truncated at the algebra's nilpotency step.  The bracket works on raw
+coordinate vectors (`bracket_coords`) over any commutative ring, so BCH runs
+on Fractions and on polynomial coordinates alike.  Everything is
+Fraction-exact.
 """
 
 from __future__ import annotations
@@ -102,37 +105,22 @@ class LieAlgebraSpec:
         return self.labels.index(label)
 
 
-def _exact_coords(algebra: LieAlgebraSpec, coords: Sequence) -> Tuple[Fraction, ...]:
-    """`coords` as exact rationals, one per basis vector of `algebra`."""
-    coords = tuple(as_fraction(c) for c in coords)
-    if len(coords) != algebra.dim:
-        raise ValueError(f"expected {algebra.dim} coordinates, got {len(coords)}")
-    return coords
-
-
-@dataclass(frozen=True)
-class LieElement:
-    """Algebra element as an exact coordinate vector over the basis."""
-
-    algebra: LieAlgebraSpec
-    coords: Tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _exact_coords(self.algebra, self.coords))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-
 @dataclass(frozen=True)
 class GroupElement:
-    """Group element exp(X) recorded by the exponential coordinates of X."""
+    """Group element exp(X) recorded by the exponential coordinates of X.
+
+    exp is a bijection on a simply connected nilpotent group, so the same
+    coordinates also stand for the algebra element X.
+    """
 
     algebra: LieAlgebraSpec
     coords: Tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _exact_coords(self.algebra, self.coords))
+        coords = tuple(as_fraction(c) for c in self.coords)
+        if len(coords) != self.algebra.dim:
+            raise ValueError(f"expected {self.algebra.dim} coordinates, got {len(coords)}")
+        object.__setattr__(self, "coords", coords)
 
     @classmethod
     def _make(cls, algebra: LieAlgebraSpec, coords: Tuple[Fraction, ...]) -> "GroupElement":
@@ -142,15 +130,6 @@ class GroupElement:
         object.__setattr__(out, "algebra", algebra)
         object.__setattr__(out, "coords", coords)
         return out
-
-    def is_identity(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-
-def _check_shared_algebra(x, y) -> LieAlgebraSpec:
-    if x.algebra != y.algebra:
-        raise ValueError("elements belong to different algebras")
-    return x.algebra
 
 
 def bracket_coords(alg: LieAlgebraSpec, a: Sequence, b: Sequence, zero=_F0) -> list:
@@ -163,12 +142,6 @@ def bracket_coords(alg: LieAlgebraSpec, a: Sequence, b: Sequence, zero=_F0) -> l
         for k, c in row.items():
             out[k] = out[k] + d * c
     return out
-
-
-def bracket(x: LieElement, y: LieElement) -> LieElement:
-    """Lie bracket [x, y] from the structure constants."""
-    alg = _check_shared_algebra(x, y)
-    return LieElement(alg, tuple(bracket_coords(alg, x.coords, y.coords)))
 
 
 @lru_cache(maxsize=None)
@@ -252,8 +225,9 @@ def bch_coords(alg: LieAlgebraSpec, a: Sequence, b: Sequence, zero=_F0) -> list:
 
 def bch_product(x: GroupElement, y: GroupElement) -> GroupElement:
     """exp(x) * exp(y) in exponential coordinates, exact up to the step."""
-    alg = _check_shared_algebra(x, y)
-    return GroupElement._make(alg, tuple(bch_coords(alg, x.coords, y.coords)))
+    if x.algebra != y.algebra:
+        raise ValueError("elements belong to different algebras")
+    return GroupElement._make(x.algebra, tuple(bch_coords(x.algebra, x.coords, y.coords)))
 
 
 def group_inverse(x: GroupElement) -> GroupElement:

@@ -308,33 +308,12 @@ class MultiPoly:
         idx = [self.vars.index(n) for n in names]
         return max((sum(exp[i] for i in idx) for exp in self.terms), default=0)
 
-    def coefficients_in(self, name: str) -> Dict[int, "MultiPoly"]:
-        """Coefficients of powers of `name` as polynomials in the other variables."""
-        i = self.vars.index(name)
-        rest = tuple(v for v in self.vars if v != name)
-        buckets: Dict[int, Dict[Exponent, Fraction]] = {}
-        for exp, coef in self.terms.items():
-            d = exp[i]
-            reduced = tuple(e for j, e in enumerate(exp) if j != i)
-            buckets.setdefault(d, {})[reduced] = coef
-        return {d: MultiPoly(rest, terms) for d, terms in buckets.items()}
-
     def coefficient_of(self, name: str, degree: int) -> "MultiPoly":
         """Coefficient of name**degree as a polynomial in the other variables."""
         i = self.vars.index(name)
         rest = self.vars[:i] + self.vars[i + 1:]
         terms = {exp[:i] + exp[i + 1:]: coef for exp, coef in self.terms.items() if exp[i] == degree}
         return MultiPoly._make(rest, terms)
-
-    def drop_vars(self, names: Iterable[str]) -> "MultiPoly":
-        """Remove variables the polynomial does not depend on."""
-        names = set(names)
-        if self.depends_on(names & set(self.vars)):
-            raise ValueError("cannot drop variables the polynomial depends on")
-        keep = [i for i, v in enumerate(self.vars) if v not in names]
-        new_vars = tuple(self.vars[i] for i in keep)
-        terms = {tuple(exp[i] for i in keep): coef for exp, coef in self.terms.items()}
-        return MultiPoly(new_vars, terms)
 
     # ------------------------------------------------------------------
     # serialization and display

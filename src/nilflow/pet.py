@@ -426,7 +426,10 @@ def pet_trace(family: PolyFamily, max_depth: int = MAX_DEPTH) -> PETTrace:
     about to be derived that holds more than MAX_LEVEL_TERMS coordinate
     terms, raises TruncationError; a failed descent check raises
     CertificateError.  Leading terms are taken once per member per level.
+    A negative `max_depth` is refused with ValueError.
     """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     steps: List[PETStep] = []
     current = _merge_members((phi, 1) for phi in family)
     infos = _leading_info(phi for phi, _ in current)

@@ -126,8 +126,8 @@ def check_time_origin(phi: PolyMap, member: int) -> None:
     """Refuse a family member that is not the identity at time 0, naming
     the first coordinate that is not 0 there and its value."""
     for label, coord in zip(phi.algebra.labels, phi.coords):
-        origin = coord.coefficients_in(phi.time_var).get(0)
-        if origin is not None:
+        origin = coord.coefficient_of(phi.time_var, 0)
+        if not origin.is_zero():
             raise ValueError(
                 f"family member {member}: coordinate {label!r} is {origin} at {phi.time_var}=0, not the identity"
             )

@@ -32,10 +32,7 @@ def t_coefficients(p: MultiPoly, time_var: str = "t") -> List[MultiPoly]:
     """
     if time_var not in p.vars:
         return [p]
-    buckets = p.coefficients_in(time_var)
-    rest = tuple(v for v in p.vars if v != time_var)
-    top = max(buckets, default=0)
-    return [buckets.get(d, MultiPoly.zero(rest)) for d in range(top + 1)]
+    return [p.coefficient_of(time_var, d) for d in range(p.degree_in(time_var) + 1)]
 
 
 def _ordered_union(seqs: Iterable[Sequence[str]]) -> Tuple[str, ...]:
@@ -169,26 +166,6 @@ def generic_sample(
         f"no generic point found in {GENERIC_ATTEMPTS} attempts; "
         "an improper variety may have slipped through"
     )
-
-
-def restrict_to_line(v: Variety, base: Sequence, direction: Sequence, param: str = "s") -> Variety:
-    """Substitute the affine line h = base + s*direction into every generator.
-
-    The result is a variety in the single variable `param`; its generators
-    are either all zero (the line lies inside v) or define a proper variety.
-    """
-    names = v.params
-    if len(base) != len(names) or len(direction) != len(names):
-        raise ValueError(f"line data must have arity {len(names)}")
-    assignment = {
-        name: (as_fraction(b), {param: as_fraction(d)})
-        for name, b, d in zip(names, base, direction)
-    }
-    gens = [
-        g.substitute((param,), {name: assignment[name] for name in g.vars})
-        for g in v.generators
-    ]
-    return Variety(gens)
 
 
 def meagre_set_to_json_dict(m: MeagreSet) -> dict:

@@ -21,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from nilflow.averaging import (
     JoiningSpec,
@@ -274,6 +275,7 @@ def test_06_exceptional_vs_generic_parameter():
 # 7. joint averages converge and regain invariance
 
 
+@pytest.mark.slow
 def test_07_joint_averages_converge_and_gain_invariance():
     start = time.monotonic()
     family = PolyFamily([build(H3, {"x1": {(1,): 1}}), build(H3, {"y1": {(1,): 1}})])

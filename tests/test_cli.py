@@ -105,6 +105,48 @@ def test_pet_zero_depth_truncates(tmp_path):
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_pet_negative_depth_is_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            "algebra": {"builtin": "heisenberg", "dim": 3},
+            "family": [{"coords": {"x1": {"t": 1}}}, {"coords": {"x1": {"t^2": 1}}}],
+            "max_depth": -1,
+        },
+    )
+    assert run("pet", cfg, tmp_path) == 2
+    assert "max_depth" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, demo, path, value",
+    [
+        ("average", "demo_weyl_square", "n_samples", 2.9),
+        ("average", "demo_weyl_square", "n_samples", True),
+        ("average", "demo_weyl_square", "n_samples", "5"),
+        ("average", "demo_weyl_square", "seed", 2.9),
+        ("average", "demo_weyl_square", "threads", 2.9),
+        ("pet", "demo_pet_pair", "max_depth", 2.9),
+        ("generic", "demo_generic_lines", "seed", 2.9),
+        ("vdc", None, "seed", 2.9),
+        ("vdc", None, "signal.n_samples", 2.9),
+    ],
+)
+def test_counts_and_seeds_must_be_json_integers(tmp_path, capsys, command, demo, path, value):
+    """A float, a bool or a string in place of a count or seed is refused, not truncated."""
+    source = json.dumps(FLOW_VDC) if demo is None else (DEMOS / f"{demo}.json").read_text()
+    cfg = json.loads(source)
+    *parents, key = path.split(".")
+    node = cfg
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    assert run(command, write_config(tmp_path, cfg), tmp_path / "out") == 2
+    assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_pet_family_growth_truncates_quickly(tmp_path, capsys):
     # each level of this family's descent is about twice the size of the last
     start = time.monotonic()

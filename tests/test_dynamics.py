@@ -8,26 +8,20 @@ import numpy as np
 import pytest
 
 from nilflow.dynamics import (
-    NilPoint,
     NilSystem,
     TestFunction,
-    act,
     act_array,
     acting_coords,
     check_function,
     element_floats,
-    eval_fn,
     eval_fn_array,
     function_from_json_dict,
     function_to_json_dict,
     functional,
-    fundamental_distance,
     haar_array,
     heisenberg3,
     pushed,
     reduce_array,
-    reduce_point,
-    sample_haar,
     step_values,
     system_from_json_dict,
     system_to_json_dict,
@@ -52,7 +46,7 @@ def torus_elt(*coords):
 
 
 # ----------------------------------------------------------------------
-# construction and points
+# construction
 
 
 def test_system_kinds():
@@ -64,37 +58,31 @@ def test_system_kinds():
         NilSystem("heisenberg3", acting_matrix=[[1], [0], [0]])
 
 
-def test_nilpoint_rejects_out_of_domain():
-    with pytest.raises(ValueError):
-        NilPoint((0.5, 1.0))
-    with pytest.raises(ValueError):
-        NilPoint((-0.1,))
-
-
 # ----------------------------------------------------------------------
 # action
 
 
 def test_torus_rotation():
     sys = torus(1)
-    out = act(sys, torus_elt(Fraction(1, 4)), NilPoint((0.9,)))
-    assert abs(out.coords[0] - 0.15) < 1e-12
+    out = act_array(sys, torus_elt(Fraction(1, 4)), [[0.9]])[0]
+    assert abs(out[0] - 0.15) < 1e-12
 
 
 def test_identity_fixes_points():
     for sys in (torus(2), heisenberg3()):
-        x = sample_haar(sys, seed=5, n=1)[0]
-        assert act(sys, identity(sys.algebra), x) == x
+        x = haar_array(sys, seed=5, n=1)
+        assert np.array_equal(act_array(sys, identity(sys.algebra), x), x)
 
 
 def test_action_matches_bch_product():
     sys = heisenberg3()
     gx = h3_elt(x=1)
     gy = h3_elt(y=Fraction(1, 3))
-    for x in sample_haar(sys, seed=9, n=20):
-        split = act(sys, gx, act(sys, gy, x))
-        joined = act(sys, bch_product(gx, gy), x)
-        assert fundamental_distance(sys, split, joined) < 1e-12
+    pts = haar_array(sys, seed=9, n=20)
+    split = act_array(sys, gx, act_array(sys, gy, pts))
+    joined = act_array(sys, bch_product(gx, gy), pts)
+    gaps = np.abs(split - joined)
+    assert np.minimum(gaps, 1.0 - gaps).max() < 1e-12
 
 
 def test_action_law_on_random_elements():
@@ -113,15 +101,15 @@ def test_action_law_on_random_elements():
 
 def test_algebra_mismatch_rejected():
     with pytest.raises(ValueError):
-        act(torus(2), torus_elt(Fraction(1, 2)), NilPoint((0.1, 0.2)))
+        act_array(torus(2), torus_elt(Fraction(1, 2)), [[0.1, 0.2]])
 
 
 def test_acting_matrix_drives_two_frequencies():
     sys = torus(2, acting_matrix=[[1], [2]])
     aux = torus_elt(Fraction(1, 8))
-    out = act(sys, aux, NilPoint((0.0, 0.0)))
-    assert abs(out.coords[0] - 0.125) < 1e-15
-    assert abs(out.coords[1] - 0.25) < 1e-15
+    out = act_array(sys, aux, [[0.0, 0.0]])[0]
+    assert abs(out[0] - 0.125) < 1e-15
+    assert abs(out[1] - 0.25) < 1e-15
 
 
 # ----------------------------------------------------------------------
@@ -154,8 +142,8 @@ def test_reduction_kills_lattice_translates():
 
 
 def test_reduce_point_wraps_negatives():
-    p = reduce_point(torus(1), [-0.25])
-    assert abs(p.coords[0] - 0.75) < 1e-15
+    p = reduce_array(torus(1), [[-0.25]])[0]
+    assert abs(p[0] - 0.75) < 1e-15
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +152,7 @@ def test_reduce_point_wraps_negatives():
 
 def test_sample_haar_counts_and_determinism():
     sys = torus(2)
-    assert sample_haar(sys, seed=1, n=0) == []
+    assert haar_array(sys, seed=1, n=0).shape == (0, 2)
     a = haar_array(sys, seed=7, n=100)
     b = haar_array(sys, seed=7, n=100)
     assert np.array_equal(a, b)
@@ -197,15 +185,15 @@ def test_haar_invariance_under_fixed_translation():
 
 def test_zero_frequency_is_constant_one():
     f = TestFunction("torus_character", (0, 0))
-    assert eval_fn(f, NilPoint((0.3, 0.8)), torus(2)) == 1.0
+    assert eval_fn_array(f, [[0.3, 0.8]], torus(2))[0] == 1.0
     assert not f.mean_zero
 
 
 def test_character_values():
     f = TestFunction("torus_character", (1,))
-    assert abs(eval_fn(f, NilPoint((0.25,)), torus(1))) < 1e-15
+    assert abs(eval_fn_array(f, [[0.25]], torus(1))[0]) < 1e-15
     g = TestFunction("torus_character", (2, 3))
-    assert abs(eval_fn(g, NilPoint((0.5, 0.5)), torus(2)) - (-1.0)) < 1e-12
+    assert abs(eval_fn_array(g, [[0.5, 0.5]], torus(2))[0] - (-1.0)) < 1e-12
 
 
 def test_functions_are_bounded_by_one():
@@ -223,8 +211,8 @@ def test_functions_are_bounded_by_one():
 
 def test_vertical_function_uses_central_coordinate():
     f = TestFunction("heis_vertical", (0, 0, 1))
-    assert abs(eval_fn(f, NilPoint((0.9, 0.9, 0.0)), heisenberg3()) - 1.0) < 1e-15
-    assert abs(eval_fn(f, NilPoint((0.9, 0.9, 0.5)), heisenberg3()) - (-1.0)) < 1e-12
+    assert abs(eval_fn_array(f, [[0.9, 0.9, 0.0]], heisenberg3())[0] - 1.0) < 1e-15
+    assert abs(eval_fn_array(f, [[0.9, 0.9, 0.5]], heisenberg3())[0] - (-1.0)) < 1e-12
 
 
 def test_fn_arity_validation():
@@ -233,9 +221,9 @@ def test_fn_arity_validation():
     with pytest.raises(ValueError):
         TestFunction("torus_character", (1,), "tan")
     with pytest.raises(ValueError):
-        eval_fn(TestFunction("torus_character", (1, 2)), NilPoint((0.1,)), torus(1))
+        eval_fn_array(TestFunction("torus_character", (1, 2)), [[0.1]], torus(1))
     with pytest.raises(ValueError, match="points have 1 coordinates"):
-        eval_fn(TestFunction("torus_character", (1, 5)), NilPoint((0.25,)), torus(2))
+        eval_fn_array(TestFunction("torus_character", (1, 5)), [[0.25]], torus(2))
     with pytest.raises(ValueError):
         step_values(torus(1), TestFunction("torus_character", (1, 2)), np.zeros((1, 3)), np.zeros((1, 2)))
 

@@ -13,13 +13,11 @@ from nilflow.lie_core import (
     MAX_BCH_STEP,
     GroupElement,
     LieAlgebraSpec,
-    LieElement,
     _dynkin_words,
     algebra_from_json_dict,
     algebra_to_json_dict,
     bch_coords,
     bch_product,
-    bracket,
     bracket_coords,
     group_inverse,
     identity,
@@ -61,20 +59,15 @@ def test_heisenberg3_shape():
 def test_heisenberg5_brackets():
     h5 = make_builtin("heisenberg", dim=5)
     assert h5.labels == ("x1", "x2", "y1", "y2", "z")
-    x1 = LieElement(h5, (1, 0, 0, 0, 0))
-    y1 = LieElement(h5, (0, 0, 1, 0, 0))
-    y2 = LieElement(h5, (0, 0, 0, 1, 0))
-    z = LieElement(h5, (0, 0, 0, 0, 1))
-    assert bracket(x1, y1) == z
-    assert bracket(x1, y2).is_zero()
+    x1, y1, y2, z = (1, 0, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), [0, 0, 0, 0, 1]
+    assert bracket_coords(h5, x1, y1) == z
+    assert bracket_coords(h5, x1, y2) == [0] * 5
 
 
 def test_abelian_brackets_vanish():
     a3 = make_builtin("abelian", dim=3)
     assert a3.step == 1
-    e1 = LieElement(a3, (1, 0, 0))
-    e2 = LieElement(a3, (0, 1, 0))
-    assert bracket(e1, e2).is_zero()
+    assert bracket_coords(a3, (1, 0, 0), (0, 1, 0)) == [0] * 3
     assert verify_algebra(a3) == []
 
 
@@ -84,11 +77,9 @@ def test_strictly_upper_triangular_shape():
     assert ut4.step == 3
     assert ut4.labels == ("e12", "e23", "e34", "e13", "e24", "e14")
     assert verify_algebra(ut4) == []
-    e12 = LieElement(ut4, (1, 0, 0, 0, 0, 0))
-    e23 = LieElement(ut4, (0, 1, 0, 0, 0, 0))
-    e13 = LieElement(ut4, (0, 0, 0, 1, 0, 0))
-    assert bracket(e12, e23) == e13
-    assert bracket(e12, e13).is_zero()
+    e12, e23, e13 = (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)
+    assert bracket_coords(ut4, e12, e23) == list(e13)
+    assert bracket_coords(ut4, e12, e13) == [0] * 6
 
 
 def test_free_nilpotent_small_shapes():
@@ -134,19 +125,10 @@ def test_builtin_bounds_enforced():
 
 def test_bracket_examples_heisenberg():
     h3 = make_builtin("heisenberg", dim=3)
-    x = LieElement(h3, (1, 0, 0))
-    y = LieElement(h3, (0, 1, 0))
-    z = LieElement(h3, (0, 0, 1))
-    assert bracket(x, y) == z
-    assert bracket(x, x).is_zero()
-    assert bracket(y, x) == LieElement(h3, (0, 0, -1))
-
-
-def test_bracket_rejects_algebra_mismatch():
-    h3 = make_builtin("heisenberg", dim=3)
-    a3 = make_builtin("abelian", dim=3)
-    with pytest.raises(ValueError):
-        bracket(LieElement(h3, (1, 0, 0)), LieElement(a3, (1, 0, 0)))
+    x, y = (1, 0, 0), (0, 1, 0)
+    assert bracket_coords(h3, x, y) == [0, 0, 1]
+    assert bracket_coords(h3, x, x) == [0, 0, 0]
+    assert bracket_coords(h3, y, x) == [0, 0, -1]
 
 
 def test_verify_flags_antisymmetry_violation():
@@ -189,22 +171,9 @@ def test_grading_support_property():
         for _ in range(20):
             a = rng.randint(1, alg.step)
             b = rng.randint(1, alg.step)
-            x = LieElement(
-                alg,
-                tuple(
-                    rand_fraction(rng) if alg.layers[i] >= a else Fraction(0)
-                    for i in range(alg.dim)
-                ),
-            )
-            y = LieElement(
-                alg,
-                tuple(
-                    rand_fraction(rng) if alg.layers[i] >= b else Fraction(0)
-                    for i in range(alg.dim)
-                ),
-            )
-            z = bracket(x, y)
-            for i, c in enumerate(z.coords):
+            x = [rand_fraction(rng) if alg.layers[i] >= a else Fraction(0) for i in range(alg.dim)]
+            y = [rand_fraction(rng) if alg.layers[i] >= b else Fraction(0) for i in range(alg.dim)]
+            for i, c in enumerate(bracket_coords(alg, x, y)):
                 if c != 0:
                     assert alg.layers[i] >= a + b
 
@@ -380,6 +349,13 @@ def test_bch_step_bound_error():
     g = GroupElement(alg, (1,) * 7)
     with pytest.raises(ValueError):
         bch_product(g, g)
+
+
+def test_bch_product_rejects_algebra_mismatch():
+    h3 = make_builtin("heisenberg", dim=3)
+    a3 = make_builtin("abelian", dim=3)
+    with pytest.raises(ValueError, match="different algebras"):
+        bch_product(GroupElement(h3, (1, 0, 0)), GroupElement(a3, (1, 0, 0)))
 
 
 # ----------------------------------------------------------------------

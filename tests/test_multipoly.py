@@ -85,8 +85,8 @@ def test_substitute_constant_point():
 def test_coefficients_in_time_variable():
     t, h = poly_t_h()
     p = t ** 2 * (h + 1) + t * 3 + h
-    coeffs = p.coefficients_in("t")
-    assert set(coeffs) == {0, 1, 2}
+    coeffs = [p.coefficient_of("t", d) for d in range(4)]
+    assert coeffs[3].is_zero()
     hh = MultiPoly.variable(("h",), "h")
     assert coeffs[2] == hh + 1
     assert coeffs[1] == 3
@@ -107,13 +107,6 @@ def test_with_vars_and_drop_vars_roundtrip():
     p = t ** 2 + 1
     wide = p.with_vars(("k", "t", "h"))
     assert wide.eval([99, 3, 7]) == 10
-    assert wide.drop_vars(["k", "h"]) == p
-
-
-def test_drop_vars_refuses_used_variable():
-    t, h = poly_t_h()
-    with pytest.raises(ValueError):
-        (t * h).drop_vars(["h"])
 
 
 def test_term_serialization_roundtrip():

@@ -349,6 +349,13 @@ def test_trace_depth_cap():
         pet_trace(fam, max_depth=0)
 
 
+def test_trace_refuses_negative_depth():
+    # refused before any work, even for a family that is already done
+    for fam in (PolyFamily([h3_map(x1=tpow(1)), h3_map(x1=2 * tpow(1))]), PolyFamily([h3_map(x1=tpow(1))])):
+        with pytest.raises(ValueError, match="max_depth"):
+            pet_trace(fam, max_depth=-1)
+
+
 def test_trace_json_document():
     fam = PolyFamily([h3_map(x1=tpow(1)), h3_map(x1=2 * tpow(1))])
     trace = pet_trace(fam)

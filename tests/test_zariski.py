@@ -1,6 +1,5 @@
 """Coefficient varieties, meagre sets, and certified generic points."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,6 @@ from nilflow.zariski import (
     is_proper,
     membership,
     nonvanishing_certificate,
-    restrict_to_line,
     t_coefficients,
     vanishing_variety,
 )
@@ -179,45 +177,6 @@ def test_nonvanishing_certificate_contents():
     assert cert[1] == {"variety": 1, "generator": 1, "value": "2"}
     with pytest.raises(CertificateError):
         nonvanishing_certificate(m, (0, 5))
-
-
-# ----------------------------------------------------------------------
-# slicing by affine lines
-
-
-def test_line_inside_variety_gives_zero_generators():
-    diag = Variety([hpoly({(1, 0): 1, (0, 1): -1})])
-    sliced = restrict_to_line(diag, base=(0, 0), direction=(1, 1))
-    assert all(g.is_zero() for g in sliced.generators)
-
-
-def test_line_data_reads_floats_as_their_shortest_decimal():
-    quadric = Variety([hpoly({(2, 0): 1, (0, 2): -1})])
-    exact = restrict_to_line(quadric, base=("1/10", 0), direction=(1, "1/10"))
-    assert restrict_to_line(quadric, base=(0.1, 0), direction=(1, 0.1)).generators == exact.generators
-    s = MultiPoly.variable(("s",), "s")
-    assert exact.generators[0] == (Fraction(1, 10) + s) ** 2 - (Fraction(1, 10) * s) ** 2
-
-
-def test_random_lines_slice_to_proper_or_contained():
-    rng = random.Random(7)
-    quadric = Variety([hpoly({(2, 0): 1, (0, 2): -1})])
-    circle_pair = Variety([hpoly({(1, 1): 1})])
-    for v in (quadric, circle_pair):
-        for _ in range(25):
-            base = (rng.randint(-3, 3), rng.randint(-3, 3))
-            direction = (rng.randint(-3, 3), rng.randint(-3, 3))
-            if direction == (0, 0):
-                continue
-            sliced = restrict_to_line(v, base, direction)
-            if is_proper(sliced):
-                s = generic_sample(MeagreSet([sliced]), seed=1)
-                pt = tuple(b + s[0] * d for b, d in zip(base, direction))
-                assert not v.contains(pt)
-            else:
-                for s_val in (0, 1, -2, Fraction(1, 2)):
-                    pt = tuple(b + s_val * d for b, d in zip(base, direction))
-                    assert v.contains(pt)
 
 
 # ----------------------------------------------------------------------
