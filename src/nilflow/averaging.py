@@ -51,6 +51,7 @@ from .dynamics import (
     pushed,
     step_values,
 )
+from .errors import ConfigError
 from .lie_core import GroupElement, group_inverse
 from .multipoly import as_fraction
 from .pet import PolyFamily
@@ -134,17 +135,17 @@ def _draw_factors(joining: JoiningSpec, n: int, seed: int) -> List[np.ndarray]:
 def _step_count(T: Rational, dt: Fraction) -> int:
     T = as_fraction(T)
     if T <= 0:
-        raise ValueError("horizon T must be positive")
+        raise ConfigError("horizon T must be positive")
     steps = T / dt
     if steps.denominator != 1:
-        raise ValueError(f"dt={dt} does not divide T={T}")
+        raise ConfigError(f"dt={dt} does not divide T={T}")
     return int(steps)
 
 
 def _positive_dt(dt: Rational) -> Fraction:
     dt = as_fraction(dt)
     if dt <= 0:
-        raise ValueError("dt must be positive")
+        raise ConfigError("dt must be positive")
     return dt
 
 
@@ -152,10 +153,10 @@ def _scan_steps(t_grid: Sequence[Rational], dt: Rational) -> Tuple[Fraction, Lis
     """Exact dt and the midpoint step count of every horizon, validated."""
     dt = _positive_dt(dt)
     if not t_grid:
-        raise ValueError("horizon grid is empty")
+        raise ConfigError("horizon grid is empty")
     snapshots = [_step_count(T, dt) for T in t_grid]
     if any(b <= a for a, b in zip(snapshots, snapshots[1:])):
-        raise ValueError("horizon grid must be strictly increasing")
+        raise ConfigError("horizon grid must be strictly increasing")
     return dt, snapshots
 
 
@@ -164,7 +165,7 @@ def _pinned(sys: NilSystem, phi: PolyMap, h: Sequence[Rational]) -> PolyMap:
     params = phi.vars[1:]
     h = tuple(as_fraction(v) for v in h)
     if len(h) != len(params):
-        raise ValueError(f"parameter point has arity {len(h)}, map needs {len(params)}")
+        raise ConfigError(f"parameter point has arity {len(h)}, map needs {len(params)}")
     return substitute(pushed(sys, phi), dict(zip(params, h)), new_variables=phi.vars[:1])
 
 
@@ -235,9 +236,9 @@ def _check_factors(systems: Sequence[NilSystem], maps: Sequence[PolyMap], fns: S
     map per system after the base, each acting on its system."""
     k = len(systems) - 1
     if len(maps) != k:
-        raise ValueError(f"family has {len(maps)} maps for a {k + 1}-factor joining")
+        raise ConfigError(f"family has {len(maps)} maps for a {k + 1}-factor joining")
     if len(fns) != k + 1:
-        raise ValueError(f"need {k + 1} test functions, got {len(fns)}")
+        raise ConfigError(f"need {k + 1} test functions, got {len(fns)}")
     for sys, f in zip(systems, fns):
         check_function(sys, f)
     for sys, phi in zip(systems[1:], maps):
@@ -246,9 +247,9 @@ def _check_factors(systems: Sequence[NilSystem], maps: Sequence[PolyMap], fns: S
 
 def _check_sampling(n_samples: int, threads: int = 1) -> None:
     if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
+        raise ConfigError(f"n_samples must be at least 1, got {n_samples}")
     if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+        raise ConfigError(f"threads must be at least 1, got {threads}")
 
 
 def _per_sample_averages(
@@ -328,12 +329,6 @@ class AverageReport:
     n_samples: int
     seed: int
 
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
-            raise ValueError("horizon grid must be strictly increasing")
-        if any(se < 0 for se in self.std_errors):
-            raise ValueError("standard errors cannot be negative")
-
 
 def _average_report(
     t_grid: Sequence[Rational], dt: Fraction, n_samples: int, seed: int,
@@ -386,7 +381,9 @@ def scan_with_invariance(
     _check_sampling(n_samples, threads)
     for tup in g_list:
         if len(tup) != len(systems):
-            raise ValueError(f"translation tuple has arity {len(tup)}, need {len(systems)}")
+            raise ConfigError(f"translation tuple has arity {len(tup)}, need {len(systems)}")
+    if g_list and any(sys.algebra != systems[0].algebra for sys in systems):
+        raise ConfigError("translation tuples need every factor on the base factor's group")
     pinned = [_pinned(sys, phi, h) for sys, phi in zip(systems[1:], family)]
     moved_families = [
         [_translated(g, phi, tup[0]) for g, phi in zip(tup[1:], pinned)] for tup in g_list
@@ -433,7 +430,7 @@ def vdc_check(trajectory: np.ndarray, S: Rational, T: Rational, dt: Rational = "
     ns = count // 2 - nt
     trajectory = np.asarray(trajectory, dtype=float)
     if trajectory.ndim != 1 or len(trajectory) < count + 1:
-        raise ValueError(
+        raise ConfigError(
             f"trajectory too short: need {count + 1} half-step samples covering [0, T+S]"
         )
     u = trajectory[1::2][:nt]

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from csv import writer as csv_writer
 from dataclasses import asdict
 from fractions import Fraction
@@ -66,10 +67,15 @@ from .zariski import (
 # config loading
 
 
-def _require(cfg: Mapping, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return cfg[key]
+@contextmanager
+def _reading_config():
+    """The scope of a command's config reading: a malformed config met there is a ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"config is missing required key {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _integer(key: str, value) -> int:
@@ -80,7 +86,7 @@ def _integer(key: str, value) -> int:
 
 
 def _load_algebra(cfg: Mapping) -> LieAlgebraSpec:
-    node = _require(cfg, "algebra")
+    node = cfg["algebra"]
     if "builtin" in node:
         params = {k: v for k, v in node.items() if k != "builtin"}
         return make_builtin(node["builtin"], **params)
@@ -97,36 +103,36 @@ def _parse_monomial(text: str, variables: Sequence[str]) -> Tuple[int, ...]:
     if text in ("", "1"):
         return tuple(exponents)
     for factor in text.split():
-        name, _, power = factor.partition("^")
+        name, caret, power = factor.partition("^")
         if name not in variables:
             raise ConfigError(f"monomial {factor!r} uses unknown variable {name!r}")
+        if caret and not power.isdecimal():
+            raise ConfigError(f"monomial {text!r}: exponent {power!r} is not a nonnegative integer")
         exponents[variables.index(name)] += int(power) if power else 1
     return tuple(exponents)
 
 
-def _poly_from_node(node, variables: Tuple[str, ...]) -> MultiPoly:
-    if isinstance(node, list):
-        return MultiPoly.from_terms(variables, node)
-    if isinstance(node, Mapping):
-        terms = {}
-        for mono, coef in node.items():
-            exp = _parse_monomial(mono, variables)
-            terms[exp] = terms.get(exp, Fraction(0)) + as_fraction(coef)
-        return MultiPoly(variables, terms)
-    return MultiPoly.const(variables, node)
+def _poly_from_node(label: str, node, variables: Tuple[str, ...]) -> MultiPoly:
+    if not isinstance(node, Mapping):
+        raise ConfigError(f"coordinate {label!r} must be an object of monomials, got {node!r}")
+    terms = {}
+    for mono, coef in node.items():
+        exp = _parse_monomial(mono, variables)
+        terms[exp] = terms.get(exp, Fraction(0)) + as_fraction(coef)
+    return MultiPoly(variables, terms)
 
 
 def _load_members(cfg: Mapping, algebra: LieAlgebraSpec) -> List[PolyMap]:
     default_vars = tuple(cfg.get("vars", ("t",)))
     members = []
-    for node in _require(cfg, "family"):
+    for node in cfg["family"]:
         coords = node.get("coords")
         if isinstance(coords, list):
             members.append(polymap_from_json_dict(node, algebra))
             continue
         variables = tuple(node.get("vars", default_vars))
         entries = {
-            label: _poly_from_node(p, variables) for label, p in (coords or {}).items()
+            label: _poly_from_node(label, p, variables) for label, p in (coords or {}).items()
         }
         members.append(PolyMap.build(algebra, variables, entries))
     return members
@@ -222,11 +228,11 @@ def _emit(out_dir: Path, header, rows, certificate: dict, sidecar: dict) -> None
 
 
 def cmd_verify_poly(cfg: Mapping, args, out_dir: Path) -> int:
-    algebra = _load_algebra(cfg)
-    members = _load_members(cfg, algebra)
-
-    for idx, phi in enumerate(members):
-        check_time_origin(phi, idx)
+    with _reading_config():
+        algebra = _load_algebra(cfg)
+        members = _load_members(cfg, algebra)
+        for idx, phi in enumerate(members):
+            check_time_origin(phi, idx)
 
     rows = []
     for idx, phi in enumerate(members):
@@ -262,9 +268,10 @@ def cmd_verify_poly(cfg: Mapping, args, out_dir: Path) -> int:
 
 
 def cmd_pet(cfg: Mapping, args, out_dir: Path) -> int:
-    algebra = _load_algebra(cfg)
-    family = PolyFamily(_load_members(cfg, algebra))
-    max_depth = _integer("max_depth", cfg.get("max_depth", MAX_DEPTH))
+    with _reading_config():
+        algebra = _load_algebra(cfg)
+        family = PolyFamily(_load_members(cfg, algebra))
+        max_depth = _integer("max_depth", cfg.get("max_depth", MAX_DEPTH))
 
     trace = pet_trace(family, max_depth=max_depth)
 
@@ -289,28 +296,29 @@ def cmd_pet(cfg: Mapping, args, out_dir: Path) -> int:
 
 
 def cmd_average(cfg: Mapping, args, out_dir: Path) -> int:
-    systems = [system_from_json_dict(node) for node in _require(cfg, "systems")]
-    kind = cfg.get("joining", "diagonal")
-    elements = None
-    if cfg.get("elements") is not None:
-        elements = _load_factor_elements(cfg["elements"], systems, "elements")
-    joining = JoiningSpec(systems, kind, elements=elements)
+    with _reading_config():
+        systems = [system_from_json_dict(node) for node in cfg["systems"]]
+        kind = cfg.get("joining", "diagonal")
+        elements = None
+        if cfg.get("elements") is not None:
+            elements = _load_factor_elements(cfg["elements"], systems, "elements")
+        joining = JoiningSpec(systems, kind, elements=elements)
 
-    algebra = _load_algebra(cfg)
-    family = PolyFamily(_load_members(cfg, algebra))
-    h = tuple(as_fraction(v) for v in cfg.get("h", ()))
-    fns = [function_from_json_dict(node) for node in _require(cfg, "functions")]
-    t_grid = list(_require(cfg, "t_grid"))
-    dt = str(cfg.get("dt", "0.05"))
-    n_samples = _integer("n_samples", cfg.get("n_samples", 1000))
-    seed = _integer("seed", _resolved(cfg, args, "seed", 0))
-    threads = _integer("threads", _resolved(cfg, args, "threads", 1))
+        algebra = _load_algebra(cfg)
+        family = PolyFamily(_load_members(cfg, algebra))
+        h = tuple(as_fraction(v) for v in cfg.get("h", ()))
+        fns = [function_from_json_dict(node) for node in cfg["functions"]]
+        t_grid = list(cfg["t_grid"])
+        dt = str(cfg.get("dt", "0.05"))
+        n_samples = _integer("n_samples", cfg.get("n_samples", 1000))
+        seed = _integer("seed", _resolved(cfg, args, "seed", 0))
+        threads = _integer("threads", _resolved(cfg, args, "threads", 1))
 
-    tuples_node = (cfg.get("invariance") or {}).get("tuples")
-    g_list = [
-        tuple(_load_factor_elements(tup, systems, "invariance tuple"))
-        for tup in tuples_node or ()
-    ]
+        tuples_node = (cfg.get("invariance") or {}).get("tuples")
+        g_list = [
+            tuple(_load_factor_elements(tup, systems, "invariance tuple"))
+            for tup in tuples_node or ()
+        ]
     report, deviations = scan_with_invariance(
         joining, family, h, fns, t_grid, g_list,
         dt=dt, n_samples=n_samples, seed=seed, threads=threads,
@@ -350,12 +358,13 @@ def cmd_average(cfg: Mapping, args, out_dir: Path) -> int:
 
 
 def cmd_generic(cfg: Mapping, args, out_dir: Path) -> int:
-    algebra = _load_algebra(cfg)
-    family = PolyFamily(_load_members(cfg, algebra))
-    functionals = [
-        [as_fraction(w) for w in node] for node in _require(cfg, "functionals")
-    ]
-    seed = _integer("seed", _resolved(cfg, args, "seed", 0))
+    with _reading_config():
+        algebra = _load_algebra(cfg)
+        family = PolyFamily(_load_members(cfg, algebra))
+        functionals = [
+            [as_fraction(w) for w in node] for node in cfg["functionals"]
+        ]
+        seed = _integer("seed", _resolved(cfg, args, "seed", 0))
 
     varieties = []
     for phi in family:
@@ -394,38 +403,39 @@ def cmd_generic(cfg: Mapping, args, out_dir: Path) -> int:
 
 
 def cmd_vdc(cfg: Mapping, args, out_dir: Path) -> int:
-    T = cfg.get("T", 200)
-    S = cfg.get("S", T)
-    dt = str(cfg.get("dt", "0.05"))
-    signal = _require(cfg, "signal")
-    kind = signal.get("kind", "expr")
+    with _reading_config():
+        T = cfg.get("T", 200)
+        S = cfg.get("S", T)
+        dt = str(cfg.get("dt", "0.05"))
+        signal = cfg["signal"]
+        kind = signal.get("kind", "expr")
+        expr = signal.get("expr")
+        if kind == "flow":
+            system = system_from_json_dict(signal["system"])
+            algebra = _load_algebra(signal)
+            [phi] = _load_members(signal, algebra)
+            h = tuple(as_fraction(v) for v in signal.get("h", ()))
+            f = function_from_json_dict(signal["function"])
+            n_samples = _integer("n_samples", signal.get("n_samples", 1000))
+            seed = _integer("seed", _resolved(cfg, args, "seed", 0))
+        elif kind != "expr":
+            raise ConfigError(f"unknown signal kind {kind!r}")
+        elif args.seed is not None:
+            raise ConfigError("--seed applies only to a flow signal; an expr signal draws nothing")
 
     times = half_step_times(T, S, dt)
-    if kind == "expr":
-        if args.seed is not None:
-            raise ConfigError("--seed applies only to a flow signal; an expr signal draws nothing")
-        expr = signal.get("expr")
-        if expr == "cos_2pi_t":
-            trajectory = np.cos(2 * math.pi * times)
-        elif expr == "cos_2pi_t2":
-            trajectory = np.cos(2 * math.pi * times * times)
-        elif expr == "one":
-            trajectory = np.ones_like(times)
-        else:
-            raise ConfigError(f"unknown signal expression {expr!r}")
-    elif kind == "flow":
-        system = system_from_json_dict(signal["system"])
-        algebra = _load_algebra(signal)
-        [phi] = _load_members(signal, algebra)
-        h = tuple(as_fraction(v) for v in signal.get("h", ()))
-        f = function_from_json_dict(signal["function"])
-        n_samples = _integer("n_samples", signal.get("n_samples", 1000))
-        seed = _integer("seed", _resolved(cfg, args, "seed", 0))
+    if kind == "flow":
         trajectory = flow_correlation_trajectory(
             system, phi, h, f, T, S, dt, n_samples=n_samples, seed=seed
         )
+    elif expr == "cos_2pi_t":
+        trajectory = np.cos(2 * math.pi * times)
+    elif expr == "cos_2pi_t2":
+        trajectory = np.cos(2 * math.pi * times * times)
+    elif expr == "one":
+        trajectory = np.ones_like(times)
     else:
-        raise ConfigError(f"unknown signal kind {kind!r}")
+        raise ConfigError(f"unknown signal expression {expr!r}")
 
     out = vdc_check(trajectory, S, T, dt)
     lhs, rhs = out["lhs_norm"], out["rhs_corr"]
@@ -483,15 +493,15 @@ def main(argv=None) -> int:
 
     try:
         return _COMMANDS[args.command][0](cfg, args, Path(args.out))
-    except TruncationError as exc:
-        print(f"truncated: {exc}", file=sys.stderr)
-        return 4
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 3
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except TruncationError as exc:
+        print(f"truncated: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

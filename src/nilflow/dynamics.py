@@ -32,6 +32,7 @@ from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
+from .errors import ConfigError
 from .lie_core import GroupElement, LieAlgebraSpec, make_builtin
 from .multipoly import as_fraction
 from .poly_maps import PolyMap
@@ -218,7 +219,7 @@ def acting_rows(sys: NilSystem, algebra: LieAlgebraSpec) -> Tuple[Tuple[Fraction
         cols = len(sys.acting_matrix[0]) if sys.acting_matrix else 0
         if algebra.dim == cols:
             return sys.acting_matrix
-    raise ValueError(f"algebra mismatch: a {algebra.dim}-dim algebra does not act on {sys!r}")
+    raise ConfigError(f"algebra mismatch: a {algebra.dim}-dim algebra does not act on {sys!r}")
 
 
 def acting_coords(sys: NilSystem, algebra: LieAlgebraSpec, coords: Sequence) -> tuple:
@@ -304,10 +305,10 @@ def check_function(sys: NilSystem, f: TestFunction) -> None:
     a torus, or a frequency of the wrong arity.  A torus character reads
     every coordinate, a Heisenberg kind the three of the Heisenberg system."""
     if f.kind != "torus_character" and sys.kind != "heisenberg3":
-        raise ValueError(f"a {f.kind} test function needs a heisenberg3 system, not {sys!r}")
+        raise ConfigError(f"a {f.kind} test function needs a heisenberg3 system, not {sys!r}")
     need = len(f.freq) if f.kind == "torus_character" else 3
     if need != sys.dim:
-        raise ValueError(f"{f.kind} frequency {list(f.freq)} needs {need} coordinates, got {sys.dim}")
+        raise ConfigError(f"{f.kind} frequency {list(f.freq)} needs {need} coordinates, got {sys.dim}")
 
 
 def functional(sys: NilSystem, f: TestFunction) -> list | None:

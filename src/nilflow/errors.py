@@ -1,13 +1,13 @@
-"""Failure kinds that the command line maps to distinct exit codes."""
+"""Failure kinds that decide the command line's exit code; any other exception is a bug (exit 1)."""
 
 
 class CertificateError(RuntimeError):
-    """A certified property failed to verify (descent, genericity, ...)."""
+    """A certified property failed to verify (descent, genericity, ...): exit 3."""
 
 
 class TruncationError(RuntimeError):
-    """An iteration hit its configured cap before reaching its base case."""
+    """An iteration hit its configured cap before reaching its base case: exit 4."""
 
 
 class ConfigError(ValueError):
-    """Malformed or inconsistent run configuration."""
+    """Malformed or inconsistent configuration, or an argument the library refuses: exit 2."""

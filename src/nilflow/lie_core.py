@@ -102,6 +102,8 @@ class LieAlgebraSpec:
         return f"LieAlgebraSpec(dim={self.dim}, step={self.step}, labels={list(self.labels)})"
 
     def basis_index(self, label: str) -> int:
+        if label not in self.labels:
+            raise ValueError(f"unknown basis label {label!r}; the algebra has {list(self.labels)}")
         return self.labels.index(label)
 
 
@@ -451,11 +453,9 @@ def make_builtin(kind: str, **params) -> LieAlgebraSpec:
     Kinds: abelian(dim), heisenberg(dim odd), strictly_upper_triangular(n),
     free_nilpotent(generators, step).
     """
-    try:
-        builder = _BUILTINS[kind]
-    except KeyError:
-        raise ValueError(f"unknown builtin algebra kind {kind!r}") from None
-    return builder(**params)
+    if kind not in _BUILTINS:
+        raise ValueError(f"unknown builtin algebra kind {kind!r}")
+    return _BUILTINS[kind](**params)
 
 
 # ----------------------------------------------------------------------

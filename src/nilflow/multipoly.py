@@ -7,8 +7,11 @@ is exact; nothing here touches floating point.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+
+from .errors import ConfigError
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -20,14 +23,15 @@ Affine = Tuple[Fraction, Dict[str, Fraction]]
 def as_fraction(value: Union[int, float, str, Fraction]) -> Fraction:
     """The exact rational of an int, a Fraction or a string such as "1/3".
 
-    A float is read as its shortest decimal, so 0.1 gives 1/10, not the
-    binary fraction nearest to it.
+    A float is read as its shortest decimal, so 0.1 gives 1/10.  Anything
+    else (a bool, None, NaN, inf, "1/0", any other string) is a ConfigError.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    return Fraction(value)
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        with suppress(ValueError, ZeroDivisionError):
+            return Fraction(repr(value) if isinstance(value, float) else value)
+    raise ConfigError(f"expected an exact rational number, got {value!r}")
 
 
 def _accumulate(terms: Dict[Exponent, Fraction], exp: Exponent, coef: Fraction) -> None:

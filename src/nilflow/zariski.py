@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .errors import CertificateError
+from .errors import CertificateError, ConfigError
 from .multipoly import MultiPoly, as_fraction
 from .poly_maps import PolyMap
 
@@ -106,7 +106,7 @@ def vanishing_variety(phi: PolyMap, ell: Sequence[Union[int, str, Fraction]]) ->
     split into time coefficients, which become the generators.
     """
     if len(ell) != phi.algebra.dim:
-        raise ValueError(f"functional has {len(ell)} entries for a {phi.algebra.dim}-dim algebra")
+        raise ConfigError(f"functional has {len(ell)} entries for a {phi.algebra.dim}-dim algebra")
     combo = MultiPoly.zero(phi.vars)
     for coord, weight in zip(phi.coords, ell):
         weight = as_fraction(weight)

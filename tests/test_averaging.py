@@ -9,7 +9,6 @@ import pytest
 
 import nilflow.averaging as averaging
 from nilflow.averaging import (
-    AverageReport,
     _flow_floats,
     _horner,
     _per_sample_averages,
@@ -127,13 +126,6 @@ def test_constant_functions_have_zero_cauchy_gap():
     )
     assert report.cauchy_gap == 0.0
     assert report.estimates == (1.0, 1.0, 1.0, 1.0)
-
-
-def test_report_validation():
-    with pytest.raises(ValueError):
-        AverageReport((2.0, 1.0), (0.1, 0.1), (0.0, 0.0), 0.0, 0.05, 10, 0)
-    with pytest.raises(ValueError):
-        AverageReport((1.0, 2.0), (0.1, 0.1), (-0.1, 0.0), 0.0, 0.05, 10, 0)
 
 
 def test_arity_and_grid_errors():

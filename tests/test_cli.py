@@ -33,6 +33,22 @@ def read_rows(out_dir):
     return (Path(out_dir) / "report.csv").read_text().splitlines()
 
 
+MISSING = object()  # as a value for with_entry: delete the entry
+
+
+def with_entry(cfg, path, value):
+    """cfg with the entry at a dotted path (digits index lists) set to value, or deleted."""
+    *parents, key = [int(k) if k.isdigit() else k for k in path.split(".")]
+    node = cfg
+    for name in parents:
+        node = node[name]
+    if value is MISSING:
+        del node[key]
+    else:
+        node[key] = value
+    return cfg
+
+
 def test_verify_poly_demo_reports_each_member(tmp_path, capsys):
     assert run("verify-poly", DEMOS / "demo_verify_poly.json", tmp_path) == 0
     rows = read_rows(tmp_path)
@@ -136,12 +152,8 @@ def test_pet_negative_depth_is_config_error(tmp_path, capsys):
 def test_counts_and_seeds_must_be_json_integers(tmp_path, capsys, command, demo, path, value):
     """A float, a bool or a string in place of a count or seed is refused, not truncated."""
     source = json.dumps(FLOW_VDC) if demo is None else (DEMOS / f"{demo}.json").read_text()
-    cfg = json.loads(source)
-    *parents, key = path.split(".")
-    node = cfg
-    for name in parents:
-        node = node[name]
-    node[key] = value
+    cfg = with_entry(json.loads(source), path, value)
+    key = path.split(".")[-1]
     assert run(command, write_config(tmp_path, cfg), tmp_path / "out") == 2
     assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -400,6 +412,65 @@ def test_vdc_nonpositive_dt_is_config_error(tmp_path, capsys):
 def test_vdc_unknown_expression(tmp_path):
     cfg = write_config(tmp_path, {"T": 4, "S": 4, "dt": "0.5", "signal": {"kind": "expr", "expr": "sinh"}})
     assert run("vdc", cfg, tmp_path) == 2
+
+
+@pytest.mark.parametrize(
+    "command, demo, path, value, fragment",
+    [
+        ("pet", "demo_pet_pair", "family", MISSING, "config is missing required key 'family'"),
+        ("average", "demo_weyl_square", "systems.0.kind", MISSING, "config is missing required key 'kind'"),
+        ("vdc", "demo_vdc_one", "signal.kind", "noise", "unknown signal kind 'noise'"),
+        ("pet", "demo_pet_pair", "", [1, 2], "config root must be a JSON object"),
+        ("average", "demo_weyl_square", "systems.0.dim", MISSING, "torus systems need a positive dimension"),
+        ("average", "demo_weyl_square", "functions.1.kind", "sawtooth", "unknown test-function kind 'sawtooth'"),
+        ("pet", "demo_pet_pair", "algebra", {"dim": 2, "labels": ["a"], "layers": [1]}, "dim field disagrees"),
+        ("average", "demo_weyl_square", "dt", "1/0", "got '1/0'"),
+        ("pet", "demo_pet_pair", "family.0", "t x1", "'str' object has no attribute"),
+        ("vdc", "demo_vdc_one", "T", True, "got True"),
+        ("average", "demo_weyl_square", "t_grid", [True, 100], "got True"),
+        ("verify-poly", "demo_verify_poly", "family.0.coords.x1", {"t^-1": 1, "t": 1}, "'t^-1': exponent '-1'"),
+        ("verify-poly", "demo_verify_poly", "family.0.coords.x1", {"t^x": 1}, "'t^x': exponent 'x'"),
+        ("average", "demo_weyl_square", "family.0.coords", {"e9": {"t": 1}}, "label 'e9'; the algebra has ['e1']"),
+        ("pet", "demo_pet_pair", "family.0.coords.x1", 3, "coordinate 'x1' must be an object"),
+        ("pet", "demo_pet_pair", "family.0.coords.x1", [[[1], 1]], "coordinate 'x1' must be an object"),
+    ],
+    ids=[
+        "missing-key", "missing-nested-key", "unknown-signal-kind", "root-not-object", "torus-without-dim",
+        "unknown-function-kind", "algebra-dim-vs-labels", "dt-1/0", "member-is-a-string", "T-true",
+        "t_grid-true", "negative-exponent", "non-integer-exponent", "unknown-label", "scalar-coordinate",
+        "term-list-coordinate",
+    ],
+)
+def test_malformed_config_is_config_error(tmp_path, capsys, command, demo, path, value, fragment):
+    """Every malformed config exits 2 with stderr naming the fault, and writes nothing."""
+    cfg = json.loads((DEMOS / f"{demo}.json").read_text())
+    cfg = with_entry(cfg, path, value) if path else value
+    assert run(command, write_config(tmp_path, cfg), tmp_path / "out") == 2
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_average_tuple_across_different_groups_is_config_error(tmp_path, capsys):
+    """A tuple's flows g_i phi_i g_0^{-1} need g_0 in every factor's group."""
+    cfg = json.loads((DEMOS / "demo_weyl_square.json").read_text())
+    cfg["joining"] = "product"
+    cfg["systems"][1] = {"kind": "torus", "dim": 2, "acting_matrix": [[1], [2]]}
+    cfg["functions"][1]["freq"] = [1, 0]
+    cfg["invariance"] = {"tuples": [[["1/3"], ["0", "0"]]]}
+    assert run("average", write_config(tmp_path, {**cfg, "invariance": None}), tmp_path / "plain") == 0
+    assert run("average", write_config(tmp_path, cfg), tmp_path / "out") == 2
+    assert "every factor on the base factor's group" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_library_fault_is_not_a_config_error(tmp_path, monkeypatch):
+    """Only ConfigError exits 2: a ValueError raised inside the library propagates."""
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("nilflow.cli.scan_with_invariance", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        run("average", DEMOS / "demo_weyl_square.json", tmp_path / "out")
 
 
 def test_malformed_json_is_config_error(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Exact polynomial arithmetic checks."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from nilflow.errors import ConfigError
 from nilflow.multipoly import MultiPoly, as_fraction
 
 
@@ -21,6 +23,13 @@ def test_as_fraction_reads_floats_as_their_shortest_decimal():
     assert as_fraction(3) == 3 and isinstance(as_fraction(3), Fraction)
     assert as_fraction(third) is third
     assert MultiPoly.const(("t",), 0.1).constant_value() == Fraction(1, 10)
+
+
+@pytest.mark.parametrize("bad", [True, False, None, [1], "abc", "1/0", math.nan, math.inf, "inf"])
+def test_as_fraction_refuses_what_is_not_an_exact_finite_rational(bad):
+    with pytest.raises(ConfigError, match="expected an exact rational number"):
+        as_fraction(bad)
+    assert as_fraction(0.1) == Fraction(1, 10)
 
 
 def test_construction_drops_zero_coefficients():
