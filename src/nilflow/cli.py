@@ -125,7 +125,9 @@ def _poly_from_node(label: str, node, variables: Tuple[str, ...]) -> MultiPoly:
 def _load_members(cfg: Mapping, algebra: LieAlgebraSpec) -> List[PolyMap]:
     default_vars = tuple(cfg.get("vars", ("t",)))
     members = []
-    for node in cfg["family"]:
+    for i, node in enumerate(cfg["family"]):
+        if not isinstance(node, dict):
+            raise ConfigError(f"family member {i} must be an object, got {node!r}")
         coords = node.get("coords")
         if isinstance(coords, list):
             members.append(polymap_from_json_dict(node, algebra))

@@ -289,15 +289,13 @@ class TestFunction:
             raise ValueError(f"unknown test-function kind {self.kind!r}")
         if self.part not in ("cos", "sin"):
             raise ValueError(f"part must be 'cos' or 'sin', got {self.part!r}")
-        object.__setattr__(self, "freq", tuple(int(k) for k in self.freq))
+        if any(isinstance(k, bool) or not isinstance(k, int) for k in self.freq):
+            raise ValueError(f"frequency entries must be integers, got {list(self.freq)}")
+        object.__setattr__(self, "freq", tuple(self.freq))
         if self.kind == "heis_abelian" and len(self.freq) != 2:
             raise ValueError("abelianized Heisenberg characters take a 2-vector frequency")
         if self.kind == "heis_vertical" and len(self.freq) != 3:
             raise ValueError("vertical Heisenberg functions take a 3-vector frequency")
-
-    @property
-    def mean_zero(self) -> bool:
-        return any(self.freq) or self.part == "sin"
 
 
 def check_function(sys: NilSystem, f: TestFunction) -> None:
@@ -314,12 +312,13 @@ def check_function(sys: NilSystem, f: TestFunction) -> None:
 def functional(sys: NilSystem, f: TestFunction) -> list | None:
     """The frequency m of f as a functional on sys's algebra: along a flow
     pushed into that algebra (`pushed`), exp(v) fixes f exactly when m
-    vanishes on v.  None for a vertical function, whose central coordinate
-    moves with the point."""
+    vanishes on v.  None when m reads a coordinate above layer 1, such as
+    the Heisenberg central coordinate, which moves with the point."""
     check_function(sys, f)
-    if f.kind == "heis_vertical":
+    m = list(f.freq) + [0] * (sys.dim - len(f.freq))
+    if any(k for k, layer in zip(m, sys.algebra.layers) if layer > 1):
         return None
-    return list(f.freq) + [0] * (sys.dim - len(f.freq))
+    return m
 
 
 def eval_fn_array(f: TestFunction, pts: np.ndarray, sys: NilSystem) -> np.ndarray:

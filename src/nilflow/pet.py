@@ -5,7 +5,8 @@ A family is an ordered tuple of maps sharing algebra and variables, each
 fixing the identity at time zero.  Members are compared through their
 leading terms: the weight of a map is the pair (internal class, leading
 degree), ordered by class descending then degree ascending, and a family is
-summarized by counting leading-term equivalence classes per weight.  The
+summarized by its class sizes per weight: the number of members in each
+leading-term equivalence class, listed under the class's weight.  The
 trace repeatedly replaces a family by its derived family at a pivot and
 certifies that each step strictly descends.
 
@@ -68,55 +69,25 @@ def weight_less(w1: Weight, w2: Weight) -> bool:
     return _descending_key(w1) > _descending_key(w2)
 
 
-class WeightAssignment:
-    """Counts of leading-term classes per weight; finitely supported."""
-
-    __slots__ = ("_counts",)
-
-    def __init__(self, counts: Mapping[Weight, int]):
-        self._counts: Dict[Weight, int] = {
-            w: int(n) for w, n in counts.items() if n != 0
-        }
-        if any(n < 0 for n in self._counts.values()):
-            raise ValueError("class counts must be positive")
-
-    def get(self, w: Weight) -> int:
-        return self._counts.get(w, 0)
-
-    def support(self) -> List[Weight]:
-        return sorted(self._counts, key=_descending_key)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightAssignment):
-            return NotImplemented
-        return self._counts == other._counts
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            f"({w.internal_class},{w.leading_degree}): {n}"
-            for w, n in sorted(self._counts.items(), key=lambda kv: _descending_key(kv[0]))
-        )
-        return "WeightAssignment({" + body + "})"
-
-    def to_json(self) -> list:
-        return [
-            [w.internal_class, w.leading_degree, self._counts[w]]
-            for w in self.support()
-        ]
+# A level's classes summarized for the order: each weight's class sizes,
+# members counted with multiplicity.
+Sizes = Dict[Weight, List[int]]
 
 
-def assignment_less(f: WeightAssignment, g: WeightAssignment) -> bool:
+def _counts(sizes: Sizes) -> Dict[Weight, int]:
+    """The weight assignment: classes per weight, latest weight first."""
+    return {w: len(sizes[w]) for w in sorted(sizes, key=_descending_key)}
+
+
+def assignment_less(f: Mapping[Weight, int], g: Mapping[Weight, int]) -> bool:
     return _assignment_witness(f, g) is not None
 
 
-def _assignment_witness(f: WeightAssignment, g: WeightAssignment) -> Weight | None:
-    """The weight at which f drops below g, all later weights agreeing."""
-    weights = sorted(set(f.support()) | set(g.support()), key=_descending_key)
-    for w in weights:
-        if f.get(w) != g.get(w):
-            return w if f.get(w) < g.get(w) else None
+def _assignment_witness(f: Mapping[Weight, int], g: Mapping[Weight, int]) -> Weight | None:
+    """The weight where f's class count drops below g's, later ones agreeing."""
+    for w in sorted(f.keys() | g.keys(), key=_descending_key):
+        if f.get(w, 0) != g.get(w, 0):
+            return w if f.get(w, 0) < g.get(w, 0) else None
     return None
 
 
@@ -192,21 +163,16 @@ def _member_partition(infos: Sequence[LTInfo | None]) -> List[List[int]]:
     return list(groups.values())
 
 
-# A family's classes summarized for the order: the weight assignment and
-# the class cardinalities per weight.
-Summary = tuple[WeightAssignment, dict[Weight, list[int]]]
-
-
-def _classify(infos: Sequence[LTInfo | None], mults: Sequence[int]) -> Tuple[List[List[int]], Summary]:
-    """Leading-term classes and their summary; mults are member multiplicities."""
+def _classify(
+    infos: Sequence[LTInfo | None], mults: Sequence[int]
+) -> Tuple[List[List[int]], List[int], Sizes]:
+    """Leading-term classes, their cardinalities under mults, and their Sizes."""
     classes = _member_partition(infos)
-    counts: Dict[Weight, int] = {}
-    sizes: Dict[Weight, List[int]] = {}
-    for group in classes:
-        w = infos[group[0]][1]
-        counts[w] = counts.get(w, 0) + 1
-        sizes.setdefault(w, []).append(sum(mults[i] for i in group))
-    return classes, (WeightAssignment(counts), sizes)
+    cardinalities = [sum(mults[i] for i in group) for group in classes]
+    sizes: Sizes = {}
+    for group, n in zip(classes, cardinalities):
+        sizes.setdefault(infos[group[0]][1], []).append(n)
+    return classes, cardinalities, sizes
 
 
 def _pivot_index(infos: Sequence[LTInfo | None]) -> int:
@@ -240,36 +206,41 @@ def _sorted_matching(f_sizes: Sequence[int], g_sizes: Sequence[int]) -> Tuple[bo
     return valid, valid and sum(fs) < sum(gs)
 
 
-def _members_precede(f: Summary, g: Summary) -> bool:
-    """The strict order on summaries, whose class sizes count multiplicities."""
-    (f_assignment, f_sizes), (g_assignment, g_sizes) = f, g
-    if _assignment_witness(f_assignment, g_assignment) is not None:
-        return True
-    if f_assignment != g_assignment:
-        return False
-    any_strict = False
-    for w in f_assignment.support():
-        valid, strict = _sorted_matching(f_sizes[w], g_sizes[w])
+def _descent_certificate(derived: Sizes, current: Sizes) -> dict | None:
+    """Why derived strictly precedes current in the order, or None if it
+    does not: assignment descent, or equal assignments with a
+    weight-preserving class matching that shrinks somewhere."""
+    f, g = _counts(derived), _counts(current)
+    witness = _assignment_witness(f, g)
+    if witness is not None:
+        return {
+            "kind": "weight_descent",
+            "weight": witness.to_json(),
+            "before": g.get(witness, 0),
+            "after": f.get(witness, 0),
+        }
+    if f != g:
+        return None
+    per_weight = []
+    shrinks = False
+    for w in g:
+        valid, strict = _sorted_matching(derived[w], current[w])
         if not valid:
-            return False
-        any_strict = any_strict or strict
-    return any_strict
+            return None
+        shrinks = shrinks or strict
+        per_weight.append(w.to_json() + [sorted(derived[w]), sorted(current[w])])
+    return {"kind": "class_size_descent", "per_weight": per_weight} if shrinks else None
 
 
-def _family_summary(family: PolyFamily) -> Summary:
-    """The summary of a family, every member counted once."""
-    return _classify(_leading_info(family), [1] * len(family))[1]
-
-
-def weight_assignment(family: PolyFamily) -> WeightAssignment:
+def weight_assignment(family: PolyFamily) -> Dict[Weight, int]:
     """Number of leading-term classes at each weight; constants are skipped."""
-    return _family_summary(family)[0]
+    return _counts(_classify(_leading_info(family), [1] * len(family))[2])
 
 
 def family_precedes(f_family: PolyFamily, g_family: PolyFamily) -> bool:
-    """Strict order on families: assignment descent, or equal assignments
-    with a weight-preserving class matching that shrinks somewhere."""
-    return _members_precede(_family_summary(f_family), _family_summary(g_family))
+    """The order of `_descent_certificate`, every member counted once."""
+    f, g = (_classify(_leading_info(fam), [1] * len(fam))[2] for fam in (f_family, g_family))
+    return _descent_certificate(f, g) is not None
 
 
 def pivot(family: PolyFamily) -> int:
@@ -383,7 +354,7 @@ class PETStep:
     dropped: int
     classes: Tuple[Tuple[int, ...], ...]
     class_cardinalities: Tuple[int, ...]
-    assignment: WeightAssignment
+    assignment: Dict[Weight, int]
     pivot_index: int
     pivot_member: int
     derived: Members
@@ -399,24 +370,6 @@ class PETTrace:
     @property
     def depth(self) -> int:
         return len(self.steps)
-
-
-def _descent_certificate(derived: Summary, current: Summary) -> dict:
-    (f, f_sizes), (g, g_sizes) = derived, current
-    witness = _assignment_witness(f, g)
-    if witness is not None:
-        return {
-            "kind": "weight_descent",
-            "weight": witness.to_json(),
-            "before": g.get(witness),
-            "after": f.get(witness),
-        }
-    per_weight = []
-    for w in g.support():
-        per_weight.append(
-            [w.internal_class, w.leading_degree, sorted(f_sizes[w]), sorted(g_sizes[w])]
-        )
-    return {"kind": "class_size_descent", "per_weight": per_weight}
 
 
 def pet_trace(family: PolyFamily, max_depth: int = MAX_DEPTH) -> PETTrace:
@@ -448,9 +401,10 @@ def pet_trace(family: PolyFamily, max_depth: int = MAX_DEPTH) -> PETTrace:
         p = _pivot_index(infos)
         derived = _merge_members(_derive_members(active, p))
         derived_infos = _leading_info(phi for phi, _ in derived)
-        classes, summary = _classify(infos, [mult for _, mult in active])
-        _, derived_summary = _classify(derived_infos, [mult for _, mult in derived])
-        if not _members_precede(derived_summary, summary):
+        classes, cardinalities, sizes = _classify(infos, [mult for _, mult in active])
+        _, _, derived_sizes = _classify(derived_infos, [mult for _, mult in derived])
+        certificate = _descent_certificate(derived_sizes, sizes)
+        if certificate is None:
             raise CertificateError(
                 f"derived family does not precede its parent at depth {len(steps)}"
             )
@@ -459,14 +413,12 @@ def pet_trace(family: PolyFamily, max_depth: int = MAX_DEPTH) -> PETTrace:
                 family=tuple(active),
                 dropped=dropped,
                 classes=tuple(tuple(c) for c in classes),
-                class_cardinalities=tuple(
-                    sum(active[i][1] for i in group) for group in classes
-                ),
-                assignment=summary[0],
+                class_cardinalities=tuple(cardinalities),
+                assignment=_counts(sizes),
                 pivot_index=p,
                 pivot_member=sum(mult for _, mult in active[:p]),
                 derived=tuple(derived),
-                certificate=_descent_certificate(derived_summary, summary),
+                certificate=certificate,
             )
         )
         current, infos = derived, derived_infos
@@ -495,7 +447,7 @@ def trace_to_json_dict(trace: PETTrace) -> dict:
                 "dropped": step.dropped,
                 "classes": [list(c) for c in step.classes],
                 "class_cardinalities": list(step.class_cardinalities),
-                "assignment": step.assignment.to_json(),
+                "assignment": [w.to_json() + [n] for w, n in step.assignment.items()],
                 "pivot": step.pivot_index,
                 "pivot_member": step.pivot_member,
                 "derived": _members_to_json(step.derived),

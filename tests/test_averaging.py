@@ -641,6 +641,18 @@ def test_mean_ergodic_prediction_through_an_acting_matrix():
     assert off.report.estimates[-1] <= 1e-9
 
 
+def test_a_central_frequency_has_no_prediction():
+    """A frequency on the Heisenberg central coordinate moves with the point,
+    whatever the function's kind: neither function is predicted invariant."""
+    phi = PolyMap.build(H3, ("t",), {"x1": t_times(1)})
+    for f in (char((0, 0, 1)), TestFunction("heis_vertical", (0, 0, 1))):
+        out = mean_ergodic_base(heisenberg3(), phi, (), f, [10, 20, 40], dt="0.1", n_samples=2000)
+        assert out.classification == "unknown"
+        norms = out.report.estimates
+        assert norms[0] > norms[1] > norms[2] and norms[2] < 0.6 * norms[0]
+        assert out.dist_to_f[-1] > 0.5
+
+
 def test_quadratic_orbit_average_decays():
     phi = PolyMap.build(A1, ("t",), {"e1": t_times(1, power=2)})
     out = mean_ergodic_base(torus(1), phi, (), char((1,)), [100], dt="0.05", n_samples=1000, seed=3)

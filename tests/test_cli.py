@@ -425,7 +425,7 @@ def test_vdc_unknown_expression(tmp_path):
         ("average", "demo_weyl_square", "functions.1.kind", "sawtooth", "unknown test-function kind 'sawtooth'"),
         ("pet", "demo_pet_pair", "algebra", {"dim": 2, "labels": ["a"], "layers": [1]}, "dim field disagrees"),
         ("average", "demo_weyl_square", "dt", "1/0", "got '1/0'"),
-        ("pet", "demo_pet_pair", "family.0", "t x1", "'str' object has no attribute"),
+        ("pet", "demo_pet_pair", "family.0", "t x1", "family member 0 must be an object, got 't x1'"),
         ("vdc", "demo_vdc_one", "T", True, "got True"),
         ("average", "demo_weyl_square", "t_grid", [True, 100], "got True"),
         ("verify-poly", "demo_verify_poly", "family.0.coords.x1", {"t^-1": 1, "t": 1}, "'t^-1': exponent '-1'"),
@@ -433,12 +433,14 @@ def test_vdc_unknown_expression(tmp_path):
         ("average", "demo_weyl_square", "family.0.coords", {"e9": {"t": 1}}, "label 'e9'; the algebra has ['e1']"),
         ("pet", "demo_pet_pair", "family.0.coords.x1", 3, "coordinate 'x1' must be an object"),
         ("pet", "demo_pet_pair", "family.0.coords.x1", [[[1], 1]], "coordinate 'x1' must be an object"),
+        ("average", "demo_weyl_square", "functions.1.freq", [1.7], "frequency entries must be integers, got [1.7]"),
+        ("average", "demo_weyl_square", "functions.1.freq", [True], "frequency entries must be integers, got [True]"),
     ],
     ids=[
         "missing-key", "missing-nested-key", "unknown-signal-kind", "root-not-object", "torus-without-dim",
         "unknown-function-kind", "algebra-dim-vs-labels", "dt-1/0", "member-is-a-string", "T-true",
         "t_grid-true", "negative-exponent", "non-integer-exponent", "unknown-label", "scalar-coordinate",
-        "term-list-coordinate",
+        "term-list-coordinate", "freq-1.7", "freq-true",
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, command, demo, path, value, fragment):

@@ -186,7 +186,6 @@ def test_haar_invariance_under_fixed_translation():
 def test_zero_frequency_is_constant_one():
     f = TestFunction("torus_character", (0, 0))
     assert eval_fn_array(f, [[0.3, 0.8]], torus(2))[0] == 1.0
-    assert not f.mean_zero
 
 
 def test_character_values():
@@ -288,6 +287,17 @@ def test_functional_pulls_the_frequency_back():
         pushed(torus(2), phi)
     with pytest.raises(ValueError, match="heis_abelian"):
         functional(torus(3), TestFunction("heis_abelian", (1, 0)))
+
+
+def test_functional_is_decided_by_the_frequency_not_the_kind():
+    """A frequency is a functional exactly when it is zero above layer 1."""
+    sys = heisenberg3()
+    assert functional(sys, TestFunction("torus_character", (0, 0, 1))) is None
+    assert functional(sys, TestFunction("torus_character", (1, 4, 0))) == [1, 4, 0]
+    vertical, abelian = TestFunction("heis_vertical", (1, 4, 0)), TestFunction("heis_abelian", (1, 4))
+    assert functional(sys, vertical) == functional(sys, abelian) == [1, 4, 0]
+    pts = haar_array(sys, 5, 64)
+    assert eval_fn_array(vertical, pts, sys).tobytes() == eval_fn_array(abelian, pts, sys).tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -12,10 +12,8 @@ from nilflow.pet import (
     PETTrace,
     PolyFamily,
     Weight,
-    WeightAssignment,
     _descending_key,
     _descent_certificate,
-    _members_precede,
     _sorted_matching,
     assignment_less,
     derived_family,
@@ -81,11 +79,11 @@ def test_weight_of_map():
 
 def test_weight_assignment_examples():
     fam = PolyFamily([h3_map(x1=tpow(1)), h3_map(x1=tpow(2))])
-    wa = weight_assignment(fam)
-    assert wa.to_json() == [[1, 2, 1], [1, 1, 1]]
+    # latest weight first, the order of the certificate's "assignment"
+    assert list(weight_assignment(fam).items()) == [(Weight(1, 2), 1), (Weight(1, 1), 1)]
     same = PolyFamily([h3_map(x1=tpow(1)), h3_map(x1=tpow(1))])
-    assert weight_assignment(same).to_json() == [[1, 1, 1]]
-    assert weight_assignment(PolyFamily([])).to_json() == []
+    assert weight_assignment(same) == {Weight(1, 1): 1}
+    assert weight_assignment(PolyFamily([])) == {}
 
 
 def test_assignment_comparison_scans_from_the_top():
@@ -147,12 +145,12 @@ def test_class_size_clause():
 def test_class_size_descent_certificate():
     """Equal assignments, one class shrinking from 3 members to 2."""
     w = Weight(2, 1)
-    derived = (WeightAssignment({w: 1}), {w: [2]})
-    current = (WeightAssignment({w: 1}), {w: [3]})
+    derived = {w: [2]}
+    current = {w: [3]}
     cert = _descent_certificate(derived, current)
     assert cert == {"kind": "class_size_descent", "per_weight": [[2, 1, [2], [3]]]}
-    assert _members_precede(derived, current)
-    assert not _members_precede(current, derived)
+    assert _descent_certificate(current, derived) is None
+    assert _descent_certificate(current, current) is None
 
 
 def test_family_precedes_is_strict_partial_order():
