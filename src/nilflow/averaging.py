@@ -166,7 +166,11 @@ def _pinned(sys: NilSystem, phi: PolyMap, h: Sequence[Rational]) -> PolyMap:
     h = tuple(as_fraction(v) for v in h)
     if len(h) != len(params):
         raise ConfigError(f"parameter point has arity {len(h)}, map needs {len(params)}")
-    return substitute(pushed(sys, phi), dict(zip(params, h)), new_variables=phi.vars[:1])
+    pinned = substitute(pushed(sys, phi), dict(zip(params, h)), new_variables=phi.vars)
+    coords = pinned.coords
+    for name in params:  # each parameter now has degree 0, so this drops it exactly
+        coords = [c.coefficient_of(name, 0) for c in coords]
+    return PolyMap(pinned.algebra, phi.vars[:1], coords, domain=pinned.domain)
 
 
 def _horner(

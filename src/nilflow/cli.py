@@ -85,6 +85,13 @@ def _integer(key: str, value) -> int:
     return value
 
 
+def _array(key: str, value) -> list:
+    """`value`, read for config key `key`, which must be a JSON array."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be an array, got {value!r}")
+    return value
+
+
 def _load_algebra(cfg: Mapping) -> LieAlgebraSpec:
     node = cfg["algebra"]
     if "builtin" in node:
@@ -123,16 +130,16 @@ def _poly_from_node(label: str, node, variables: Tuple[str, ...]) -> MultiPoly:
 
 
 def _load_members(cfg: Mapping, algebra: LieAlgebraSpec) -> List[PolyMap]:
-    default_vars = tuple(cfg.get("vars", ("t",)))
+    default_vars = tuple(_array("vars", cfg.get("vars", ["t"])))
     members = []
     for i, node in enumerate(cfg["family"]):
         if not isinstance(node, dict):
             raise ConfigError(f"family member {i} must be an object, got {node!r}")
+        variables = tuple(_array(f"family[{i}].vars", node["vars"])) if "vars" in node else default_vars
         coords = node.get("coords")
         if isinstance(coords, list):
             members.append(polymap_from_json_dict(node, algebra))
             continue
-        variables = tuple(node.get("vars", default_vars))
         entries = {
             label: _poly_from_node(label, p, variables) for label, p in (coords or {}).items()
         }
@@ -140,11 +147,15 @@ def _load_members(cfg: Mapping, algebra: LieAlgebraSpec) -> List[PolyMap]:
     return members
 
 
-def _load_factor_elements(nodes, systems, what: str) -> list:
-    """One group element per factor, each in its factor's algebra."""
+def _load_factor_elements(nodes, systems, key: str) -> list:
+    """One group element per factor, each in its factor's algebra, read for config key `key`."""
+    nodes = _array(key, nodes)
     if len(nodes) != len(systems):
-        raise ConfigError(f"{what} has {len(nodes)} elements, need one per factor ({len(systems)})")
-    return [GroupElement(sys_i.algebra, node) for node, sys_i in zip(nodes, systems)]
+        raise ConfigError(f"{key} has {len(nodes)} elements, need one per factor ({len(systems)})")
+    return [
+        GroupElement(sys_i.algebra, _array(f"{key}[{i}]", node))
+        for i, (node, sys_i) in enumerate(zip(nodes, systems))
+    ]
 
 
 def _resolved(cfg: Mapping, args, key: str, default):
@@ -308,9 +319,9 @@ def cmd_average(cfg: Mapping, args, out_dir: Path) -> int:
 
         algebra = _load_algebra(cfg)
         family = PolyFamily(_load_members(cfg, algebra))
-        h = tuple(as_fraction(v) for v in cfg.get("h", ()))
+        h = tuple(as_fraction(v) for v in _array("h", cfg.get("h", [])))
         fns = [function_from_json_dict(node) for node in cfg["functions"]]
-        t_grid = list(cfg["t_grid"])
+        t_grid = _array("t_grid", cfg["t_grid"])
         dt = str(cfg.get("dt", "0.05"))
         n_samples = _integer("n_samples", cfg.get("n_samples", 1000))
         seed = _integer("seed", _resolved(cfg, args, "seed", 0))
@@ -318,8 +329,8 @@ def cmd_average(cfg: Mapping, args, out_dir: Path) -> int:
 
         tuples_node = (cfg.get("invariance") or {}).get("tuples")
         g_list = [
-            tuple(_load_factor_elements(tup, systems, "invariance tuple"))
-            for tup in tuples_node or ()
+            tuple(_load_factor_elements(tup, systems, f"invariance.tuples[{j}]"))
+            for j, tup in enumerate(() if tuples_node is None else _array("invariance.tuples", tuples_node))
         ]
     report, deviations = scan_with_invariance(
         joining, family, h, fns, t_grid, g_list,
@@ -364,7 +375,8 @@ def cmd_generic(cfg: Mapping, args, out_dir: Path) -> int:
         algebra = _load_algebra(cfg)
         family = PolyFamily(_load_members(cfg, algebra))
         functionals = [
-            [as_fraction(w) for w in node] for node in cfg["functionals"]
+            [as_fraction(w) for w in _array(f"functionals[{i}]", node)]
+            for i, node in enumerate(_array("functionals", cfg["functionals"]))
         ]
         seed = _integer("seed", _resolved(cfg, args, "seed", 0))
 
@@ -416,7 +428,7 @@ def cmd_vdc(cfg: Mapping, args, out_dir: Path) -> int:
             system = system_from_json_dict(signal["system"])
             algebra = _load_algebra(signal)
             [phi] = _load_members(signal, algebra)
-            h = tuple(as_fraction(v) for v in signal.get("h", ()))
+            h = tuple(as_fraction(v) for v in _array("h", signal.get("h", [])))
             f = function_from_json_dict(signal["function"])
             n_samples = _integer("n_samples", signal.get("n_samples", 1000))
             seed = _integer("seed", _resolved(cfg, args, "seed", 0))

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .multipoly import as_fraction
 
@@ -286,38 +287,24 @@ def _strictly_upper_triangular(n: int) -> LieAlgebraSpec:
     return LieAlgebraSpec(labels, layers, brackets, step=n - 1)
 
 
-# Free nilpotent algebras are built inside the truncated free associative
-# algebra: a left-normed bracket word expands to a signed sum of monomials,
-# and exact Gaussian elimination per degree picks the independent ones.
+# Free nilpotent algebras are built inside the free associative algebra,
+# where [p, q] = pq - qp: a left-normed bracket word expands to a signed sum
+# of monomials, and exact Gaussian elimination per degree picks the
+# independent ones.
 
 _AssocPoly = Dict[Tuple[int, ...], Fraction]
 
 
-def _assoc_commutator(p: _AssocPoly, letter: int, max_deg: int) -> _AssocPoly:
-    out: _AssocPoly = {}
-    for w, c in p.items():
-        if len(w) + 1 > max_deg:
-            continue
-        right = w + (letter,)
-        left = (letter,) + w
-        out[right] = out.get(right, _F0) + c
-        out[left] = out.get(left, _F0) - c
-    return {w: c for w, c in out.items() if c != 0}
-
-
-def _assoc_product(p: _AssocPoly, q: _AssocPoly, max_deg: int) -> _AssocPoly:
+def _assoc_bracket(p: _AssocPoly, q: _AssocPoly) -> _AssocPoly:
+    """pq - qp in the free associative algebra."""
     out: _AssocPoly = {}
     for w1, c1 in p.items():
         for w2, c2 in q.items():
-            if len(w1) + len(w2) > max_deg:
-                continue
-            w = w1 + w2
-            acc = out.get(w, _F0) + c1 * c2
-            if acc == 0:
-                out.pop(w, None)
-            else:
-                out[w] = acc
-    return out
+            c = c1 * c2
+            pq, qp = w1 + w2, w2 + w1
+            out[pq] = out.get(pq, _F0) + c
+            out[qp] = out.get(qp, _F0) - c
+    return {w: c for w, c in out.items() if c != 0}
 
 
 class _Echelon:
@@ -385,17 +372,11 @@ def _free_nilpotent(generators: int, step: int) -> LieAlgebraSpec:
     for g in range(generators):
         select({(g,): _F1}, 1, f"x{g+1}")
 
-    def left_normed(word: Tuple[int, ...]) -> _AssocPoly:
-        exp: _AssocPoly = {(word[0],): _F1}
-        for letter in word[1:]:
-            exp = _assoc_commutator(exp, letter, step)
-            if not exp:
-                break
-        return exp
-
     for degree in range(2, step + 1):
-        for word in _lex_words(generators, degree):
-            exp = left_normed(word)
+        for word in product(range(generators), repeat=degree):
+            exp: _AssocPoly = {word[:1]: _F1}
+            for letter in word[1:]:
+                exp = _assoc_bracket(exp, {(letter,): _F1})
             if exp:
                 select(exp, degree, "c" + "".join(str(l + 1) for l in word))
 
@@ -405,14 +386,7 @@ def _free_nilpotent(generators: int, step: int) -> LieAlgebraSpec:
             d = degrees[i] + degrees[j]
             if d > step:
                 continue
-            comm = _assoc_product(expansions[i], expansions[j], step)
-            neg = _assoc_product(expansions[j], expansions[i], step)
-            for w, c in neg.items():
-                acc = comm.get(w, _F0) - c
-                if acc == 0:
-                    comm.pop(w, None)
-                else:
-                    comm[w] = acc
+            comm = _assoc_bracket(expansions[i], expansions[j])
             if not comm:
                 continue
             residual, combo = echelons[d].reduce(comm)
@@ -424,19 +398,6 @@ def _free_nilpotent(generators: int, step: int) -> LieAlgebraSpec:
 
     real_step = max(degrees)
     return LieAlgebraSpec(labels, degrees, brackets, step=real_step)
-
-
-def _lex_words(alphabet: int, length: int) -> Iterable[Tuple[int, ...]]:
-    word = [0] * length
-    while True:
-        yield tuple(word)
-        pos = length - 1
-        while pos >= 0 and word[pos] == alphabet - 1:
-            word[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-        word[pos] += 1
 
 
 _BUILTINS = {

@@ -64,9 +64,7 @@ class MultiPoly:
                 exp = tuple(int(e) for e in exp)
                 if len(exp) != arity or any(e < 0 for e in exp):
                     raise ValueError(f"exponent {exp} does not match variables {self.vars}")
-                clean[exp] = clean.get(exp, Fraction(0)) + coef
-                if clean[exp] == 0:
-                    del clean[exp]
+                _accumulate(clean, exp, coef)
         self.terms: Dict[Exponent, Fraction] = clean
 
     # ------------------------------------------------------------------
@@ -207,34 +205,26 @@ class MultiPoly:
             total += prod
         return total
 
-    def with_vars(self, new_vars: Sequence[str]) -> "MultiPoly":
-        """Re-express over a variable list containing all current variables."""
+    def _extension(self, new_vars: Sequence[str]) -> Tuple[str, ...]:
+        """`new_vars` as a tuple, refused unless it extends the current list."""
         new_vars = tuple(new_vars)
-        if new_vars[: len(self.vars)] == self.vars:
-            pad = (0,) * (len(new_vars) - len(self.vars))
-            return MultiPoly._make(new_vars, {exp + pad: coef for exp, coef in self.terms.items()})
-        positions = []
-        for v in self.vars:
-            if v not in new_vars:
-                raise ValueError(f"variable {v!r} missing from {new_vars}")
-            positions.append(new_vars.index(v))
-        n = len(new_vars)
-        terms: Dict[Exponent, Fraction] = {}
-        for exp, coef in self.terms.items():
-            out = [0] * n
-            for pos, e in zip(positions, exp):
-                out[pos] = e
-            terms[tuple(out)] = coef
-        return MultiPoly(new_vars, terms)
+        if new_vars[: len(self.vars)] != self.vars:
+            raise ValueError(f"{new_vars} does not extend the variables {self.vars}")
+        return new_vars
+
+    def with_vars(self, new_vars: Sequence[str]) -> "MultiPoly":
+        """The same polynomial over `new_vars`, which must extend the current variables."""
+        new_vars = self._extension(new_vars)
+        pad = (0,) * (len(new_vars) - len(self.vars))
+        return MultiPoly._make(new_vars, {exp + pad: coef for exp, coef in self.terms.items()})
 
     def substitute(self, new_vars: Sequence[str], assignment: Mapping[str, Affine]) -> "MultiPoly":
         """Affine substitution var -> c0 + sum(coeff * new_var).
 
-        Variables absent from `assignment` are carried over by name and must
-        appear in `new_vars`.
+        `new_vars` must extend the current variables.  Every variable keeps
+        its place; a substituted one has degree 0 unless its image names it.
         """
-        new_vars = tuple(new_vars)
-        n, m = len(new_vars), len(self.vars)
+        new_vars = self._extension(new_vars)
 
         def place(name: str) -> int:
             try:
@@ -242,20 +232,16 @@ class MultiPoly:
             except ValueError:
                 raise ValueError(f"unknown variable {name!r} among {new_vars}") from None
 
-        # Carried-over variables only move their exponent into place; the
-        # assigned ones expand through the powers of their image.  An image
-        # is sparse: its monomials are tuples of (position, exponent) pairs.
-        # When new_vars starts with self.vars every exponent is already in
-        # place, which is the case for shifts and fresh variables.
-        in_place = new_vars[:m] == self.vars
-        kept = [] if in_place else [(i, place(v)) for i, v in enumerate(self.vars) if v not in assignment]
+        # The assigned variables expand through the powers of their image.
+        # An image is sparse: its monomials are tuples of (position, exponent)
+        # pairs.
         powers: Dict[int, List[List[Tuple[tuple, Fraction]]]] = {}
         for i in sorted(self.vars.index(v) for v in assignment if v in self.vars):
             c0, linear = assignment[self.vars[i]]
             image = [((), as_fraction(c0))]
             image += [(((place(name), 1),), as_fraction(coeff)) for name, coeff in linear.items()]
             powers[i] = [[((), Fraction(1))], [(mono, c) for mono, c in image if c]]
-        padding = [0] * (n - m)
+        padding = [0] * (len(new_vars) - len(self.vars))
 
         def power(i: int, e: int) -> List[Tuple[tuple, Fraction]]:
             cache = powers[i]
@@ -273,15 +259,10 @@ class MultiPoly:
 
         total: Dict[Exponent, Fraction] = {}
         for exp, coef in self.terms.items():
-            if in_place:
-                base = list(exp)
-                base += padding
-                for i in powers:
-                    base[i] = 0
-            else:
-                base = [0] * n
-                for i, pos in kept:
-                    base[pos] = exp[i]
+            base = list(exp)
+            base += padding
+            for i in powers:
+                base[i] = 0
             partial = [(base, coef)]
             for i in powers:
                 e = exp[i]

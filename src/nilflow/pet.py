@@ -79,10 +79,6 @@ def _counts(sizes: Sizes) -> Dict[Weight, int]:
     return {w: len(sizes[w]) for w in sorted(sizes, key=_descending_key)}
 
 
-def assignment_less(f: Mapping[Weight, int], g: Mapping[Weight, int]) -> bool:
-    return _assignment_witness(f, g) is not None
-
-
 def _assignment_witness(f: Mapping[Weight, int], g: Mapping[Weight, int]) -> Weight | None:
     """The weight where f's class count drops below g's, later ones agreeing."""
     for w in sorted(f.keys() | g.keys(), key=_descending_key):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from .lie_core import GroupElement, LieAlgebraSpec, bch_coords
 from .multipoly import MultiPoly, as_fraction
@@ -69,7 +69,6 @@ class PolyMap:
         algebra: LieAlgebraSpec,
         variables: Sequence[str],
         entries: Mapping[Union[str, int], MultiPoly],
-        domain: Sequence[str] | None = None,
     ) -> "PolyMap":
         """Map exp(sum entries[label] * e_label); omitted coordinates are 0."""
         variables = tuple(variables)
@@ -79,7 +78,7 @@ class PolyMap:
             if not isinstance(poly, MultiPoly):
                 poly = MultiPoly.const(variables, poly)
             coords[idx] = coords[idx] + poly.with_vars(variables)
-        return cls(algebra, variables, coords, domain=domain)
+        return cls(algebra, variables, coords)
 
     # ------------------------------------------------------------------
     # predicates
@@ -170,9 +169,10 @@ def substitute(
 
     Assignment values are rational constants, read by `as_fraction` (so the
     string "1/2" is the number 1/2), or pairs (const, {var: coeff}).
-    Untouched variables carry over.  The variable list of the result keeps
-    the original order, substituted variables being replaced in place by the
-    new names their image introduces.
+    `new_variables` must extend phi's variables; by default it appends the
+    new names the images introduce, in order of first appearance.  Every
+    variable keeps its place, a substituted one with degree 0 unless its
+    image names it.
     """
     affine = {v: _as_affine(expr) for v, expr in assignment.items()}
     for v in affine:
@@ -180,24 +180,14 @@ def substitute(
             raise ValueError(f"unknown variable {v!r}")
 
     if new_variables is None:
-        ordered: List[str] = []
-        for v in phi.vars:
-            names = affine[v][1] if v in affine else {v: Fraction(1)}
-            for name in names:
-                if name not in ordered:
-                    ordered.append(name)
-        new_variables = tuple(ordered)
-    else:
-        new_variables = tuple(new_variables)
+        images = (name for _, linear in affine.values() for name in linear)
+        new_variables = dict.fromkeys((*phi.vars, *images))
+    new_variables = tuple(new_variables)
 
     if new_domain is None:
         # a substituted variable stays in the domain only when its image
         # still involves it (shifts like t -> t + k), not when it is pinned
-        new_domain = tuple(
-            v
-            for v in phi.domain
-            if v in new_variables and (v not in affine or v in affine[v][1])
-        )
+        new_domain = tuple(v for v in phi.domain if v not in affine or v in affine[v][1])
 
     coords = [c.substitute(new_variables, affine) for c in phi.coords]
     return PolyMap(phi.algebra, new_variables, coords, domain=new_domain)
@@ -286,13 +276,7 @@ def leading_term(phi: PolyMap) -> LeadingTerm:
 def lt_equivalent(phi: PolyMap, psi: PolyMap) -> bool:
     """Same internal class and identical leading term."""
     _check_compatible(phi, psi)
-    a = leading_term(phi)
-    b = leading_term(psi)
-    return (
-        a.internal_class == b.internal_class
-        and a.leading_degree == b.leading_degree
-        and a.coefficient == b.coefficient
-    )
+    return leading_term(phi) == leading_term(psi)
 
 
 # ----------------------------------------------------------------------

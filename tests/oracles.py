@@ -4,11 +4,13 @@ Group multiplication is cross-checked against faithful unitriangular matrix
 models, where exp and log are finite polynomial sums and stay exact over
 Fraction, and against the Dynkin form of the BCH series evaluated word by
 word.  Free Lie algebra dimensions are cross-checked against the Witt
-necklace-counting formula.  The float action and test functions are
-cross-checked against whole-array formulas that make the same float
-operations in the same order.  The PET order's class matching is
-cross-checked against an exhaustive search over bijections.  Nothing here
-imports the package under test.
+necklace-counting formula, and their bracket constants against the free
+associative algebra, where each basis label expands to its left-normed
+word.  The float action and test functions are cross-checked against
+whole-array formulas that make the same float operations in the same
+order.  The PET order's class matching is cross-checked against an
+exhaustive search over bijections.  Nothing here imports the package
+under test.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import permutations
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -209,6 +211,48 @@ def witt_dimension(generators: int, degree: int) -> int:
             total += _mobius(e) * generators ** (degree // e)
     assert total % degree == 0
     return total // degree
+
+
+# ----------------------------------------------------------------------
+# free Lie algebras inside the free associative algebra
+
+AssocPoly = Dict[Tuple[int, ...], Fraction]
+
+
+def assoc_product(p: AssocPoly, q: AssocPoly) -> AssocPoly:
+    """pq for polynomials in noncommuting letters, given as {word: coefficient}."""
+    out: AssocPoly = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            out[w1 + w2] = out.get(w1 + w2, F0) + c1 * c2
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def assoc_sum(*terms: Tuple[Fraction, AssocPoly]) -> AssocPoly:
+    """sum of c * p over the pairs (c, p) given."""
+    out: AssocPoly = {}
+    for c, p in terms:
+        for w, cw in p.items():
+            out[w] = out.get(w, F0) + c * cw
+    return {w: v for w, v in out.items() if v != 0}
+
+
+def assoc_bracket(p: AssocPoly, q: AssocPoly) -> AssocPoly:
+    """pq - qp."""
+    return assoc_sum((F1, assoc_product(p, q)), (-F1, assoc_product(q, p)))
+
+
+def left_normed_expansion(label: str) -> AssocPoly:
+    """The word a free nilpotent basis label names, expanded.
+
+    x1 is the letter 0, and c121 is [[x1, x2], x1]: the digits are the
+    letters, one-based, bracketed from the left.
+    """
+    letters = [int(d) - 1 for d in label[1:]]
+    out: AssocPoly = {(letters[0],): F1}
+    for letter in letters[1:]:
+        out = assoc_bracket(out, {(letter,): F1})
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -414,6 +414,13 @@ def test_vdc_unknown_expression(tmp_path):
     assert run("vdc", cfg, tmp_path) == 2
 
 
+def demo_config(name):
+    return json.loads((DEMOS / f"{name}.json").read_text())
+
+
+GRAPH_WEYL = {**demo_config("demo_weyl_square"), "joining": "graph"}
+
+
 @pytest.mark.parametrize(
     "command, demo, path, value, fragment",
     [
@@ -435,17 +442,37 @@ def test_vdc_unknown_expression(tmp_path):
         ("pet", "demo_pet_pair", "family.0.coords.x1", [[[1], 1]], "coordinate 'x1' must be an object"),
         ("average", "demo_weyl_square", "functions.1.freq", [1.7], "frequency entries must be integers, got [1.7]"),
         ("average", "demo_weyl_square", "functions.1.freq", [True], "frequency entries must be integers, got [True]"),
+        ("average", "demo_dichotomy_exceptional", "t_grid", "12", "t_grid must be an array, got '12'"),
+        ("average", "demo_dichotomy_exceptional", "h", "1", "h must be an array, got '1'"),
+        ("average", "demo_dichotomy_exceptional", "vars", "th", "vars must be an array, got 'th'"),
+        ("average", "demo_dichotomy_exceptional", "family.0.vars", "th", "family[0].vars must be an array, got 'th'"),
+        (
+            "vdc", "demo_vdc_one", "", {**FLOW_VDC, "signal": {**FLOW_VDC["signal"], "vars": ["t", "h"], "h": "1"}},
+            "h must be an array, got '1'",
+        ),
+        ("generic", "demo_generic_lines", "functionals", {"10": 1, "01": 1}, "functionals must be an array, got {"),
+        ("generic", "demo_generic_lines", "functionals", ["10", "01"], "functionals[0] must be an array, got '10'"),
+        ("average", "demo_weyl_square", "", {**GRAPH_WEYL, "elements": "00"}, "elements must be an array, got '00'"),
+        ("average", "demo_weyl_square", "", {**GRAPH_WEYL, "elements": ["0", "0"]}, "elements[0] must be an array, got '0'"),
+        ("average", "demo_weyl_square", "invariance", {"tuples": {"00": 1}}, "invariance.tuples must be an array, got {"),
+        ("average", "demo_weyl_square", "invariance", {"tuples": ["00"]}, "invariance.tuples[0] must be an array, got '00'"),
+        (
+            "average", "demo_heisenberg_joining", "invariance.tuples.1", ["000", "100", "010"],
+            "invariance.tuples[1][0] must be an array, got '000'",
+        ),
     ],
     ids=[
         "missing-key", "missing-nested-key", "unknown-signal-kind", "root-not-object", "torus-without-dim",
         "unknown-function-kind", "algebra-dim-vs-labels", "dt-1/0", "member-is-a-string", "T-true",
         "t_grid-true", "negative-exponent", "non-integer-exponent", "unknown-label", "scalar-coordinate",
-        "term-list-coordinate", "freq-1.7", "freq-true",
+        "term-list-coordinate", "freq-1.7", "freq-true", "t_grid-string", "h-string", "vars-string",
+        "member-vars-string", "signal-h-string", "functionals-object", "functional-string", "elements-string",
+        "element-string", "tuples-object", "tuple-string", "tuple-element-string",
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, command, demo, path, value, fragment):
     """Every malformed config exits 2 with stderr naming the fault, and writes nothing."""
-    cfg = json.loads((DEMOS / f"{demo}.json").read_text())
+    cfg = demo_config(demo)
     cfg = with_entry(cfg, path, value) if path else value
     assert run(command, write_config(tmp_path, cfg), tmp_path / "out") == 2
     assert fragment in capsys.readouterr().err

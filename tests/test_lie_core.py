@@ -1,7 +1,8 @@
 """Algebra construction, bracket, and BCH product checks.
 
-Group products are compared against exact unitriangular matrix models and
-free Lie algebra ranks against the Witt formula; see oracles.py.
+Group products are compared against exact unitriangular matrix models, free
+Lie algebra ranks against the Witt formula and their bracket constants
+against the free associative algebra; see oracles.py.
 """
 
 import random
@@ -26,9 +27,14 @@ from nilflow.lie_core import (
 )
 from nilflow.multipoly import MultiPoly
 from oracles import (
+    F0,
+    F1,
+    assoc_bracket,
+    assoc_sum,
     dynkin_bch,
     heisenberg_from_matrix,
     heisenberg_to_matrix,
+    left_normed_expansion,
     matrix_bch,
     ut_from_matrix,
     ut_to_matrix,
@@ -100,6 +106,35 @@ def test_free_nilpotent_ranks_match_witt_formula():
             rank = sum(1 for l in alg.layers if l == d)
             assert rank == witt_dimension(g, d), (g, s, d)
         assert verify_algebra(alg) == []
+
+
+# every shape with at most 256 words of top degree; the larger ones take seconds
+FREE_SHAPES = [(g, s) for g in range(1, 5) for s in range(1, MAX_BCH_STEP + 1) if g ** s <= 256]
+
+
+def test_left_normed_expansion_examples():
+    assert left_normed_expansion("x1") == {(0,): 1}
+    # [[x1, x2], x1] = 2 x1 x2 x1 - x2 x1 x1 - x1 x1 x2
+    assert left_normed_expansion("c121") == {(0, 1, 0): 2, (1, 0, 0): -1, (0, 0, 1): -1}
+    assert left_normed_expansion("c11") == {}
+
+
+@pytest.mark.parametrize("generators, step", FREE_SHAPES)
+def test_free_nilpotent_brackets_match_the_free_associative_algebra(generators, step):
+    """sum_k c_ijk E(b_k) = E(b_i) E(b_j) - E(b_j) E(b_i) for every pair whose
+    layers sum to at most the step, E expanding a label's left-normed word.
+    The Witt ranks and verify_algebra would pass a table with every sign
+    flipped, or one on another basis; this would not."""
+    alg = make_builtin("free_nilpotent", generators=generators, step=step)
+    expansion = [left_normed_expansion(label) for label in alg.labels]
+    unit = [[F1 if k == i else F0 for k in range(alg.dim)] for i in range(alg.dim)]
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            if i == j or alg.layers[i] + alg.layers[j] > alg.step:
+                continue
+            row = bracket_coords(alg, unit[i], unit[j])
+            combination = assoc_sum(*((c, expansion[k]) for k, c in enumerate(row) if c))
+            assert combination == assoc_bracket(expansion[i], expansion[j]), (alg.labels[i], alg.labels[j])
 
 
 def test_free_nilpotent_one_generator_collapses():

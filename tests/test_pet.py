@@ -12,10 +12,10 @@ from nilflow.pet import (
     PETTrace,
     PolyFamily,
     Weight,
+    _assignment_witness,
     _descending_key,
     _descent_certificate,
     _sorted_matching,
-    assignment_less,
     derived_family,
     family_precedes,
     lt_partition,
@@ -89,9 +89,9 @@ def test_weight_assignment_examples():
 def test_assignment_comparison_scans_from_the_top():
     f = weight_assignment(PolyFamily([h3_map(x1=tpow(1))]))
     g = weight_assignment(PolyFamily([h3_map(x1=tpow(2))]))
-    assert assignment_less(f, g)
-    assert not assignment_less(g, f)
-    assert not assignment_less(f, f)
+    assert _assignment_witness(f, g) is not None
+    assert _assignment_witness(g, f) is None
+    assert _assignment_witness(f, f) is None
 
 
 def test_family_requires_time_origin_normalization():

@@ -138,7 +138,8 @@ def test_substitute_time_zero_gives_identity():
     phi = exp_map({"x1": t * h, "z": t ** 2}, variables=("t", "h"))
     pinned = substitute(phi, {"t": 0})
     assert pinned.is_constant_identity()
-    assert pinned.vars == ("h",)
+    assert pinned.vars == ("t", "h")
+    assert pinned.domain == ("h",)
 
 
 def test_substitute_reads_floats_as_their_shortest_decimal():
@@ -156,7 +157,8 @@ def test_substitute_reads_strings_as_numbers():
     phi = exp_map({"x1": t * h, "z": t ** 2}, variables=("t", "h"))
     pinned = substitute(phi, {"h": "1/2"})
     assert pinned == substitute(phi, {"h": Fraction(1, 2)})
-    assert pinned.vars == ("t",)
+    assert pinned.vars == ("t", "h")
+    assert pinned.coords[0] == Fraction(1, 2) * t and pinned.coords[0].degree_in("h") == 0
 
 
 def test_substitute_unknown_variable():
