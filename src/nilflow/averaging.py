@@ -132,13 +132,13 @@ def _draw_factors(joining: JoiningSpec, n: int, seed: int) -> List[np.ndarray]:
 # time grids and flow evaluation
 
 
-def _step_count(T: Rational, dt: Fraction) -> int:
+def _step_count(T: Rational, dt: Fraction, name: str = "T") -> int:
     T = as_fraction(T)
     if T <= 0:
-        raise ConfigError("horizon T must be positive")
+        raise ConfigError(f"horizon {name} must be positive")
     steps = T / dt
     if steps.denominator != 1:
-        raise ConfigError(f"dt={dt} does not divide T={T}")
+        raise ConfigError(f"dt={dt} does not divide {name}={T}")
     return int(steps)
 
 
@@ -412,7 +412,7 @@ def scan_with_invariance(
 
 def _half_steps(T: Rational, S: Rational, dt: Fraction) -> int:
     """Number of half steps dt/2 from 0 to T+S."""
-    return 2 * (_step_count(T, dt) + _step_count(S, dt))
+    return 2 * (_step_count(T, dt) + _step_count(S, dt, "S"))
 
 
 def half_step_times(T: Rational, S: Rational, dt: Rational) -> np.ndarray:

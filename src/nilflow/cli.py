@@ -4,6 +4,9 @@ One JSON config per run; every command writes report.csv, certificate.json,
 and sidecar.json into the output directory.  The sidecar holds the config
 with all defaults materialized, so it alone reproduces the run.
 
+Every config value is read in this module, by `_typed`, before the library
+sees it; an optional key that is absent or null takes its default (`_get`).
+
 Exit codes: 0 success, 2 config error, 3 certificate failure, 4 truncation.
 """
 
@@ -17,7 +20,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,17 +31,11 @@ from .averaging import (
     scan_with_invariance,
     vdc_check,
 )
-from .dynamics import (
-    function_from_json_dict,
-    function_to_json_dict,
-    system_from_json_dict,
-    system_to_json_dict,
-)
+from .dynamics import NilSystem, TestFunction, function_to_json_dict, system_to_json_dict
 from .errors import CertificateError, ConfigError, TruncationError
 from .lie_core import (
     GroupElement,
     LieAlgebraSpec,
-    algebra_from_json_dict,
     algebra_to_json_dict,
     make_builtin,
     verify_algebra,
@@ -49,7 +46,6 @@ from .poly_maps import (
     PolyMap,
     check_time_origin,
     leading_term,
-    polymap_from_json_dict,
     polymap_to_json_dict,
     polynomial_degree,
 )
@@ -67,6 +63,9 @@ from .zariski import (
 # config loading
 
 
+_JSON_TYPES = {int: "an integer", str: "a string", list: "an array", dict: "an object"}
+
+
 @contextmanager
 def _reading_config():
     """The scope of a command's config reading: a malformed config met there is a ConfigError."""
@@ -74,30 +73,54 @@ def _reading_config():
         yield
     except KeyError as exc:
         raise ConfigError(f"config is missing required key {exc.args[0]!r}") from exc
-    except (TypeError, AttributeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _integer(key: str, value) -> int:
-    """`value`, read for config key `key`, which must be a JSON integer."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+def _typed(key: str, value, kind: type, least: int | None = None):
+    """`value`, read for config key `key`: of JSON type `kind` (a bool is no int), and at least `least`."""
+    if type(value) is not kind:
+        raise ConfigError(f"{key} must be {_JSON_TYPES[kind]}, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{key} must be at least {least}, got {value}")
     return value
 
 
-def _array(key: str, value) -> list:
-    """`value`, read for config key `key`, which must be a JSON array."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{key} must be an array, got {value!r}")
-    return value
+def _get(node: dict, key: str, default, kind: type | None = None, least: int | None = None):
+    """The optional `node[key]`, read by `_typed` when `kind` is given; `default` if absent or null."""
+    value = node.get(key)
+    if value is None:
+        return default
+    return value if kind is None else _typed(key, value, kind, least)
 
 
-def _load_algebra(cfg: Mapping) -> LieAlgebraSpec:
-    node = cfg["algebra"]
+def _items(key: str, value) -> list:
+    """(key of the entry, entry) for each entry of the array `value`, read for config key `key`."""
+    return [(f"{key}[{n}]", entry) for n, entry in enumerate(_typed(key, value, list))]
+
+
+def _entries(key: str, value, kind: type) -> tuple:
+    """`value`, read for config key `key`: an array whose entries each have the JSON type `kind`."""
+    return tuple(_typed(name, entry, kind) for name, entry in _items(key, value))
+
+
+def _load_algebra(cfg: dict) -> LieAlgebraSpec:
+    node = _typed("algebra", cfg["algebra"], dict)
     if "builtin" in node:
-        params = {k: v for k, v in node.items() if k != "builtin"}
-        return make_builtin(node["builtin"], **params)
-    algebra = algebra_from_json_dict(node)
+        params = {key: _typed(key, value, int) for key, value in node.items() if key != "builtin"}
+        return make_builtin(_typed("builtin", node["builtin"], str), **params)
+    labels = _entries("labels", node["labels"], str)
+    if _get(node, "dim", len(labels), int) != len(labels):
+        raise ConfigError("dim field disagrees with label count")
+    brackets = {}
+    for key, entry in _items("brackets", _get(node, "brackets", [])):
+        i, j, row = _typed(key, entry, list)
+        row = [_typed(name, pair, list) for name, pair in _items(f"{key}[2]", row)]
+        brackets[_typed(f"{key}[0]", i, int), _typed(f"{key}[1]", j, int)] = {
+            _typed(f"{key}[2] index", k, int): coef for k, coef in row
+        }
+    layers = _entries("layers", node["layers"], int)
+    algebra = LieAlgebraSpec(labels, layers, brackets, step=_get(node, "step", None, int))
     violations = verify_algebra(algebra)
     if violations:
         raise ConfigError("algebra is not a graded nilpotent Lie algebra: " + "; ".join(violations))
@@ -120,49 +143,64 @@ def _parse_monomial(text: str, variables: Sequence[str]) -> Tuple[int, ...]:
 
 
 def _poly_from_node(label: str, node, variables: Tuple[str, ...]) -> MultiPoly:
-    if not isinstance(node, Mapping):
-        raise ConfigError(f"coordinate {label!r} must be an object of monomials, got {node!r}")
+    """A coordinate written as an object of monomials, such as {"t^2": "1/2"}."""
     terms = {}
-    for mono, coef in node.items():
+    for mono, coef in _typed(f"coordinate {label!r}", node, dict).items():
         exp = _parse_monomial(mono, variables)
         terms[exp] = terms.get(exp, Fraction(0)) + as_fraction(coef)
     return MultiPoly(variables, terms)
 
 
-def _load_members(cfg: Mapping, algebra: LieAlgebraSpec) -> List[PolyMap]:
-    default_vars = tuple(_array("vars", cfg.get("vars", ["t"])))
+def _poly_from_term_list(key: str, node, variables: Tuple[str, ...]) -> MultiPoly:
+    """A coordinate in the sidecar's term-list form, [{"exp": [2], "coef": "1/2"}, ...]."""
+    terms = [_typed(name, term, dict) for name, term in _items(key, node)]
+    return MultiPoly(variables, {_entries("exp", term["exp"], int): term["coef"] for term in terms})
+
+
+def _load_members(cfg: dict, algebra: LieAlgebraSpec) -> List[PolyMap]:
+    """The family; a member's coords are an object keyed by basis label, or the sidecar's term lists."""
+    default_vars = _entries("vars", _get(cfg, "vars", ["t"]), str)
     members = []
-    for i, node in enumerate(cfg["family"]):
-        if not isinstance(node, dict):
-            raise ConfigError(f"family member {i} must be an object, got {node!r}")
-        variables = tuple(_array(f"family[{i}].vars", node["vars"])) if "vars" in node else default_vars
-        coords = node.get("coords")
-        if isinstance(coords, list):
-            members.append(polymap_from_json_dict(node, algebra))
+    for i, node in enumerate(_typed("family", cfg["family"], list)):
+        node = _typed(f"family member {i}", node, dict)
+        key = f"family[{i}]"
+        variables = _entries(f"{key}.vars", _get(node, "vars", list(default_vars)), str)
+        coords = node["coords"]
+        if type(coords) is list:
+            domain = None if node.get("domain") is None else _entries(f"{key}.domain", node["domain"], str)
+            polys = [_poly_from_term_list(name, c, variables) for name, c in _items(f"{key}.coords", coords)]
+            members.append(PolyMap(algebra, variables, polys, domain=domain))
             continue
         entries = {
-            label: _poly_from_node(label, p, variables) for label, p in (coords or {}).items()
+            label: _poly_from_node(label, p, variables)
+            for label, p in _typed(f"{key}.coords", coords, dict).items()
         }
         members.append(PolyMap.build(algebra, variables, entries))
     return members
 
 
-def _load_factor_elements(nodes, systems, key: str) -> list:
+def _load_system(key: str, node) -> NilSystem:
+    node = _typed(key, node, dict)
+    rows = node.get("acting_matrix")
+    if rows is not None:
+        rows = [_typed(name, row, list) for name, row in _items(f"{key}.acting_matrix", rows)]
+    return NilSystem(_typed("kind", node["kind"], str), dim=_get(node, "dim", None, int), acting_matrix=rows)
+
+
+def _load_function(key: str, node) -> TestFunction:
+    node = _typed(key, node, dict)
+    kind = _typed("kind", node["kind"], str)
+    return TestFunction(kind, tuple(_typed("freq", node["freq"], list)), _get(node, "part", "cos", str))
+
+
+def _load_factor_elements(key: str, nodes, systems) -> list:
     """One group element per factor, each in its factor's algebra, read for config key `key`."""
-    nodes = _array(key, nodes)
-    if len(nodes) != len(systems):
-        raise ConfigError(f"{key} has {len(nodes)} elements, need one per factor ({len(systems)})")
+    items = _items(key, nodes)
+    if len(items) != len(systems):
+        raise ConfigError(f"{key} has {len(items)} elements, need one per factor ({len(systems)})")
     return [
-        GroupElement(sys_i.algebra, _array(f"{key}[{i}]", node))
-        for i, (node, sys_i) in enumerate(zip(nodes, systems))
+        GroupElement(sys_i.algebra, _typed(name, node, list)) for (name, node), sys_i in zip(items, systems)
     ]
-
-
-def _resolved(cfg: Mapping, args, key: str, default):
-    override = getattr(args, key, None)
-    if override is not None:
-        return override
-    return cfg.get(key, default)
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +278,7 @@ def _emit(out_dir: Path, header, rows, certificate: dict, sidecar: dict) -> None
 # commands
 
 
-def cmd_verify_poly(cfg: Mapping, args, out_dir: Path) -> int:
+def cmd_verify_poly(cfg: dict, args, out_dir: Path) -> int:
     with _reading_config():
         algebra = _load_algebra(cfg)
         members = _load_members(cfg, algebra)
@@ -280,11 +318,11 @@ def cmd_verify_poly(cfg: Mapping, args, out_dir: Path) -> int:
     return 0
 
 
-def cmd_pet(cfg: Mapping, args, out_dir: Path) -> int:
+def cmd_pet(cfg: dict, args, out_dir: Path) -> int:
     with _reading_config():
         algebra = _load_algebra(cfg)
         family = PolyFamily(_load_members(cfg, algebra))
-        max_depth = _integer("max_depth", cfg.get("max_depth", MAX_DEPTH))
+        max_depth = _get(cfg, "max_depth", MAX_DEPTH, int)
 
     trace = pet_trace(family, max_depth=max_depth)
 
@@ -308,29 +346,29 @@ def cmd_pet(cfg: Mapping, args, out_dir: Path) -> int:
     return 0
 
 
-def cmd_average(cfg: Mapping, args, out_dir: Path) -> int:
+def cmd_average(cfg: dict, args, out_dir: Path) -> int:
     with _reading_config():
-        systems = [system_from_json_dict(node) for node in cfg["systems"]]
-        kind = cfg.get("joining", "diagonal")
-        elements = None
-        if cfg.get("elements") is not None:
-            elements = _load_factor_elements(cfg["elements"], systems, "elements")
+        systems = [_load_system(key, node) for key, node in _items("systems", cfg["systems"])]
+        kind = _get(cfg, "joining", "diagonal", str)
+        elements = _get(cfg, "elements", None)
+        if elements is not None:
+            elements = _load_factor_elements("elements", elements, systems)
         joining = JoiningSpec(systems, kind, elements=elements)
 
         algebra = _load_algebra(cfg)
         family = PolyFamily(_load_members(cfg, algebra))
-        h = tuple(as_fraction(v) for v in _array("h", cfg.get("h", [])))
-        fns = [function_from_json_dict(node) for node in cfg["functions"]]
-        t_grid = _array("t_grid", cfg["t_grid"])
-        dt = str(cfg.get("dt", "0.05"))
-        n_samples = _integer("n_samples", cfg.get("n_samples", 1000))
-        seed = _integer("seed", _resolved(cfg, args, "seed", 0))
-        threads = _integer("threads", _resolved(cfg, args, "threads", 1))
+        h = tuple(as_fraction(v) for v in _get(cfg, "h", [], list))
+        fns = [_load_function(key, node) for key, node in _items("functions", cfg["functions"])]
+        t_grid = _typed("t_grid", cfg["t_grid"], list)
+        dt = str(_get(cfg, "dt", "0.05"))
+        n_samples = _get(cfg, "n_samples", 1000, int)
+        seed = _get(cfg, "seed", 0, int, least=0)
+        threads = _get(cfg, "threads", 1, int, least=1)
 
-        tuples_node = (cfg.get("invariance") or {}).get("tuples")
+        tuples_node = _get(cfg, "invariance", {"tuples": []}, dict)["tuples"]
         g_list = [
-            tuple(_load_factor_elements(tup, systems, f"invariance.tuples[{j}]"))
-            for j, tup in enumerate(() if tuples_node is None else _array("invariance.tuples", tuples_node))
+            tuple(_load_factor_elements(key, tup, systems))
+            for key, tup in _items("invariance.tuples", tuples_node)
         ]
     report, deviations = scan_with_invariance(
         joining, family, h, fns, t_grid, g_list,
@@ -370,15 +408,15 @@ def cmd_average(cfg: Mapping, args, out_dir: Path) -> int:
     return 0
 
 
-def cmd_generic(cfg: Mapping, args, out_dir: Path) -> int:
+def cmd_generic(cfg: dict, args, out_dir: Path) -> int:
     with _reading_config():
         algebra = _load_algebra(cfg)
         family = PolyFamily(_load_members(cfg, algebra))
         functionals = [
-            [as_fraction(w) for w in _array(f"functionals[{i}]", node)]
-            for i, node in enumerate(_array("functionals", cfg["functionals"]))
+            [as_fraction(w) for w in _typed(key, node, list)]
+            for key, node in _items("functionals", cfg["functionals"])
         ]
-        seed = _integer("seed", _resolved(cfg, args, "seed", 0))
+        seed = _get(cfg, "seed", 0, int, least=0)
 
     varieties = []
     for phi in family:
@@ -416,26 +454,26 @@ def cmd_generic(cfg: Mapping, args, out_dir: Path) -> int:
     return 0
 
 
-def cmd_vdc(cfg: Mapping, args, out_dir: Path) -> int:
+def cmd_vdc(cfg: dict, args, out_dir: Path) -> int:
     with _reading_config():
-        T = cfg.get("T", 200)
-        S = cfg.get("S", T)
-        dt = str(cfg.get("dt", "0.05"))
-        signal = cfg["signal"]
-        kind = signal.get("kind", "expr")
-        expr = signal.get("expr")
+        T = _get(cfg, "T", 200)
+        S = _get(cfg, "S", T)
+        dt = str(_get(cfg, "dt", "0.05"))
+        signal = _typed("signal", cfg["signal"], dict)
+        kind = _get(signal, "kind", "expr", str)
         if kind == "flow":
-            system = system_from_json_dict(signal["system"])
+            system = _load_system("system", signal["system"])
             algebra = _load_algebra(signal)
             [phi] = _load_members(signal, algebra)
-            h = tuple(as_fraction(v) for v in _array("h", signal.get("h", [])))
-            f = function_from_json_dict(signal["function"])
-            n_samples = _integer("n_samples", signal.get("n_samples", 1000))
-            seed = _integer("seed", _resolved(cfg, args, "seed", 0))
+            h = tuple(as_fraction(v) for v in _get(signal, "h", [], list))
+            f = _load_function("function", signal["function"])
+            n_samples = _get(signal, "n_samples", 1000, int)
+            seed = _get(cfg, "seed", 0, int, least=0)
         elif kind != "expr":
             raise ConfigError(f"unknown signal kind {kind!r}")
         elif args.seed is not None:
             raise ConfigError("--seed applies only to a flow signal; an expr signal draws nothing")
+        expr = _get(signal, "expr", None, str)
 
     times = half_step_times(T, S, dt)
     if kind == "flow":
@@ -491,11 +529,6 @@ def main(argv=None) -> int:
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None, help="worker threads for sampling")
     args = parser.parse_args(argv)
-    # every subcommand takes the flag; none may accept a count it cannot run
-    if args.threads is not None and args.threads < 1:
-        print(f"config error: threads must be at least 1, got {args.threads}", file=sys.stderr)
-        return 2
-
     try:
         cfg = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -505,7 +538,12 @@ def main(argv=None) -> int:
         print("config root must be a JSON object", file=sys.stderr)
         return 2
 
+    for key in ("seed", "threads"):  # a command-line value overrides the config's, and the sidecar records it
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     try:
+        if args.threads is not None:  # every subcommand takes the flag; none may accept a count it cannot run
+            _typed("threads", args.threads, int, least=1)
         return _COMMANDS[args.command][0](cfg, args, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +62,8 @@ class NilSystem:
                 raise ValueError("torus systems need a positive dimension")
             self.algebra = make_builtin("abelian", dim=dim)
         elif kind == "heisenberg3":
+            if dim not in (None, 3):
+                raise ValueError(f"heisenberg3 systems have dimension 3, got {dim}")
             self.algebra = make_builtin("heisenberg", dim=3)
         else:
             raise ValueError(f"unknown system kind {kind!r}")
@@ -70,8 +72,8 @@ class NilSystem:
             if kind != "torus":
                 raise ValueError("acting matrices are only supported on torus systems")
             rows = tuple(tuple(as_fraction(entry) for entry in row) for row in acting_matrix)
-            if len(rows) != self.algebra.dim:
-                raise ValueError("acting matrix must have one row per algebra coordinate")
+            if len(rows) != self.algebra.dim or len({len(row) for row in rows}) > 1:
+                raise ValueError("acting matrix must have one row per algebra coordinate, all of one length")
             self.acting_matrix = rows
         else:
             self.acting_matrix = None
@@ -352,7 +354,7 @@ def step_values(sys: NilSystem, f: TestFunction, cols: np.ndarray, g: np.ndarray
 
 
 # ----------------------------------------------------------------------
-# JSON configs
+# serialization
 
 
 def system_to_json_dict(sys: NilSystem) -> dict:
@@ -362,13 +364,5 @@ def system_to_json_dict(sys: NilSystem) -> dict:
     return out
 
 
-def system_from_json_dict(data: Mapping) -> NilSystem:
-    return NilSystem(data["kind"], dim=data.get("dim"), acting_matrix=data.get("acting_matrix"))
-
-
 def function_to_json_dict(f: TestFunction) -> dict:
     return {"kind": f.kind, "freq": list(f.freq), "part": f.part}
-
-
-def function_from_json_dict(data: Mapping) -> TestFunction:
-    return TestFunction(data["kind"], tuple(data["freq"]), data.get("part", "cos"))

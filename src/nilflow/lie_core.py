@@ -53,10 +53,10 @@ class LieAlgebraSpec:
         self.dim: int = len(self.labels)
         if len(layers) != self.dim:
             raise ValueError("layer list length does not match basis size")
-        self.layers: Tuple[int, ...] = tuple(int(l) for l in layers)
+        self.layers: Tuple[int, ...] = tuple(layers)
         if any(l < 1 for l in self.layers):
             raise ValueError("layers must be positive integers")
-        self.step: int = int(step) if step is not None else max(self.layers, default=1)
+        self.step: int = step if step is not None else max(self.layers, default=1)
         if self.step < 1:
             raise ValueError("step must be positive")
 
@@ -70,9 +70,9 @@ class LieAlgebraSpec:
                     raise ValueError(f"bracket target {k} out of range for dim {self.dim}")
                 coef = as_fraction(coef)
                 if coef != 0:
-                    clean[int(k)] = coef
+                    clean[k] = coef
             if clean:
-                raw[(int(i), int(j))] = clean
+                raw[(i, j)] = clean
         self.brackets: BracketTable = raw
 
         table: BracketTable = {}
@@ -490,13 +490,3 @@ def algebra_to_json_dict(alg: LieAlgebraSpec) -> dict:
         "layers": list(alg.layers),
         "brackets": rows,
     }
-
-
-def algebra_from_json_dict(data: Mapping) -> LieAlgebraSpec:
-    labels = [str(l) for l in data["labels"]]
-    if "dim" in data and int(data["dim"]) != len(labels):
-        raise ValueError("dim field disagrees with label count")
-    brackets: Dict[Tuple[int, int], Dict[int, Union[int, str]]] = {}
-    for i, j, row in data.get("brackets", []):
-        brackets[(int(i), int(j))] = {int(k): v for k, v in row}
-    return LieAlgebraSpec(labels, data["layers"], brackets, step=data.get("step"))

@@ -61,7 +61,6 @@ class MultiPoly:
                 coef = as_fraction(coef)
                 if coef == 0:
                     continue
-                exp = tuple(int(e) for e in exp)
                 if len(exp) != arity or any(e < 0 for e in exp):
                     raise ValueError(f"exponent {exp} does not match variables {self.vars}")
                 _accumulate(clean, exp, coef)
@@ -307,10 +306,6 @@ class MultiPoly:
         """JSON-friendly term list [{"exp": [...], "coef": "p/q"}, ...]."""
         ordered = sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
         return [{"exp": list(exp), "coef": str(coef)} for exp, coef in ordered]
-
-    @classmethod
-    def from_terms(cls, variables: Sequence[str], data: Iterable[Mapping]) -> "MultiPoly":
-        return cls(variables, {tuple(entry["exp"]): entry["coef"] for entry in data})
 
     def __str__(self) -> str:
         if not self.terms:

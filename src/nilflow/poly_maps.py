@@ -292,9 +292,3 @@ def polymap_to_json_dict(phi: PolyMap) -> dict:
     if phi.domain != phi.vars:
         data["domain"] = list(phi.domain)
     return data
-
-
-def polymap_from_json_dict(data: Mapping, algebra: LieAlgebraSpec) -> PolyMap:
-    variables = tuple(str(v) for v in data["vars"])
-    coords = [MultiPoly.from_terms(variables, entry) for entry in data["coords"]]
-    return PolyMap(algebra, variables, coords, domain=data.get("domain"))

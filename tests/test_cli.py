@@ -1,5 +1,6 @@
 """Command front end: exit codes, emitted files, reproducibility."""
 
+import copy
 import json
 import math
 import random
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 
 from nilflow.averaging import JoiningSpec, scan_with_invariance
-from nilflow.cli import _encode_json, _load_algebra, _load_members, main
-from nilflow.dynamics import function_from_json_dict, haar_array, system_from_json_dict
+from nilflow.cli import _encode_json, _load_algebra, _load_function, _load_members, _load_system, main
+from nilflow.dynamics import haar_array
 from nilflow.lie_core import GroupElement
 from nilflow.pet import MAX_LEVEL_TERMS, PolyFamily
+from test_acceptance import DEMO_COMMANDS
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -147,15 +149,25 @@ def test_pet_negative_depth_is_config_error(tmp_path, capsys):
         ("generic", "demo_generic_lines", "seed", 2.9),
         ("vdc", None, "seed", 2.9),
         ("vdc", None, "signal.n_samples", 2.9),
+        ("average", "demo_weyl_square", "seed", -1),
+        ("generic", "demo_generic_lines", "seed", -1),
+        ("vdc", None, "seed", -1),
+        ("average", "demo_weyl_square", "--seed", -1),
+        ("generic", "demo_generic_lines", "--seed", -1),
+        ("vdc", None, "--seed", -1),
     ],
 )
 def test_counts_and_seeds_must_be_json_integers(tmp_path, capsys, command, demo, path, value):
-    """A float, a bool or a string in place of a count or seed is refused, not truncated."""
-    source = json.dumps(FLOW_VDC) if demo is None else (DEMOS / f"{demo}.json").read_text()
-    cfg = with_entry(json.loads(source), path, value)
-    key = path.split(".")[-1]
-    assert run(command, write_config(tmp_path, cfg), tmp_path / "out") == 2
-    assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+    """A float, a bool or a string in place of a count or seed is refused, not
+    truncated, and so is a negative seed, from the config or from --seed."""
+    cfg = json.loads(json.dumps(FLOW_VDC) if demo is None else (DEMOS / f"{demo}.json").read_text())
+    extra = [path, str(value)] if path.startswith("--") else []
+    if not extra:
+        cfg = with_entry(cfg, path, value)
+    key = path.split(".")[-1].lstrip("-")
+    assert run(command, write_config(tmp_path, cfg), tmp_path / "out", extra) == 2
+    message = f"{key} must be at least 0, got -1" if value == -1 else f"{key} must be an integer, got {value!r}"
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -234,7 +246,7 @@ def test_average_tuple_on_an_acting_matrix_factor_matches_a_numpy_oracle(tmp_pat
     assert run("average", write_config(tmp_path, cfg), tmp_path / "out") == 0
     deviations = json.loads((tmp_path / "out" / "certificate.json").read_text())["invariance"]["deviations"]
 
-    pts = haar_array(system_from_json_dict(cfg["systems"][0]), cfg["seed"], 500)
+    pts = haar_array(_load_system("systems[0]", cfg["systems"][0]), cfg["seed"], 500)
     base = np.cos(2 * np.pi * (pts @ np.array([-2.0, 1.0])))
     sums = {shift: np.zeros(500) for shift in (0.0, 1 / 3)}
     want = []
@@ -282,12 +294,12 @@ def test_average_invariance_reuses_the_scan_pass(tmp_path):
     assert (tmp_path / "with" / "report.csv").read_bytes() == (tmp_path / "without" / "report.csv").read_bytes()
 
     algebra = _load_algebra(cfg)
-    systems = [system_from_json_dict(node) for node in cfg["systems"]]
+    systems = [_load_system("system", node) for node in cfg["systems"]]
     _, deviations = scan_with_invariance(
         JoiningSpec(systems, cfg["joining"]),
         PolyFamily(_load_members(cfg, algebra)),
         (),
-        [function_from_json_dict(node) for node in cfg["functions"]],
+        [_load_function("function", node) for node in cfg["functions"]],
         cfg["t_grid"],
         [tuple(GroupElement(algebra, el) for el in tup) for tup in cfg["invariance"]["tuples"]],
         dt=cfg["dt"],
@@ -409,6 +421,21 @@ def test_vdc_nonpositive_dt_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"T": 200, "S": 0}, "horizon S must be positive"),
+        ({"T": 3, "S": 1, "dt": "0.3"}, "dt=3/10 does not divide S=1"),
+    ],
+    ids=["S-zero", "dt-does-not-divide-S"],
+)
+def test_vdc_names_the_horizon_at_fault(tmp_path, capsys, override, message):
+    cfg = {**demo_config("demo_vdc_one"), **override}
+    assert run("vdc", write_config(tmp_path, cfg), tmp_path / "out") == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_vdc_unknown_expression(tmp_path):
     cfg = write_config(tmp_path, {"T": 4, "S": 4, "dt": "0.5", "signal": {"kind": "expr", "expr": "sinh"}})
     assert run("vdc", cfg, tmp_path) == 2
@@ -460,6 +487,11 @@ GRAPH_WEYL = {**demo_config("demo_weyl_square"), "joining": "graph"}
             "average", "demo_heisenberg_joining", "invariance.tuples.1", ["000", "100", "010"],
             "invariance.tuples[1][0] must be an array, got '000'",
         ),
+        (
+            "verify-poly", "demo_verify_poly", "family.0",
+            {"vars": ["t", "h"], "domain": "th", "coords": [[{"exp": [1, 0], "coef": "1"}], [], []]},
+            "family[0].domain must be an array, got 'th'",
+        ),
     ],
     ids=[
         "missing-key", "missing-nested-key", "unknown-signal-kind", "root-not-object", "torus-without-dim",
@@ -467,7 +499,7 @@ GRAPH_WEYL = {**demo_config("demo_weyl_square"), "joining": "graph"}
         "t_grid-true", "negative-exponent", "non-integer-exponent", "unknown-label", "scalar-coordinate",
         "term-list-coordinate", "freq-1.7", "freq-true", "t_grid-string", "h-string", "vars-string",
         "member-vars-string", "signal-h-string", "functionals-object", "functional-string", "elements-string",
-        "element-string", "tuples-object", "tuple-string", "tuple-element-string",
+        "element-string", "tuples-object", "tuple-string", "tuple-element-string", "member-domain-string",
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, command, demo, path, value, fragment):
@@ -511,6 +543,134 @@ def test_malformed_json_is_config_error(tmp_path, capsys):
 
 def test_missing_config_file(tmp_path):
     assert run("pet", tmp_path / "absent.json", tmp_path) == 2
+
+
+# ----------------------------------------------------------------------
+# the config fuzz: every node of every demo config, and of the sidecar each
+# one writes, is replaced in turn by each of FUZZ_VALUES
+
+
+FUZZ_VALUES = ["x", True, 1.5, None, {}, [], -1, 0]
+
+
+def small_demo(name):
+    """A demo config shrunk so that a run takes milliseconds; its typing does not depend on size."""
+    cfg = demo_config(name)
+    if "n_samples" in cfg:
+        cfg.update(n_samples=16, t_grid=[1, 2])
+    if "signal" in cfg:
+        cfg.update(T=2, S=2)
+    return cfg
+
+
+def fuzz_base(tmp_path, name, source):
+    """The small demo `name` itself, or the sidecar that its run writes."""
+    cfg = small_demo(name)
+    if source == "sidecar":
+        assert run(DEMO_COMMANDS[name], write_config(tmp_path, cfg, "base.json"), tmp_path / "base") == 0
+        cfg = json.loads((tmp_path / "base" / "sidecar.json").read_text())
+    return cfg
+
+
+def node_paths(node, path=()):
+    """The path of every node of a JSON document, the root's () first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from node_paths(child, path + (key,))
+
+
+def replaced(doc, path, value):
+    """A copy of doc with its node at `path` replaced by value."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def outcome(command, config, out):
+    """The exit code of a run, or the type and message of what it raised."""
+    try:
+        return run(command, config, out)
+    except Exception as exc:  # any exception is a bug in nilflow
+        return f"{type(exc).__name__}: {exc}"
+
+
+def fuzz_run(tmp_path, name, source, path, value):
+    """The outcome of the demo's command on its config with one node replaced."""
+    cfg = replaced(fuzz_base(tmp_path, name, source), path, value)
+    return outcome(DEMO_COMMANDS[name], write_config(tmp_path, cfg), tmp_path / "out")
+
+
+@pytest.mark.parametrize("source", ["demo", "sidecar"])
+@pytest.mark.parametrize("name", sorted(DEMO_COMMANDS))
+def test_config_fuzz_ends_with_a_nilflow_exit_code(tmp_path, capsys, name, source):
+    """Whatever replaces a node, a run exits 0, 2, 3 or 4; it never raises."""
+    base = fuzz_base(tmp_path, name, source)
+    config = tmp_path / "cfg.json"
+    outcomes = {}
+    for path in node_paths(base):
+        for value in FUZZ_VALUES:
+            config.write_text(json.dumps(replaced(base, path, value)))
+            code = outcome(DEMO_COMMANDS[name], config, tmp_path / "out")
+            outcomes.setdefault(code, []).append((path, value))
+    capsys.readouterr()
+    bugs = {code: cases for code, cases in outcomes.items() if code not in (0, 2, 3, 4)}
+    assert not bugs
+
+
+# (demo, source, path, value, the key the message must name): mutations that must exit 2
+REFUSED = [
+    ("demo_weyl_square", "demo", ("seed",), -1, "seed"),
+    ("demo_generic_lines", "demo", ("seed",), -1, "seed"),
+    ("demo_pet_pair", "sidecar", ("family", 1, "coords", 0, 0, "exp", 0), True, "exp"),
+    ("demo_generic_lines", "demo", ("vars", 1), None, "vars"),
+    ("demo_pet_pair", "sidecar", ("family", 0, "vars", 0), None, "vars"),
+    ("demo_pet_pair", "sidecar", ("algebra", "labels", 2), None, "labels"),
+    ("demo_pet_pair", "sidecar", ("algebra", "brackets"), {}, "brackets"),
+    ("demo_verify_poly", "demo", ("family", 0, "coords"), None, "coords"),
+    ("demo_verify_poly", "demo", ("family", 0, "coords"), 0, "coords"),
+    ("demo_verify_poly", "sidecar", ("family", 0, "coords", 0), {}, "coords"),
+    ("demo_weyl_square", "demo", ("systems", 0, "dim"), True, "dim"),
+    ("demo_weyl_square", "demo", ("algebra", "dim"), True, "dim"),
+    ("demo_pet_pair", "sidecar", ("algebra", "dim"), True, "dim"),
+    ("demo_heisenberg_joining", "demo", ("invariance",), 0, "invariance"),
+    ("demo_heisenberg_joining", "demo", ("invariance",), [], "invariance"),
+    ("demo_verify_poly", "demo", ("family",), {}, "family"),
+    ("demo_pet_pair", "demo", ("max_depth",), True, "max_depth"),
+    ("demo_weyl_square", "demo", ("functions", 0, "part"), 0, "part"),
+    ("demo_vdc_one", "demo", ("signal",), [], "signal"),
+    ("demo_vdc_one", "demo", ("signal", "expr"), 0, "expr"),
+    ("demo_heisenberg_joining", "sidecar", ("systems", 0, "dim"), -1, "dim"),
+]
+
+
+@pytest.mark.parametrize("name, source, path, value, key", REFUSED)
+def test_refused_config_value_is_config_error_naming_its_key(tmp_path, capsys, name, source, path, value, key):
+    assert fuzz_run(tmp_path, name, source, path, value) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+STILL_VALID = [
+    *(("demo_verify_poly", "demo", ("family", 1, "coords", "y1", "t^2"), v) for v in (1.5, -1, 0)),
+    *(("demo_verify_poly", "sidecar", ("family", 0, "coords", 0, 0, "coef"), v) for v in (1.5, -1, 0)),
+    *(("demo_dichotomy_exceptional", "demo", ("h", 0), v) for v in (1.5, -1, 0)),
+    *(("demo_heisenberg_joining", "demo", ("invariance", "tuples", 0, 0, 0), v) for v in (1.5, -1, 0)),
+    ("demo_weyl_square", "sidecar", ("elements",), None),
+    ("demo_heisenberg_joining", "demo", ("invariance",), None),
+    ("demo_pet_pair", "sidecar", ("algebra", "step"), None),
+]
+
+
+@pytest.mark.parametrize("name, source, path, value", STILL_VALID)
+def test_still_valid_config_value_runs(tmp_path, name, source, path, value):
+    """Rationals such as 1.5, -1 and 0 are values, not types, and null means the default."""
+    assert fuzz_run(tmp_path, name, source, path, value) == 0
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ from nilflow.dynamics import (
     check_function,
     element_floats,
     eval_fn_array,
-    function_from_json_dict,
     function_to_json_dict,
     functional,
     haar_array,
@@ -23,10 +22,10 @@ from nilflow.dynamics import (
     pushed,
     reduce_array,
     step_values,
-    system_from_json_dict,
     system_to_json_dict,
     torus,
 )
+from nilflow.cli import _load_function, _load_system
 from nilflow.lie_core import GroupElement, bch_product, identity, make_builtin
 from nilflow.multipoly import MultiPoly
 from nilflow.poly_maps import PolyMap
@@ -56,6 +55,20 @@ def test_system_kinds():
         NilSystem("klein_bottle")
     with pytest.raises(ValueError):
         NilSystem("heisenberg3", acting_matrix=[[1], [0], [0]])
+
+
+@pytest.mark.parametrize(
+    "kind, dim, matrix, message",
+    [
+        ("heisenberg3", -1, None, "heisenberg3 systems have dimension 3, got -1"),
+        ("heisenberg3", 5, None, "heisenberg3 systems have dimension 3, got 5"),
+        ("torus", 2, [[1], []], "acting matrix must have one row per algebra coordinate, all of one length"),
+    ],
+)
+def test_system_shape_is_checked(kind, dim, matrix, message):
+    """A dimension or an acting matrix that does not fit is refused, not ignored or cut short."""
+    with pytest.raises(ValueError, match=message):
+        NilSystem(kind, dim=dim, acting_matrix=matrix)
 
 
 # ----------------------------------------------------------------------
@@ -441,14 +454,14 @@ def test_kernel_never_writes_into_its_inputs():
 
 def test_system_json_round_trip():
     for sys in (torus(2), heisenberg3(), torus(2, acting_matrix=[["1/2"], ["3"]])):
-        again = system_from_json_dict(system_to_json_dict(sys))
+        again = _load_system("system", system_to_json_dict(sys))
         assert again == sys
     # a float entry reads as its shortest decimal, as everywhere else
-    floated = system_from_json_dict({"kind": "torus", "dim": 1, "acting_matrix": [[0.1]]})
+    floated = _load_system("system", {"kind": "torus", "dim": 1, "acting_matrix": [[0.1]]})
     assert floated.acting_matrix == ((Fraction(1, 10),),)
 
 
 def test_function_json_round_trip():
     f = TestFunction("heis_vertical", (1, 0, 2), "sin")
-    assert function_from_json_dict(function_to_json_dict(f)) == f
-    assert function_from_json_dict({"kind": "heis_vertical", "freq": [1, 0, 2], "part": "sin"}) == f
+    assert _load_function("function", function_to_json_dict(f)) == f
+    assert _load_function("function", {"kind": "heis_vertical", "freq": [1, 0, 2], "part": "sin"}) == f

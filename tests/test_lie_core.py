@@ -10,12 +10,12 @@ from fractions import Fraction
 
 import pytest
 
+from nilflow.cli import _load_algebra
 from nilflow.lie_core import (
     MAX_BCH_STEP,
     GroupElement,
     LieAlgebraSpec,
     _dynkin_words,
-    algebra_from_json_dict,
     algebra_to_json_dict,
     bch_coords,
     bch_product,
@@ -404,7 +404,7 @@ def test_json_roundtrip_builtin():
         make_builtin("free_nilpotent", generators=2, step=3),
     ):
         data = algebra_to_json_dict(alg)
-        back = algebra_from_json_dict(data)
+        back = _load_algebra({"algebra": data})
         assert back == alg
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilflow.cli import _poly_from_term_list
 from nilflow.errors import ConfigError
 from nilflow.multipoly import MultiPoly, as_fraction
 
@@ -133,7 +134,7 @@ def test_term_serialization_roundtrip():
             for _ in range(6)
         }
         p = MultiPoly(variables, terms)
-        assert MultiPoly.from_terms(variables, p.to_terms()) == p
+        assert _poly_from_term_list("coords[0]", p.to_terms(), variables) == p
 
 
 def test_random_ring_identities():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilflow.cli import _load_members
 from nilflow.lie_core import bch_product, identity, make_builtin
 from nilflow.multipoly import MultiPoly
 from nilflow.poly_maps import (
@@ -15,7 +16,6 @@ from nilflow.poly_maps import (
     lt_equivalent,
     pointwise_inverse,
     pointwise_product,
-    polymap_from_json_dict,
     polymap_to_json_dict,
     polynomial_degree,
     substitute,
@@ -326,7 +326,7 @@ def test_polymap_json_roundtrip():
     h = MultiPoly.variable(("t", "h"), "h")
     phi = exp_map({"x1": t * h + t ** 2, "z": t * Fraction(1, 3)}, variables=("t", "h"))
     data = polymap_to_json_dict(phi)
-    back = polymap_from_json_dict(data, H3)
+    [back] = _load_members({"family": [data]}, H3)
     assert back == phi
     assert back.domain == phi.domain
 
@@ -336,5 +336,5 @@ def test_polymap_json_domain_field():
     diff = difference(phi)
     data = polymap_to_json_dict(diff)
     assert data["domain"] == ["t"]
-    back = polymap_from_json_dict(data, H3)
+    [back] = _load_members({"family": [data]}, H3)
     assert back.domain == ("t",)
