@@ -20,7 +20,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .lie_core import (
     verify_algebra,
 )
 from .multipoly import MultiPoly, as_fraction
-from .pet import MAX_DEPTH, PolyFamily, pet_trace, trace_to_json_dict, weight
+from .pet import MAX_DEPTH, MemberDoc, PolyFamily, pet_trace, trace_to_json_dict, weight
 from .poly_maps import (
     PolyMap,
     check_time_origin,
@@ -165,9 +165,9 @@ def _load_members(cfg: dict, algebra: LieAlgebraSpec) -> List[PolyMap]:
         node = _typed(f"family member {i}", node, dict)
         key = f"family[{i}]"
         variables = _entries(f"{key}.vars", _get(node, "vars", list(default_vars)), str)
+        domain = None if node.get("domain") is None else _entries(f"{key}.domain", node["domain"], str)
         coords = node["coords"]
         if type(coords) is list:
-            domain = None if node.get("domain") is None else _entries(f"{key}.domain", node["domain"], str)
             polys = [_poly_from_term_list(name, c, variables) for name, c in _items(f"{key}.coords", coords)]
             members.append(PolyMap(algebra, variables, polys, domain=domain))
             continue
@@ -175,7 +175,7 @@ def _load_members(cfg: dict, algebra: LieAlgebraSpec) -> List[PolyMap]:
             label: _poly_from_node(label, p, variables)
             for label, p in _typed(f"{key}.coords", coords, dict).items()
         }
-        members.append(PolyMap.build(algebra, variables, entries))
+        members.append(PolyMap.build(algebra, variables, entries, domain=domain))
     return members
 
 
@@ -220,47 +220,60 @@ def _encode_json(node, indent: str = "\n") -> str:
     The standard encoder takes its pure-Python path whenever `indent` is
     set.  This one returns one string per container, joined once, and
     writes plain `str` and `int` children inline, since most nodes of a PET
-    certificate are exponents and coefficients.  Keys must be strings:
-    `_quote` raises TypeError on any other key.
+    certificate are exponents and coefficients.  A `MemberDoc` is encoded
+    once per indent: its text is kept until its next use there, then
+    dropped.  Keys must be strings: `_quote` raises TypeError on any other
+    key.
     """
-    if isinstance(node, dict):
-        if not node:
-            return "{}"
-        inner = indent + "  "
-        items = [
-            _quote(k) + ": "
-            + (_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _encode_json(v, inner))
-            for k, v in sorted(node.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(node, (list, tuple)):
-        if not node:
-            return "[]"
-        inner = indent + "  "
-        items = [
-            _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _encode_json(v, inner)
-            for v in node
-        ]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(node, str):
-        return _quote(node)
-    if node is None:
-        return "null"
-    if node is True:
-        return "true"
-    if node is False:
-        return "false"
-    if isinstance(node, int):
-        return int.__repr__(node)
-    if isinstance(node, float):
-        if node != node:
-            return "NaN"
-        if node == math.inf:
-            return "Infinity"
-        if node == -math.inf:
-            return "-Infinity"
-        return float.__repr__(node)
-    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+    texts: Dict[Tuple[int, str], str] = {}
+
+    def encode(node, indent: str) -> str:
+        if type(node) is MemberDoc:
+            key = (id(node), indent)
+            text = texts.pop(key, None)
+            if text is None:
+                text = texts[key] = encode(dict(node), indent)
+            return text
+        if isinstance(node, dict):
+            if not node:
+                return "{}"
+            inner = indent + "  "
+            items = [
+                _quote(k) + ": "
+                + (_quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else encode(v, inner))
+                for k, v in sorted(node.items())
+            ]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        if isinstance(node, (list, tuple)):
+            if not node:
+                return "[]"
+            inner = indent + "  "
+            items = [
+                _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else encode(v, inner)
+                for v in node
+            ]
+            return "[" + inner + ("," + inner).join(items) + indent + "]"
+        if isinstance(node, str):
+            return _quote(node)
+        if node is None:
+            return "null"
+        if node is True:
+            return "true"
+        if node is False:
+            return "false"
+        if isinstance(node, int):
+            return int.__repr__(node)
+        if isinstance(node, float):
+            if node != node:
+                return "NaN"
+            if node == math.inf:
+                return "Infinity"
+            if node == -math.inf:
+                return "-Infinity"
+            return float.__repr__(node)
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+    return encode(node, indent)
 
 
 def _write_json(path: Path, doc: dict) -> None:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from contextlib import suppress
 from fractions import Fraction
+from math import comb
+from operator import add
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import ConfigError
@@ -156,7 +158,7 @@ class MultiPoly:
         terms: Dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                _accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                _accumulate(terms, tuple(map(add, e1, e2)), c1 * c2)
         return MultiPoly._make(self.vars, terms)
 
     __rmul__ = __mul__
@@ -279,6 +281,23 @@ class MultiPoly:
             for b, c in partial:
                 _accumulate(total, tuple(b), c)
         return MultiPoly._make(new_vars, total)
+
+    def shift_first(self, new_vars: Sequence[str], keep: bool) -> "MultiPoly":
+        """`substitute` of t -> t + k (t -> k unless `keep`) for the first
+        variable t and the one variable k that `new_vars` appends, by exponent
+        maps alone: t^d becomes sum C(d, i) t^(d-i) k^i, or k^d.  Distinct
+        terms stay distinct, so nothing is collected."""
+        new_vars = self._extension(new_vars)
+        if not self.vars or len(new_vars) != len(self.vars) + 1:
+            raise ValueError(f"{new_vars} must append one variable to a nonempty {self.vars}")
+        if not keep:
+            return MultiPoly._make(new_vars, {(0,) + e[1:] + e[:1]: c for e, c in self.terms.items()})
+        terms: Dict[Exponent, Fraction] = {}
+        for exp, coef in self.terms.items():
+            d, rest = exp[0], exp[1:]
+            for i in range(d + 1):
+                terms[(d - i,) + rest + (i,)] = coef * comb(d, i) if 0 < i < d else coef
+        return MultiPoly._make(new_vars, terms)
 
     # ------------------------------------------------------------------
     # structure queries

@@ -19,7 +19,6 @@ code on a family whose members each count once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import CertificateError, ConfigError, TruncationError
@@ -30,7 +29,6 @@ from .poly_maps import (
     pointwise_inverse,
     pointwise_product,
     polymap_to_json_dict,
-    substitute,
 )
 from .lie_core import algebra_to_json_dict
 
@@ -248,7 +246,8 @@ def pivot(family: PolyFamily) -> int:
 
 
 def _differencing_tools(base_vars: Tuple[str, ...]):
-    """Fresh shift variable plus the three substitutions used by derivation."""
+    """Fresh shift variable k plus the three maps used by derivation: the
+    extension to k, and phi(k) and phi(t + k) for the time variable t."""
     n = 1
     k_name = "k"
     while k_name in base_vars:
@@ -260,17 +259,14 @@ def _differencing_tools(base_vars: Tuple[str, ...]):
     def extended(phi: PolyMap) -> PolyMap:
         return PolyMap(phi.algebra, new_vars, [c.with_vars(new_vars) for c in phi.coords])
 
+    # the domains `poly_maps.substitute` gives: t -> k drops t, t -> t + k keeps it
     def at_k(phi: PolyMap) -> PolyMap:
-        return substitute(
-            phi, {t_name: (Fraction(0), {k_name: Fraction(1)})}, new_variables=new_vars
-        )
+        coords = [c.shift_first(new_vars, keep=False) for c in phi.coords]
+        return PolyMap(phi.algebra, new_vars, coords, domain=[v for v in phi.domain if v != t_name])
 
     def shifted(phi: PolyMap) -> PolyMap:
-        return substitute(
-            phi,
-            {t_name: (Fraction(0), {t_name: Fraction(1), k_name: Fraction(1)})},
-            new_variables=new_vars,
-        )
+        coords = [c.shift_first(new_vars, keep=True) for c in phi.coords]
+        return PolyMap(phi.algebra, new_vars, coords, domain=phi.domain)
 
     return new_vars, extended, at_k, shifted
 
@@ -421,11 +417,11 @@ def pet_trace(family: PolyFamily, max_depth: int = MAX_DEPTH) -> PETTrace:
     raise TruncationError(f"PET induction exceeded max depth {max_depth}")
 
 
-def _members_to_json(members: Members) -> list:
-    return [
-        {"multiplicity": mult, "map": polymap_to_json_dict(phi)}
-        for phi, mult in members
-    ]
+class MemberDoc(dict):
+    """A member's certificate entry, built once per member: the `derived` of
+    a step and the `family` or `final_family` after it share the object."""
+
+    __slots__ = ()
 
 
 def trace_to_json_dict(trace: PETTrace) -> dict:
@@ -435,18 +431,27 @@ def trace_to_json_dict(trace: PETTrace) -> dict:
         algebra = trace.final_family[0][0].algebra
     elif trace.steps:
         algebra = trace.steps[0].family[0][0].algebra
+    docs: Dict[int, MemberDoc] = {}
+
+    def members_to_json(members: Members) -> list:
+        for member in members:
+            if id(member) not in docs:
+                phi, mult = member
+                docs[id(member)] = MemberDoc(multiplicity=mult, map=polymap_to_json_dict(phi))
+        return [docs[id(member)] for member in members]
+
     steps = []
     for step in trace.steps:
         steps.append(
             {
-                "family": _members_to_json(step.family),
+                "family": members_to_json(step.family),
                 "dropped": step.dropped,
                 "classes": [list(c) for c in step.classes],
                 "class_cardinalities": list(step.class_cardinalities),
                 "assignment": [w.to_json() + [n] for w, n in step.assignment.items()],
                 "pivot": step.pivot_index,
                 "pivot_member": step.pivot_member,
-                "derived": _members_to_json(step.derived),
+                "derived": members_to_json(step.derived),
                 "certificate": step.certificate,
             }
         )
@@ -454,6 +459,6 @@ def trace_to_json_dict(trace: PETTrace) -> dict:
         "algebra": algebra_to_json_dict(algebra) if algebra is not None else None,
         "depth": trace.depth,
         "steps": steps,
-        "final_family": _members_to_json(trace.final_family),
+        "final_family": members_to_json(trace.final_family),
         "final_dropped": trace.final_dropped,
     }

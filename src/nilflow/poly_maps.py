@@ -69,6 +69,7 @@ class PolyMap:
         algebra: LieAlgebraSpec,
         variables: Sequence[str],
         entries: Mapping[Union[str, int], MultiPoly],
+        domain: Sequence[str] | None = None,
     ) -> "PolyMap":
         """Map exp(sum entries[label] * e_label); omitted coordinates are 0."""
         variables = tuple(variables)
@@ -78,7 +79,7 @@ class PolyMap:
             if not isinstance(poly, MultiPoly):
                 poly = MultiPoly.const(variables, poly)
             coords[idx] = coords[idx] + poly.with_vars(variables)
-        return cls(algebra, variables, coords)
+        return cls(algebra, variables, coords, domain=domain)
 
     # ------------------------------------------------------------------
     # predicates

@@ -1,10 +1,13 @@
 """Command front end: exit codes, emitted files, reproducibility."""
 
 import copy
+import hashlib
 import json
 import math
 import random
+import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,10 +18,12 @@ from nilflow.averaging import JoiningSpec, scan_with_invariance
 from nilflow.cli import _encode_json, _load_algebra, _load_function, _load_members, _load_system, main
 from nilflow.dynamics import haar_array
 from nilflow.lie_core import GroupElement
-from nilflow.pet import MAX_LEVEL_TERMS, PolyFamily
+from nilflow.pet import MAX_LEVEL_TERMS, MemberDoc, PolyFamily, pet_trace, trace_to_json_dict
 from test_acceptance import DEMO_COMMANDS
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
+PERFBENCH = ROOT / "perfbench"
 
 
 def run(command, config, out, extra=()):
@@ -59,6 +64,19 @@ def test_verify_poly_demo_reports_each_member(tmp_path, capsys):
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["well_formed"] is True and cert["members"] == 4
     assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def test_monomial_member_keeps_its_domain(tmp_path):
+    member = {"vars": ["t", "h"], "domain": ["t"], "coords": {"x1": {"t h": 1}}}
+    cfg = write_config(tmp_path, {"algebra": {"builtin": "heisenberg", "dim": 3}, "family": [member]})
+    assert run("verify-poly", cfg, tmp_path / "first") == 0
+    sidecar = json.loads((tmp_path / "first" / "sidecar.json").read_text())
+    assert sidecar["family"][0]["domain"] == ["t"]
+    # h is a parameter: t h is linear in the domain, so one difference leaves it constant
+    assert read_rows(tmp_path / "first")[1].split(",")[1] == "1"
+    assert run("verify-poly", tmp_path / "first" / "sidecar.json", tmp_path / "again") == 0
+    for name in ("report.csv", "certificate.json", "sidecar.json"):
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
 
 def test_verify_poly_empty_family(tmp_path):
@@ -108,6 +126,23 @@ def test_pet_demo_writes_certified_trace(tmp_path):
     assert cert["trace"]["depth"] >= 2
     assert all(s["certificate"]["kind"] in ("weight_descent", "count_descent") for s in cert["trace"]["steps"])
     assert len(read_rows(tmp_path)) == cert["trace"]["depth"] + 1
+
+
+def test_pet_descent_outputs_match_the_benchmark_reference(tmp_path, monkeypatch):
+    # perfbench/workloads.py, compiled in memory so that no bytecode is written there
+    path = PERFBENCH / "workloads.py"
+    workloads = types.ModuleType("perfbench_workloads")
+    monkeypatch.setitem(sys.modules, workloads.__name__, workloads)
+    exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    want = reference["digests"]["pet_descent"]
+    calls = workloads.pet_descent(reference["default_seed"]).calls
+    assert [call.name for call in calls] == list(want)
+    for call in calls:
+        cfg = write_config(tmp_path, call.config, f"{call.name}.json")
+        assert run(call.command, cfg, tmp_path / call.name, ["--threads", "1"]) == 0
+        for name, digest in want[call.name].items():
+            assert hashlib.sha256((tmp_path / call.name / name).read_bytes()).hexdigest() == digest, (call.name, name)
 
 
 def test_pet_zero_depth_truncates(tmp_path):
@@ -704,6 +739,14 @@ def test_json_writer_matches_the_standard_encoder():
     docs.append({str(i): v for i, v in enumerate(JSON_EDGE_VALUES)})
     rng = random.Random(11)
     docs += [_random_json(rng, 5) for _ in range(300)]
+    # a MemberDoc is encoded once per indent: kept is reused at its own
+    # depth and at another, once appears a single time
+    kept = MemberDoc(multiplicity=2, map={"vars": ["t", "k"], "coords": [[{"exp": [1, 1], "coef": "-1/2"}], []]})
+    once = MemberDoc(multiplicity=1, map={"vars": ["t", "k"], "coords": [[], []]})
+    shared = {"steps": [{"derived": [kept, once]}, {"family": [kept]}], "final_family": [kept]}
+    docs += [shared, [shared, shared, kept]]
+    cfg = json.loads((DEMOS / "demo_pet_pair.json").read_text())
+    docs.append(trace_to_json_dict(pet_trace(PolyFamily(_load_members(cfg, _load_algebra(cfg))))))
     for doc in docs:
         assert _encode_json(doc) == json.dumps(doc, indent=2, sort_keys=True), repr(doc)
 

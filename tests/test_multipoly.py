@@ -271,3 +271,35 @@ def test_substitute_rejects_a_kept_variable_missing_from_new_vars():
         (t * h).substitute(("t",), {"t": (Fraction(0), {"t": Fraction(1)})})
     with pytest.raises(ValueError):
         t.substitute(("t", "h"), {"t": (Fraction(0), {"s": Fraction(1)})})
+
+
+# ----------------------------------------------------------------------
+# the time shifts of PET differencing against substitute()
+
+
+def test_shift_first_equals_substitute_on_random_polynomials():
+    rng = random.Random(20261019)
+    for _ in range(200):
+        variables = tuple(f"v{i}" for i in range(rng.randint(1, 8)))
+        p = _rand_poly(rng, variables, n_terms=rng.randint(0, 8), max_exp=4)
+        new_vars = variables + ("k",)
+        t = variables[0]
+        for keep, image in ((False, {"k": Fraction(1)}), (True, {t: Fraction(1), "k": Fraction(1)})):
+            want = p.substitute(new_vars, {t: (Fraction(0), image)})
+            got = p.shift_first(new_vars, keep=keep)
+            assert got.vars == want.vars == new_vars
+            assert got.terms == want.terms
+            assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_shift_first_is_the_binomial_expansion():
+    t, h, k = (MultiPoly.variable(("t", "h", "k"), v) for v in ("t", "h", "k"))
+    p = MultiPoly(("t", "h"), {(4, 1): Fraction(-2, 3), (1, 0): 5})
+    assert p.shift_first(("t", "h", "k"), keep=True) == Fraction(-2, 3) * (t + k) ** 4 * h + 5 * (t + k)
+    assert p.shift_first(("t", "h", "k"), keep=False) == Fraction(-2, 3) * k ** 4 * h + 5 * k
+    # exactly one appended variable, after a nonempty list
+    for new_vars in (("t", "h"), ("t", "h", "k", "s"), ("h", "t", "k")):
+        with pytest.raises(ValueError):
+            p.shift_first(new_vars, keep=True)
+    with pytest.raises(ValueError):
+        MultiPoly((), {(): 1}).shift_first(("k",), keep=False)

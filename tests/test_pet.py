@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from nilflow.pet import (
     _assignment_witness,
     _descending_key,
     _descent_certificate,
+    _differencing_tools,
     _sorted_matching,
     derived_family,
     family_precedes,
@@ -26,7 +28,7 @@ from nilflow.pet import (
     weight_assignment,
     weight_less,
 )
-from nilflow.poly_maps import PolyMap, lt_equivalent
+from nilflow.poly_maps import PolyMap, lt_equivalent, substitute
 from oracles import weight_matching
 
 H3 = make_builtin("heisenberg", dim=3)
@@ -374,3 +376,35 @@ def test_trace_json_document():
     }
     assert step["assignment"] == [[1, 1, 2]]
     assert step["family"][0]["multiplicity"] == 1
+    # a member that one step derives and the next keeps is one object
+    doc = trace_to_json_dict(pet_trace(PolyFamily([h3_map(x1=tpow(1)), h3_map(x1=tpow(2))])))
+    steps = doc["steps"]
+    assert len(steps) >= 2
+    for step, kept in zip(steps, [s["family"] for s in steps[1:]] + [doc["final_family"]]):
+        assert all(any(m is d for d in step["derived"]) for m in kept)
+
+
+def test_differencing_shifts_equal_substitution_with_domains():
+    rng = random.Random(20261019)
+    for _ in range(60):
+        variables = ("t",) + tuple(f"h{i}" for i in range(rng.randint(0, 7)))
+        coords = [
+            MultiPoly(
+                variables,
+                {
+                    (rng.randint(1, 4),) + tuple(rng.randint(0, 2) for _ in variables[1:]):
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                    for _ in range(rng.randint(0, 5))
+                },
+            )
+            for _ in range(3)
+        ]
+        domain = rng.sample(variables, rng.randint(0, len(variables)))
+        phi = PolyMap(H3, variables, coords, domain=domain)
+        new_vars, _, at_k, shifted = _differencing_tools(variables)
+        k = new_vars[-1]
+        for got, image in ((at_k(phi), {k: 1}), (shifted(phi), {"t": 1, k: 1})):
+            want = substitute(phi, {"t": (0, image)}, new_variables=new_vars)
+            assert got.vars == want.vars
+            assert got.domain == want.domain
+            assert [c.terms for c in got.coords] == [c.terms for c in want.coords]
