@@ -55,7 +55,7 @@ from .errors import ConfigError
 from .lie_core import GroupElement, group_inverse
 from .multipoly import as_fraction
 from .pet import PolyFamily
-from .poly_maps import PolyMap, pointwise_product, substitute
+from .poly_maps import PolyMap, pointwise_product
 from .zariski import MeagreSet, generic_sample, is_proper, vanishing_variety
 
 Rational = Union[int, str, Fraction]
@@ -166,11 +166,11 @@ def _pinned(sys: NilSystem, phi: PolyMap, h: Sequence[Rational]) -> PolyMap:
     h = tuple(as_fraction(v) for v in h)
     if len(h) != len(params):
         raise ConfigError(f"parameter point has arity {len(h)}, map needs {len(params)}")
-    pinned = substitute(pushed(sys, phi), dict(zip(params, h)), new_variables=phi.vars)
-    coords = pinned.coords
+    point = {name: (value, {}) for name, value in zip(params, h)}
+    coords = [c.substitute(phi.vars, point) for c in pushed(sys, phi).coords]
     for name in params:  # each parameter now has degree 0, so this drops it exactly
         coords = [c.coefficient_of(name, 0) for c in coords]
-    return PolyMap(pinned.algebra, phi.vars[:1], coords, domain=pinned.domain)
+    return PolyMap(sys.algebra, phi.vars[:1], coords, domain=[v for v in phi.domain if v not in params])
 
 
 def _horner(
@@ -221,7 +221,7 @@ def _flow_floats(phi: PolyMap, start: Fraction, step: Fraction, count: int) -> n
 def _translated(g: GroupElement, phi: PolyMap, g0: GroupElement) -> PolyMap:
     """The map g phi g0^{-1}, with g and g0^{-1} as constant maps."""
     def constant(x: GroupElement) -> PolyMap:
-        return PolyMap(x.algebra, phi.vars, x.coords)
+        return PolyMap.build(x.algebra, phi.vars, dict(enumerate(x.coords)))
 
     return pointwise_product(pointwise_product(constant(g), phi), constant(group_inverse(g0)))
 

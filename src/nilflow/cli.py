@@ -94,6 +94,15 @@ def _get(node: dict, key: str, default, kind: type | None = None, least: int | N
     return value if kind is None else _typed(key, value, kind, least)
 
 
+def _known(key: str, node: dict, allowed: Sequence[str]) -> dict:
+    """`node`, read for config key `key`, refused if it has a key outside `allowed`:
+    a misspelt optional key would otherwise take its default without a word."""
+    unknown = sorted(set(node).difference(allowed))
+    if unknown:
+        raise ConfigError(f"{key} has unknown key(s) {', '.join(map(repr, unknown))}")
+    return node
+
+
 def _items(key: str, value) -> list:
     """(key of the entry, entry) for each entry of the array `value`, read for config key `key`."""
     return [(f"{key}[{n}]", entry) for n, entry in enumerate(_typed(key, value, list))]
@@ -109,6 +118,7 @@ def _load_algebra(cfg: dict) -> LieAlgebraSpec:
     if "builtin" in node:
         params = {key: _typed(key, value, int) for key, value in node.items() if key != "builtin"}
         return make_builtin(_typed("builtin", node["builtin"], str), **params)
+    _known("algebra", node, ("labels", "dim", "brackets", "layers", "step"))
     labels = _entries("labels", node["labels"], str)
     if _get(node, "dim", len(labels), int) != len(labels):
         raise ConfigError("dim field disagrees with label count")
@@ -162,8 +172,8 @@ def _load_members(cfg: dict, algebra: LieAlgebraSpec) -> List[PolyMap]:
     default_vars = _entries("vars", _get(cfg, "vars", ["t"]), str)
     members = []
     for i, node in enumerate(_typed("family", cfg["family"], list)):
-        node = _typed(f"family member {i}", node, dict)
         key = f"family[{i}]"
+        node = _known(key, _typed(f"family member {i}", node, dict), ("vars", "domain", "coords"))
         variables = _entries(f"{key}.vars", _get(node, "vars", list(default_vars)), str)
         domain = None if node.get("domain") is None else _entries(f"{key}.domain", node["domain"], str)
         coords = node["coords"]
@@ -180,7 +190,7 @@ def _load_members(cfg: dict, algebra: LieAlgebraSpec) -> List[PolyMap]:
 
 
 def _load_system(key: str, node) -> NilSystem:
-    node = _typed(key, node, dict)
+    node = _known(key, _typed(key, node, dict), ("kind", "dim", "acting_matrix"))
     rows = node.get("acting_matrix")
     if rows is not None:
         rows = [_typed(name, row, list) for name, row in _items(f"{key}.acting_matrix", rows)]
@@ -188,7 +198,7 @@ def _load_system(key: str, node) -> NilSystem:
 
 
 def _load_function(key: str, node) -> TestFunction:
-    node = _typed(key, node, dict)
+    node = _known(key, _typed(key, node, dict), ("kind", "freq", "part"))
     kind = _typed("kind", node["kind"], str)
     return TestFunction(kind, tuple(_typed("freq", node["freq"], list)), _get(node, "part", "cos", str))
 
@@ -378,7 +388,7 @@ def cmd_average(cfg: dict, args, out_dir: Path) -> int:
         seed = _get(cfg, "seed", 0, int, least=0)
         threads = _get(cfg, "threads", 1, int, least=1)
 
-        tuples_node = _get(cfg, "invariance", {"tuples": []}, dict)["tuples"]
+        tuples_node = _known("invariance", _get(cfg, "invariance", {"tuples": []}, dict), ("tuples",))["tuples"]
         g_list = [
             tuple(_load_factor_elements(key, tup, systems))
             for key, tup in _items("invariance.tuples", tuples_node)
@@ -474,6 +484,9 @@ def cmd_vdc(cfg: dict, args, out_dir: Path) -> int:
         dt = str(_get(cfg, "dt", "0.05"))
         signal = _typed("signal", cfg["signal"], dict)
         kind = _get(signal, "kind", "expr", str)
+        if kind not in _SIGNAL_KEYS:
+            raise ConfigError(f"unknown signal kind {kind!r}")
+        _known("signal", signal, _SIGNAL_KEYS[kind])
         if kind == "flow":
             system = _load_system("system", signal["system"])
             algebra = _load_algebra(signal)
@@ -482,11 +495,10 @@ def cmd_vdc(cfg: dict, args, out_dir: Path) -> int:
             f = _load_function("function", signal["function"])
             n_samples = _get(signal, "n_samples", 1000, int)
             seed = _get(cfg, "seed", 0, int, least=0)
-        elif kind != "expr":
-            raise ConfigError(f"unknown signal kind {kind!r}")
         elif args.seed is not None:
             raise ConfigError("--seed applies only to a flow signal; an expr signal draws nothing")
-        expr = _get(signal, "expr", None, str)
+        else:
+            expr = _get(signal, "expr", None, str)
 
     times = half_step_times(T, S, dt)
     if kind == "flow":
@@ -518,13 +530,38 @@ def cmd_vdc(cfg: dict, args, out_dir: Path) -> int:
     return 0
 
 
-# name: (command, help text)
+# the keys each kind of vdc signal reads
+_SIGNAL_KEYS = {
+    "expr": ("kind", "expr"),
+    "flow": ("kind", "system", "algebra", "family", "vars", "h", "function", "n_samples"),
+}
+
+# name: (command, the top-level config keys it reads, help text); a command
+# that reads "seed" takes --seed, and every config may carry "command" (a
+# sidecar does) and "threads" (main writes it)
 _COMMANDS = {
-    "verify-poly": (cmd_verify_poly, "report degree, leading term, and weight for each family member"),
-    "pet": (cmd_pet, "run the descent induction and write a step-by-step certificate"),
-    "average": (cmd_average, "Monte Carlo joint averages over a time grid, optional invariance check"),
-    "generic": (cmd_generic, "sample a certified point off the family's vanishing varieties"),
-    "vdc": (cmd_vdc, "correlation bound check on a scalar trajectory"),
+    "verify-poly": (
+        cmd_verify_poly,
+        ("algebra", "family", "vars"),
+        "report degree, leading term, and weight for each family member",
+    ),
+    "pet": (
+        cmd_pet,
+        ("algebra", "family", "vars", "max_depth"),
+        "run the descent induction and write a step-by-step certificate",
+    ),
+    "average": (
+        cmd_average,
+        ("systems", "joining", "elements", "algebra", "family", "vars", "h", "functions", "t_grid", "dt",
+         "n_samples", "seed", "invariance"),
+        "Monte Carlo joint averages over a time grid, optional invariance check",
+    ),
+    "generic": (
+        cmd_generic,
+        ("algebra", "family", "vars", "functionals", "seed"),
+        "sample a certified point off the family's vanishing varieties",
+    ),
+    "vdc": (cmd_vdc, ("T", "S", "dt", "signal", "seed"), "correlation bound check on a scalar trajectory"),
 }
 
 
@@ -534,11 +571,11 @@ def main(argv=None) -> int:
         description="polynomial flows on nilmanifolds: symbolic certificates and seeded experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, keys, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        if name in ("average", "generic", "vdc"):  # the ones that read a seed
+        if "seed" in keys:
             p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None, help="worker threads for sampling")
     args = parser.parse_args(argv)
@@ -557,7 +594,9 @@ def main(argv=None) -> int:
     try:
         if args.threads is not None:  # every subcommand takes the flag; none may accept a count it cannot run
             _typed("threads", args.threads, int, least=1)
-        return _COMMANDS[args.command][0](cfg, args, Path(args.out))
+        command, keys, _ = _COMMANDS[args.command]
+        _known("config", cfg, (*keys, "command", "threads"))
+        return command(cfg, args, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

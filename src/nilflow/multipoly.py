@@ -11,7 +11,7 @@ from contextlib import suppress
 from fractions import Fraction
 from math import comb
 from operator import add
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import ConfigError
 
@@ -220,83 +220,53 @@ class MultiPoly:
         return MultiPoly._make(new_vars, {exp + pad: coef for exp, coef in self.terms.items()})
 
     def substitute(self, new_vars: Sequence[str], assignment: Mapping[str, Affine]) -> "MultiPoly":
-        """Affine substitution var -> c0 + sum(coeff * new_var).
+        """Affine substitution var -> c0 + sum(coeff * new_var): each term's
+        coefficient times each variable's image raised to its exponent.
 
-        `new_vars` must extend the current variables.  Every variable keeps
-        its place; a substituted one has degree 0 unless its image names it.
+        `new_vars` must extend the current variables, and every assigned
+        name must be one of them.  Every variable keeps its place; a
+        substituted one has degree 0 unless its image names it.
         """
         new_vars = self._extension(new_vars)
-
-        def place(name: str) -> int:
-            try:
-                return new_vars.index(name)
-            except ValueError:
-                raise ValueError(f"unknown variable {name!r} among {new_vars}") from None
-
-        # The assigned variables expand through the powers of their image.
-        # An image is sparse: its monomials are tuples of (position, exponent)
-        # pairs.
-        powers: Dict[int, List[List[Tuple[tuple, Fraction]]]] = {}
-        for i in sorted(self.vars.index(v) for v in assignment if v in self.vars):
-            c0, linear = assignment[self.vars[i]]
-            image = [((), as_fraction(c0))]
-            image += [(((place(name), 1),), as_fraction(coeff)) for name, coeff in linear.items()]
-            powers[i] = [[((), Fraction(1))], [(mono, c) for mono, c in image if c]]
-        padding = [0] * (len(new_vars) - len(self.vars))
-
-        def power(i: int, e: int) -> List[Tuple[tuple, Fraction]]:
-            cache = powers[i]
-            while len(cache) <= e:
-                acc: Dict[tuple, Fraction] = {}
-                for m1, c1 in cache[-1]:
-                    for m2, c2 in cache[1]:
-                        merged = dict(m1)
-                        for p, k in m2:
-                            merged[p] = merged.get(p, 0) + k
-                        mono = tuple(sorted(merged.items()))
-                        acc[mono] = acc.get(mono, 0) + c1 * c2
-                cache.append([(mono, c) for mono, c in acc.items() if c])
-            return cache[e]
-
-        total: Dict[Exponent, Fraction] = {}
+        for name in assignment:
+            if name not in self.vars:
+                raise ValueError(f"cannot substitute {name!r}: not among the variables {self.vars}")
+        images = []
+        for name in self.vars:
+            if name not in assignment:
+                images.append(MultiPoly.variable(new_vars, name))
+                continue
+            c0, linear = assignment[name]
+            image = MultiPoly.const(new_vars, c0)
+            for other, coeff in linear.items():
+                image = image + MultiPoly.variable(new_vars, other) * coeff
+            images.append(image)
+        total = MultiPoly(new_vars)
         for exp, coef in self.terms.items():
-            base = list(exp)
-            base += padding
-            for i in powers:
-                base[i] = 0
-            partial = [(base, coef)]
-            for i in powers:
-                e = exp[i]
-                if not e:
-                    continue
-                grown = []
-                for b, c in partial:
-                    for mono, pc in power(i, e):
-                        b2 = b.copy()
-                        # exponents add: an image may name a kept variable
-                        for p, k in mono:
-                            b2[p] += k
-                        grown.append((b2, c if pc == 1 else c * pc))
-                partial = grown
-            for b, c in partial:
-                _accumulate(total, tuple(b), c)
-        return MultiPoly._make(new_vars, total)
+            term = MultiPoly.const(new_vars, coef)
+            for image, e in zip(images, exp):
+                if e:
+                    term = term * image ** e
+            total = total + term
+        return total
 
-    def shift_first(self, new_vars: Sequence[str], keep: bool) -> "MultiPoly":
-        """`substitute` of t -> t + k (t -> k unless `keep`) for the first
-        variable t and the one variable k that `new_vars` appends, by exponent
-        maps alone: t^d becomes sum C(d, i) t^(d-i) k^i, or k^d.  Distinct
-        terms stay distinct, so nothing is collected."""
+    def shift(self, new_vars: Sequence[str], name: str, keep: bool = True, sign: int = 1) -> "MultiPoly":
+        """`substitute` of x -> x + sign*k (x -> sign*k unless `keep`) for
+        the variable x = `name` and the one variable k that `new_vars`
+        appends, by exponent maps alone: x^d becomes
+        sum C(d, j) sign^j x^(d-j) k^j, or sign^d k^d.  Distinct terms stay
+        distinct, so nothing is collected."""
         new_vars = self._extension(new_vars)
-        if not self.vars or len(new_vars) != len(self.vars) + 1:
-            raise ValueError(f"{new_vars} must append one variable to a nonempty {self.vars}")
-        if not keep:
-            return MultiPoly._make(new_vars, {(0,) + e[1:] + e[:1]: c for e, c in self.terms.items()})
+        if len(new_vars) != len(self.vars) + 1 or name not in self.vars or sign not in (1, -1):
+            raise ValueError(f"cannot shift {name!r} of {self.vars} by {sign} times one variable appended in {new_vars}")
+        i = self.vars.index(name)
+        odd = sign < 0  # j & odd is 1 exactly for an odd power of -1
         terms: Dict[Exponent, Fraction] = {}
         for exp, coef in self.terms.items():
-            d, rest = exp[0], exp[1:]
-            for i in range(d + 1):
-                terms[(d - i,) + rest + (i,)] = coef * comb(d, i) if 0 < i < d else coef
+            d, head, tail = exp[i], exp[:i], exp[i + 1:]
+            for j in range(0 if keep else d, d + 1):
+                c = coef * comb(d, j) if 0 < j < d else coef
+                terms[head + (d - j,) + tail + (j,)] = -c if j & odd else c
         return MultiPoly._make(new_vars, terms)
 
     # ------------------------------------------------------------------

@@ -259,13 +259,13 @@ def _differencing_tools(base_vars: Tuple[str, ...]):
     def extended(phi: PolyMap) -> PolyMap:
         return PolyMap(phi.algebra, new_vars, [c.with_vars(new_vars) for c in phi.coords])
 
-    # the domains `poly_maps.substitute` gives: t -> k drops t, t -> t + k keeps it
+    # the domains the certificates record: t -> k drops t, t -> t + k keeps it
     def at_k(phi: PolyMap) -> PolyMap:
-        coords = [c.shift_first(new_vars, keep=False) for c in phi.coords]
+        coords = [c.shift(new_vars, t_name, keep=False) for c in phi.coords]
         return PolyMap(phi.algebra, new_vars, coords, domain=[v for v in phi.domain if v != t_name])
 
     def shifted(phi: PolyMap) -> PolyMap:
-        coords = [c.shift_first(new_vars, keep=True) for c in phi.coords]
+        coords = [c.shift(new_vars, t_name) for c in phi.coords]
         return PolyMap(phi.algebra, new_vars, coords, domain=phi.domain)
 
     return new_vars, extended, at_k, shifted

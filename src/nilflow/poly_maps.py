@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Mapping, Sequence, Tuple, Union
 
 from .lie_core import GroupElement, LieAlgebraSpec, bch_coords
-from .multipoly import MultiPoly, as_fraction
-
-AffineValue = Union[int, float, str, Fraction, Tuple]
+from .multipoly import MultiPoly
 
 
 class PolyMap:
@@ -41,14 +39,10 @@ class PolyMap:
             raise ValueError("duplicate variable names")
         if len(coords) != algebra.dim:
             raise ValueError(f"expected {algebra.dim} coordinate polynomials, got {len(coords)}")
-        fixed = []
         for c in coords:
-            if not isinstance(c, MultiPoly):
-                c = MultiPoly.const(self.vars, c)
-            elif c.vars != self.vars:
-                c = c.with_vars(self.vars)
-            fixed.append(c)
-        self.coords: Tuple[MultiPoly, ...] = tuple(fixed)
+            if not isinstance(c, MultiPoly) or c.vars != self.vars:
+                raise ValueError(f"coordinate {c!r} is not a polynomial in {self.vars}")
+        self.coords: Tuple[MultiPoly, ...] = tuple(coords)
         if domain is None:
             domain = self.vars
         self.domain: Tuple[str, ...] = tuple(domain)
@@ -68,10 +62,12 @@ class PolyMap:
         cls,
         algebra: LieAlgebraSpec,
         variables: Sequence[str],
-        entries: Mapping[Union[str, int], MultiPoly],
+        entries: Mapping[Union[str, int], Union[MultiPoly, int, Fraction]],
         domain: Sequence[str] | None = None,
     ) -> "PolyMap":
-        """Map exp(sum entries[label] * e_label); omitted coordinates are 0."""
+        """Map exp(sum entries[key] * e_key), keyed by basis label or index;
+        omitted coordinates are 0.  The one constructor that takes constants:
+        an entry is a rational or a polynomial over a prefix of `variables`."""
         variables = tuple(variables)
         coords = [MultiPoly.zero(variables) for _ in range(algebra.dim)]
         for key, poly in entries.items():
@@ -153,52 +149,11 @@ def pointwise_inverse(phi: PolyMap) -> PolyMap:
     return PolyMap(phi.algebra, phi.vars, [-c for c in phi.coords], domain=phi.domain)
 
 
-def _as_affine(value: AffineValue) -> Tuple[Fraction, Dict[str, Fraction]]:
-    if isinstance(value, tuple):
-        const, linear = value
-        return as_fraction(const), {str(n): as_fraction(c) for n, c in linear.items()}
-    return as_fraction(value), {}
-
-
-def substitute(
-    phi: PolyMap,
-    assignment: Mapping[str, AffineValue],
-    new_variables: Sequence[str] | None = None,
-    new_domain: Sequence[str] | None = None,
-) -> PolyMap:
-    """Affine change of variables.
-
-    Assignment values are rational constants, read by `as_fraction` (so the
-    string "1/2" is the number 1/2), or pairs (const, {var: coeff}).
-    `new_variables` must extend phi's variables; by default it appends the
-    new names the images introduce, in order of first appearance.  Every
-    variable keeps its place, a substituted one with degree 0 unless its
-    image names it.
-    """
-    affine = {v: _as_affine(expr) for v, expr in assignment.items()}
-    for v in affine:
-        if v not in phi.vars:
-            raise ValueError(f"unknown variable {v!r}")
-
-    if new_variables is None:
-        images = (name for _, linear in affine.values() for name in linear)
-        new_variables = dict.fromkeys((*phi.vars, *images))
-    new_variables = tuple(new_variables)
-
-    if new_domain is None:
-        # a substituted variable stays in the domain only when its image
-        # still involves it (shifts like t -> t + k), not when it is pinned
-        new_domain = tuple(v for v in phi.domain if v not in affine or v in affine[v][1])
-
-    coords = [c.substitute(new_variables, affine) for c in phi.coords]
-    return PolyMap(phi.algebra, new_variables, coords, domain=new_domain)
-
-
-def _fresh_shift_names(phi: PolyMap) -> Dict[str, str]:
+def _fresh_shift_names(phi: PolyMap) -> Tuple[str, ...]:
     n = 1
     while any(f"{v}_d{n}" in phi.vars for v in phi.domain):
         n += 1
-    return {v: f"{v}_d{n}" for v in phi.domain}
+    return tuple(f"{v}_d{n}" for v in phi.domain)
 
 
 def difference(phi: PolyMap) -> PolyMap:
@@ -207,12 +162,11 @@ def difference(phi: PolyMap) -> PolyMap:
     The shift h is symbolic: the fresh shift variables join the result as
     parameters, leaving the domain unchanged.
     """
-    names = _fresh_shift_names(phi)
-    new_vars = phi.vars + tuple(names[v] for v in phi.domain)
-    assignment = {
-        v: (Fraction(0), {v: Fraction(1), names[v]: Fraction(-1)}) for v in phi.domain
-    }
-    shifted = substitute(phi, assignment, new_variables=new_vars, new_domain=phi.domain)
+    new_vars, coords = phi.vars, phi.coords
+    for v, h in zip(phi.domain, _fresh_shift_names(phi)):
+        new_vars += (h,)
+        coords = [c.shift(new_vars, v, sign=-1) for c in coords]
+    shifted = PolyMap(phi.algebra, new_vars, coords, domain=phi.domain)
     base = PolyMap(
         phi.algebra,
         new_vars,

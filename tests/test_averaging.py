@@ -368,9 +368,9 @@ def test_scan_pins_each_map_once_and_translates_the_pinned_maps(monkeypatch):
     the tuples translate maps of t alone."""
     v = ("t", "h")
     phi = PolyMap.build(A1, v, {"e1": MultiPoly(v, {(1, 1): Fraction(1)})})
-    substitute, translated = averaging.substitute, averaging._translated
+    pinned, translated = averaging._pinned, averaging._translated
     substituted, translated_vars = [], []
-    monkeypatch.setattr(averaging, "substitute", lambda psi, *a, **k: substituted.append(psi.vars) or substitute(psi, *a, **k))
+    monkeypatch.setattr(averaging, "_pinned", lambda sys, psi, h: substituted.append(psi.vars) or pinned(sys, psi, h))
     monkeypatch.setattr(averaging, "_translated", lambda g, psi, g0: translated_vars.append(psi.vars) or translated(g, psi, g0))
     g = GroupElement(A1, (Fraction(1, 3),))
     tuples = [(identity(A1), g, g), (g, identity(A1), g), (identity(A1),) * 3]

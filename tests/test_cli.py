@@ -128,12 +128,17 @@ def test_pet_demo_writes_certified_trace(tmp_path):
     assert len(read_rows(tmp_path)) == cert["trace"]["depth"] + 1
 
 
+def _perfbench_module(name, monkeypatch):
+    """perfbench/<name>.py, compiled in memory so that no bytecode is written there."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
 def test_pet_descent_outputs_match_the_benchmark_reference(tmp_path, monkeypatch):
-    # perfbench/workloads.py, compiled in memory so that no bytecode is written there
-    path = PERFBENCH / "workloads.py"
-    workloads = types.ModuleType("perfbench_workloads")
-    monkeypatch.setitem(sys.modules, workloads.__name__, workloads)
-    exec(compile(path.read_text(), str(path), "exec"), workloads.__dict__)
+    workloads = _perfbench_module("workloads", monkeypatch)
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     want = reference["digests"]["pet_descent"]
     calls = workloads.pet_descent(reference["default_seed"]).calls
@@ -143,6 +148,27 @@ def test_pet_descent_outputs_match_the_benchmark_reference(tmp_path, monkeypatch
         assert run(call.command, cfg, tmp_path / call.name, ["--threads", "1"]) == 0
         for name, digest in want[call.name].items():
             assert hashlib.sha256((tmp_path / call.name / name).read_bytes()).hexdigest() == digest, (call.name, name)
+
+
+def test_benchmark_tracer_installs_and_restores_every_attribute(monkeypatch):
+    """`perfbench/run.py --trace 1` wraps library attributes by name; each must exist and come back."""
+    import nilflow
+
+    tracing = _perfbench_module("tracing", monkeypatch)
+    owners = [getattr(nilflow, layer) for layer in tracing.LAYERS]
+    owners += [getattr(getattr(nilflow, layer), cls) for layer, cls, _ in tracing.CLASS_METHODS]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    tracer.install(nilflow)
+    try:
+        patched = {(owner.__name__, attr) for owner, attr, _ in tracer._patches}
+        assert ("MultiPoly", "substitute") in patched and ("PolyMap", "eval") in patched
+        assert all(vars(owner)[attr] is not original for owner, attr, original in tracer._patches)
+    finally:
+        tracer.uninstall()
+    for owner, saved in zip(owners, before):
+        assert vars(owner).keys() == saved.keys()
+        assert all(vars(owner)[attr] is value for attr, value in saved.items()), owner.__name__
 
 
 def test_pet_zero_depth_truncates(tmp_path):
@@ -435,6 +461,14 @@ def test_vdc_flow_signal(tmp_path):
     assert len(read_rows(tmp_path)) == 2
 
 
+def test_vdc_flow_signal_refuses_a_key_it_does_not_read(tmp_path, capsys):
+    for key in ("n_sample", "expr"):
+        cfg = write_config(tmp_path, {**FLOW_VDC, "signal": {**FLOW_VDC["signal"], key: "one"}})
+        assert run("vdc", cfg, tmp_path / "out") == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 def test_vdc_flow_signal_rejects_no_samples(tmp_path, capsys):
     """No NaN correlations from zero samples."""
     cfg = write_config(tmp_path, {**FLOW_VDC, "signal": {**FLOW_VDC["signal"], "n_samples": 0}})
@@ -681,6 +715,20 @@ REFUSED = [
     ("demo_vdc_one", "demo", ("signal",), [], "signal"),
     ("demo_vdc_one", "demo", ("signal", "expr"), 0, "expr"),
     ("demo_heisenberg_joining", "sidecar", ("systems", 0, "dim"), -1, "dim"),
+    # a key that the command does not read, one per kind of object
+    ("demo_weyl_square", "demo", ("n_sampels",), 16, "'n_sampels'"),
+    ("demo_weyl_square", "demo", ("functions", 0, "prt"), "sin", "'prt'"),
+    ("demo_verify_poly", "demo", ("family", 0, "domian"), ["t"], "'domian'"),
+    ("demo_pet_pair", "demo", ("max_dept",), 3, "'max_dept'"),
+    ("demo_verify_poly", "sidecar", ("seed",), 1, "'seed'"),
+    ("demo_generic_lines", "demo", ("max_depth",), 1, "'max_depth'"),
+    ("demo_vdc_one", "demo", ("n_samples",), 1, "'n_samples'"),
+    ("demo_pet_pair", "sidecar", ("algebra", "steps"), 1, "'steps'"),
+    ("demo_pet_pair", "demo", ("algebra", "dimension"), 1, "'dimension'"),
+    ("demo_pet_pair", "sidecar", ("family", 1, "domains"), ["t"], "'domains'"),
+    ("demo_acting_matrix", "sidecar", ("systems", 0, "acting_matrices"), [], "'acting_matrices'"),
+    ("demo_heisenberg_joining", "demo", ("invariance", "tuple"), [], "'tuple'"),
+    ("demo_vdc_one", "demo", ("signal", "system"), {}, "'system'"),
 ]
 
 

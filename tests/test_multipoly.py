@@ -219,6 +219,8 @@ def test_substitute_kept_variable_inside_an_image_adds_exponents():
     assignment = {"t": (Fraction(0), {"t": Fraction(1), "h": Fraction(1)})}
     q = _assert_substitution_exact(p, ("t", "h"), assignment, rng)
     assert q == (t + h) ** 3 * h ** 2 + 2 * (t + h) * h - h ** 3
+    # t -> t is the identity
+    assert p.substitute(("t", "h"), {"t": (Fraction(0), {"t": Fraction(1)})}) == p
     # the variable list may only grow, so it cannot reorder
     with pytest.raises(ValueError, match="does not extend"):
         p.substitute(("h", "t"), assignment)
@@ -235,6 +237,9 @@ def test_substitute_pins_to_a_constant():
     both = {"t": (Fraction(2), {}), "h": (Fraction(1, 3), {})}
     c = _assert_substitution_exact(p, ("t", "h", "s"), both, rng)
     assert c == p.eval([2, Fraction(1, 3)])
+    # t -> 0 on a polynomial that vanishes at time 0 leaves 0, over the same variables
+    zero = (t * h + t ** 2).substitute(("t", "h"), {"t": (Fraction(0), {})})
+    assert zero.is_zero() and zero.vars == ("t", "h")
     # a pinned variable cannot be dropped from the list
     with pytest.raises(ValueError, match="does not extend"):
         p.substitute(("t",), {"h": (Fraction(-3, 2), {})})
@@ -248,6 +253,9 @@ def test_substitute_introduces_a_fresh_variable():
     q = _assert_substitution_exact(p, ("t", "h", "k"), assignment, rng)
     assert q.degree_in("k") == 4
     assert q.coefficient_of("k", 4) == 1
+    tk, kk = (MultiPoly.variable(("t", "k"), v) for v in ("t", "k"))
+    square = MultiPoly(("t",), {(2,): 1}).substitute(("t", "k"), assignment)
+    assert square == tk ** 2 + 2 * tk * kk + kk ** 2
 
 
 def test_substitute_drops_terms_that_cancel():
@@ -271,6 +279,10 @@ def test_substitute_rejects_a_kept_variable_missing_from_new_vars():
         (t * h).substitute(("t",), {"t": (Fraction(0), {"t": Fraction(1)})})
     with pytest.raises(ValueError):
         t.substitute(("t", "h"), {"t": (Fraction(0), {"s": Fraction(1)})})
+    # an assigned name must be one of the polynomial's variables
+    for new_vars in (("t", "h"), ("t", "h", "s")):
+        with pytest.raises(ValueError, match="'s'"):
+            (t * h).substitute(new_vars, {"s": (Fraction(3), {})})
 
 
 # ----------------------------------------------------------------------
@@ -283,23 +295,30 @@ def test_shift_first_equals_substitute_on_random_polynomials():
         variables = tuple(f"v{i}" for i in range(rng.randint(1, 8)))
         p = _rand_poly(rng, variables, n_terms=rng.randint(0, 8), max_exp=4)
         new_vars = variables + ("k",)
-        t = variables[0]
-        for keep, image in ((False, {"k": Fraction(1)}), (True, {t: Fraction(1), "k": Fraction(1)})):
-            want = p.substitute(new_vars, {t: (Fraction(0), image)})
-            got = p.shift_first(new_vars, keep=keep)
-            assert got.vars == want.vars == new_vars
-            assert got.terms == want.terms
-            assert all(type(c) is Fraction for c in got.terms.values())
+        for x in variables:
+            for sign in (1, -1):
+                for keep in (False, True):
+                    image = {x: Fraction(1), "k": Fraction(sign)} if keep else {"k": Fraction(sign)}
+                    want = p.substitute(new_vars, {x: (Fraction(0), image)})
+                    got = p.shift(new_vars, x, keep=keep, sign=sign)
+                    assert got.vars == want.vars == new_vars
+                    assert got.terms == want.terms
+                    assert all(type(c) is Fraction for c in got.terms.values())
 
 
 def test_shift_first_is_the_binomial_expansion():
     t, h, k = (MultiPoly.variable(("t", "h", "k"), v) for v in ("t", "h", "k"))
     p = MultiPoly(("t", "h"), {(4, 1): Fraction(-2, 3), (1, 0): 5})
-    assert p.shift_first(("t", "h", "k"), keep=True) == Fraction(-2, 3) * (t + k) ** 4 * h + 5 * (t + k)
-    assert p.shift_first(("t", "h", "k"), keep=False) == Fraction(-2, 3) * k ** 4 * h + 5 * k
-    # exactly one appended variable, after a nonempty list
+    assert p.shift(("t", "h", "k"), "t") == Fraction(-2, 3) * (t + k) ** 4 * h + 5 * (t + k)
+    assert p.shift(("t", "h", "k"), "t", keep=False) == Fraction(-2, 3) * k ** 4 * h + 5 * k
+    q = MultiPoly(("t", "h"), {(1, 3): 7, (2, 0): 1})
+    assert q.shift(("t", "h", "k"), "h", sign=-1) == 7 * t * (h - k) ** 3 + t ** 2
+    # exactly one appended variable, a known name and a sign of +-1
     for new_vars in (("t", "h"), ("t", "h", "k", "s"), ("h", "t", "k")):
         with pytest.raises(ValueError):
-            p.shift_first(new_vars, keep=True)
+            p.shift(new_vars, "t")
+    for name, sign in (("s", 1), ("k", 1), ("t", 2), ("t", 0)):
+        with pytest.raises(ValueError):
+            p.shift(("t", "h", "k"), name, sign=sign)
     with pytest.raises(ValueError):
-        MultiPoly((), {(): 1}).shift_first(("k",), keep=False)
+        MultiPoly((), {(): 1}).shift(("k",), "k", keep=False)

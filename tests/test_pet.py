@@ -28,7 +28,7 @@ from nilflow.pet import (
     weight_assignment,
     weight_less,
 )
-from nilflow.poly_maps import PolyMap, lt_equivalent, substitute
+from nilflow.poly_maps import PolyMap, lt_equivalent
 from oracles import weight_matching
 
 H3 = make_builtin("heisenberg", dim=3)
@@ -403,8 +403,9 @@ def test_differencing_shifts_equal_substitution_with_domains():
         phi = PolyMap(H3, variables, coords, domain=domain)
         new_vars, _, at_k, shifted = _differencing_tools(variables)
         k = new_vars[-1]
-        for got, image in ((at_k(phi), {k: 1}), (shifted(phi), {"t": 1, k: 1})):
-            want = substitute(phi, {"t": (0, image)}, new_variables=new_vars)
-            assert got.vars == want.vars
-            assert got.domain == want.domain
-            assert [c.terms for c in got.coords] == [c.terms for c in want.coords]
+        # t -> k drops t from the domain, t -> t + k keeps it
+        kept = tuple(v for v in domain if v != "t")
+        for got, image, want_domain in ((at_k(phi), {k: 1}, kept), (shifted(phi), {"t": 1, k: 1}, tuple(domain))):
+            assert got.vars == new_vars
+            assert got.domain == want_domain
+            assert [c.terms for c in got.coords] == [c.substitute(new_vars, {"t": (0, image)}).terms for c in phi.coords]

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nilflow.cli import _load_members
-from nilflow.lie_core import bch_product, identity, make_builtin
+from nilflow.lie_core import bch_coords, bch_product, identity, make_builtin
 from nilflow.multipoly import MultiPoly
 from nilflow.poly_maps import (
     PolyMap,
@@ -18,7 +18,6 @@ from nilflow.poly_maps import (
     pointwise_product,
     polymap_to_json_dict,
     polynomial_degree,
-    substitute,
 )
 from oracles import heisenberg_from_matrix, heisenberg_to_matrix, matrix_bch
 
@@ -113,58 +112,18 @@ def test_product_heisenberg_commutator_coordinate():
 
 
 # ----------------------------------------------------------------------
-# substitution
+# construction
 
 
-def test_substitute_time_shift():
-    phi = exp_map({"x1": t_poly() ** 2})
-    shifted = substitute(phi, {"t": (0, {"t": 1, "k": 1})})
-    assert shifted.vars == ("t", "k")
-    t = MultiPoly.variable(("t", "k"), "t")
-    k = MultiPoly.variable(("t", "k"), "k")
-    assert shifted.coords[0] == t ** 2 + 2 * t * k + k ** 2
-    assert shifted.domain == ("t",)
-
-
-def test_substitute_identity_keeps_map():
-    phi = exp_map({"x1": t_poly(), "z": t_poly() ** 2})
-    same = substitute(phi, {"t": (0, {"t": 1})})
-    assert same == phi
-
-
-def test_substitute_time_zero_gives_identity():
-    t = t_poly(("t", "h"))
-    h = MultiPoly.variable(("t", "h"), "h")
-    phi = exp_map({"x1": t * h, "z": t ** 2}, variables=("t", "h"))
-    pinned = substitute(phi, {"t": 0})
-    assert pinned.is_constant_identity()
-    assert pinned.vars == ("t", "h")
-    assert pinned.domain == ("h",)
-
-
-def test_substitute_reads_floats_as_their_shortest_decimal():
-    t = t_poly(("t", "h"))
-    h = MultiPoly.variable(("t", "h"), "h")
-    phi = exp_map({"x1": t * h, "z": t ** 2}, variables=("t", "h"))
-    scaled = substitute(phi, {"t": (0.1, {"t": 0.1})})
-    assert scaled == substitute(phi, {"t": ("1/10", {"t": "1/10"})})
-    assert substitute(phi, {"t": 0.1}).coords[2] == Fraction(1, 100)
-
-
-def test_substitute_reads_strings_as_numbers():
-    t = t_poly(("t", "h"))
-    h = MultiPoly.variable(("t", "h"), "h")
-    phi = exp_map({"x1": t * h, "z": t ** 2}, variables=("t", "h"))
-    pinned = substitute(phi, {"h": "1/2"})
-    assert pinned == substitute(phi, {"h": Fraction(1, 2)})
-    assert pinned.vars == ("t", "h")
-    assert pinned.coords[0] == Fraction(1, 2) * t and pinned.coords[0].degree_in("h") == 0
-
-
-def test_substitute_unknown_variable():
-    phi = exp_map({"x1": t_poly()})
-    with pytest.raises(ValueError):
-        substitute(phi, {"s": 0})
+def test_polymap_takes_polynomials_over_its_own_variables():
+    v = ("t", "h")
+    zero = MultiPoly.zero(v)
+    for bad in (Fraction(1, 2), 0, MultiPoly.variable(("t",), "t"), MultiPoly.zero(("t", "h", "k"))):
+        with pytest.raises(ValueError, match="is not a polynomial in"):
+            PolyMap(H3, v, [zero, bad, zero])
+    # build is the one constructor that takes constants and shorter variable lists
+    phi = PolyMap.build(H3, v, {"x1": Fraction(1, 2), 1: t_poly()})
+    assert phi.coords == (MultiPoly.const(v, Fraction(1, 2)), MultiPoly.variable(v, "t"), zero)
 
 
 # ----------------------------------------------------------------------
@@ -185,9 +144,9 @@ def test_difference_linear_abelian():
     h = MultiPoly.variable(("t", "t_d1"), "t_d1")
     assert diff.coords[0] == -2 * h
     assert diff.coords[1] == h
-    numeric = substitute(diff, {"t_d1": Fraction(1, 2)})
-    assert numeric.coords[0] == -1
-    assert numeric.coords[1] == Fraction(1, 2)
+    numeric = [c.substitute(diff.vars, {"t_d1": (Fraction(1, 2), {})}) for c in diff.coords]
+    assert numeric[0] == -1
+    assert numeric[1] == Fraction(1, 2)
 
 
 def test_difference_chain_on_quadratic():
@@ -199,6 +158,45 @@ def test_difference_chain_on_quadratic():
     assert not d2.is_constant_identity()
     d3 = difference(d2)
     assert d3.is_constant_identity()
+
+
+def _substitution_difference(phi):
+    """Variables and coordinates of phi(g - h) * phi(g)^{-1}: `MultiPoly.substitute`
+    of v -> v - v_dn on each coordinate, then BCH with the padded base's inverse."""
+    n = 1
+    while any(f"{v}_d{n}" in phi.vars for v in phi.domain):
+        n += 1
+    names = [f"{v}_d{n}" for v in phi.domain]
+    new_vars = phi.vars + tuple(names)
+    point = {v: (0, {v: 1, h: -1}) for v, h in zip(phi.domain, names)}
+    shifted = [c.substitute(new_vars, point) for c in phi.coords]
+    base = [-c.with_vars(new_vars) for c in phi.coords]
+    return new_vars, bch_coords(phi.algebra, shifted, base, zero=MultiPoly.zero(new_vars))
+
+
+def test_difference_equals_its_substitution_form():
+    rng = random.Random(20261020)
+    for alg in (H3, make_builtin("strictly_upper_triangular", n=4)):
+        for _ in range(40):
+            # a name such as t_d1 among the variables makes the fresh names move on to _d2
+            variables = ("t",) + tuple(rng.sample(["h0", "h1", "t_d1", "h0_d1"], rng.randint(0, 3)))
+            coords = [
+                MultiPoly(
+                    variables,
+                    {
+                        tuple(rng.randint(0, 2) for _ in variables): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                        for _ in range(rng.randint(0, 3))
+                    },
+                )
+                for _ in range(alg.dim)
+            ]
+            domain = rng.sample(variables, rng.randint(0, len(variables)))
+            phi = PolyMap(alg, variables, coords, domain=domain)
+            got = difference(phi)
+            new_vars, want = _substitution_difference(phi)
+            assert got.vars == new_vars
+            assert got.domain == tuple(domain)
+            assert [c.terms for c in got.coords] == [c.terms for c in want]
 
 
 def test_polynomial_degree_examples():
