@@ -219,8 +219,6 @@ def test_substitute_kept_variable_inside_an_image_adds_exponents():
     assignment = {"t": (Fraction(0), {"t": Fraction(1), "h": Fraction(1)})}
     q = _assert_substitution_exact(p, ("t", "h"), assignment, rng)
     assert q == (t + h) ** 3 * h ** 2 + 2 * (t + h) * h - h ** 3
-    # t -> t is the identity
-    assert p.substitute(("t", "h"), {"t": (Fraction(0), {"t": Fraction(1)})}) == p
     # the variable list may only grow, so it cannot reorder
     with pytest.raises(ValueError, match="does not extend"):
         p.substitute(("h", "t"), assignment)
@@ -237,9 +235,6 @@ def test_substitute_pins_to_a_constant():
     both = {"t": (Fraction(2), {}), "h": (Fraction(1, 3), {})}
     c = _assert_substitution_exact(p, ("t", "h", "s"), both, rng)
     assert c == p.eval([2, Fraction(1, 3)])
-    # t -> 0 on a polynomial that vanishes at time 0 leaves 0, over the same variables
-    zero = (t * h + t ** 2).substitute(("t", "h"), {"t": (Fraction(0), {})})
-    assert zero.is_zero() and zero.vars == ("t", "h")
     # a pinned variable cannot be dropped from the list
     with pytest.raises(ValueError, match="does not extend"):
         p.substitute(("t",), {"h": (Fraction(-3, 2), {})})
@@ -253,9 +248,6 @@ def test_substitute_introduces_a_fresh_variable():
     q = _assert_substitution_exact(p, ("t", "h", "k"), assignment, rng)
     assert q.degree_in("k") == 4
     assert q.coefficient_of("k", 4) == 1
-    tk, kk = (MultiPoly.variable(("t", "k"), v) for v in ("t", "k"))
-    square = MultiPoly(("t",), {(2,): 1}).substitute(("t", "k"), assignment)
-    assert square == tk ** 2 + 2 * tk * kk + kk ** 2
 
 
 def test_substitute_drops_terms_that_cancel():
@@ -279,10 +271,6 @@ def test_substitute_rejects_a_kept_variable_missing_from_new_vars():
         (t * h).substitute(("t",), {"t": (Fraction(0), {"t": Fraction(1)})})
     with pytest.raises(ValueError):
         t.substitute(("t", "h"), {"t": (Fraction(0), {"s": Fraction(1)})})
-    # an assigned name must be one of the polynomial's variables
-    for new_vars in (("t", "h"), ("t", "h", "s")):
-        with pytest.raises(ValueError, match="'s'"):
-            (t * h).substitute(new_vars, {"s": (Fraction(3), {})})
 
 
 # ----------------------------------------------------------------------

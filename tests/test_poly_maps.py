@@ -112,6 +112,47 @@ def test_product_heisenberg_commutator_coordinate():
 
 
 # ----------------------------------------------------------------------
+# substitution: `MultiPoly.substitute` on each coordinate of a map
+
+
+def substitute(phi, new_vars, assignment):
+    coords = [c.substitute(new_vars, assignment) for c in phi.coords]
+    return PolyMap(phi.algebra, new_vars, coords, domain=phi.domain)
+
+
+def test_substitute_time_shift():
+    phi = exp_map({"x1": t_poly() ** 2})
+    shifted = substitute(phi, ("t", "k"), {"t": (Fraction(0), {"t": Fraction(1), "k": Fraction(1)})})
+    assert shifted.vars == ("t", "k")
+    t = MultiPoly.variable(("t", "k"), "t")
+    k = MultiPoly.variable(("t", "k"), "k")
+    assert shifted.coords[0] == t ** 2 + 2 * t * k + k ** 2
+    assert shifted.domain == ("t",)
+
+
+def test_substitute_identity_keeps_map():
+    phi = exp_map({"x1": t_poly(), "z": t_poly() ** 2})
+    same = substitute(phi, ("t",), {"t": (Fraction(0), {"t": Fraction(1)})})
+    assert same == phi
+
+
+def test_substitute_time_zero_gives_identity():
+    t = t_poly(("t", "h"))
+    h = MultiPoly.variable(("t", "h"), "h")
+    phi = exp_map({"x1": t * h, "z": t ** 2}, variables=("t", "h"))
+    pinned = substitute(phi, ("t", "h"), {"t": (Fraction(0), {})})
+    assert pinned.is_constant_identity()
+    assert pinned.vars == ("t", "h")
+
+
+def test_substitute_unknown_variable():
+    phi = exp_map({"x1": t_poly()})
+    for new_vars in (("t",), ("t", "s")):
+        with pytest.raises(ValueError, match="'s'"):
+            substitute(phi, new_vars, {"s": (Fraction(0), {})})
+
+
+# ----------------------------------------------------------------------
 # construction
 
 
