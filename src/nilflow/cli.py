@@ -41,7 +41,7 @@ from .lie_core import (
     verify_algebra,
 )
 from .multipoly import MultiPoly, as_fraction
-from .pet import MAX_DEPTH, MemberDoc, PolyFamily, pet_trace, trace_to_json_dict, weight
+from .pet import MAX_DEPTH, MemberDoc, PolyFamily, pet_trace, trace_to_json_dict
 from .poly_maps import (
     PolyMap,
     check_time_origin,
@@ -314,8 +314,8 @@ def cmd_verify_poly(cfg: dict, args, out_dir: Path) -> int:
             rows.append([idx, 0, 0, 0, "0", 0, 0])
             continue
         lt = leading_term(phi)
-        w = weight(phi)
         coef = "; ".join(str(c) for c in lt.coefficient)
+        # the weight is (class, leading degree), read off the same leading term
         rows.append(
             [
                 idx,
@@ -323,8 +323,8 @@ def cmd_verify_poly(cfg: dict, args, out_dir: Path) -> int:
                 lt.internal_class,
                 lt.leading_degree,
                 coef,
-                w.internal_class,
-                w.leading_degree,
+                lt.internal_class,
+                lt.leading_degree,
             ]
         )
 

@@ -136,11 +136,12 @@ class GroupElement:
 
 
 def bracket_coords(alg: LieAlgebraSpec, a: Sequence, b: Sequence, zero=_F0) -> list:
-    """[a, b] on raw coordinate vectors; entries may be any commutative ring."""
+    """[a, b] on raw coordinate vectors; entries may be any commutative ring
+    whose elements are false exactly at zero (Fractions, MultiPolys)."""
     out = [zero] * alg.dim
     for (i, j), row in alg._table.items():
         d = a[i] * b[j] - a[j] * b[i]
-        if d == 0:
+        if not d:
             continue
         for k, c in row.items():
             out[k] = out[k] + d * c
@@ -193,7 +194,7 @@ def _dynkin_words(step: int) -> Tuple[Tuple[Tuple[int, ...], Fraction], ...]:
 
 
 def bch_coords(alg: LieAlgebraSpec, a: Sequence, b: Sequence, zero=_F0) -> list:
-    """Coordinates of log(exp(a) exp(b)) over any commutative ring.
+    """Coordinates of log(exp(a) exp(b)) over a ring as in `bracket_coords`.
 
     Each right-nested bracket is evaluated once: `nested` maps a word
     suffix to its bracket, or to None once it vanishes, so words sharing
@@ -213,14 +214,14 @@ def bch_coords(alg: LieAlgebraSpec, a: Sequence, b: Sequence, zero=_F0) -> list:
         while i and vec is not None:
             i -= 1
             vec = bracket_coords(alg, a if word[i] == 0 else b, vec, zero)
-            if all(v == 0 for v in vec):
+            if not any(vec):
                 vec = None
             nested[word[i:]] = vec
         if vec is None:
             continue
         scale = coef != 1
         for k, v in enumerate(vec):
-            if v == 0:
+            if not v:
                 continue
             out[k] = out[k] + (coef * v if scale else v)
     return out

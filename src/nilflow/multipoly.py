@@ -105,6 +105,9 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
@@ -129,6 +132,8 @@ class MultiPoly:
     def __add__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.vars, other)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_vars(other)
         terms = dict(self.terms)
         for exp, coef in other.terms.items():
@@ -143,9 +148,13 @@ class MultiPoly:
     def __sub__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.vars, other)
+        elif not isinstance(other, MultiPoly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "MultiPoly":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
@@ -154,6 +163,8 @@ class MultiPoly:
                 return MultiPoly(self.vars)
             other = as_fraction(other)
             return MultiPoly._make(self.vars, {exp: coef * other for exp, coef in self.terms.items()})
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         self._check_vars(other)
         terms: Dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -239,7 +250,7 @@ class MultiPoly:
             c0, linear = assignment[name]
             image = MultiPoly.const(new_vars, c0)
             for other, coeff in linear.items():
-                image = image + MultiPoly.variable(new_vars, other) * coeff
+                image = image + MultiPoly.variable(new_vars, other) * as_fraction(coeff)
             images.append(image)
         total = MultiPoly(new_vars)
         for exp, coef in self.terms.items():

@@ -22,15 +22,16 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import CertificateError, ConfigError, TruncationError
+from .lie_core import algebra_to_json_dict, bch_coords
+from .multipoly import MultiPoly
 from .poly_maps import (
+    LeadingTerm,
     PolyMap,
+    _check_compatible,
     check_time_origin,
     leading_term,
-    pointwise_inverse,
-    pointwise_product,
     polymap_to_json_dict,
 )
-from .lie_core import algebra_to_json_dict
 
 # Cap on one PET level's size: coordinate terms summed over its members.
 # The descents in the test pools and the benchmark peak at 192.  A family
@@ -51,10 +52,13 @@ class Weight:
         return [self.internal_class, self.leading_degree]
 
 
+def _weight_of(lt: LeadingTerm) -> Weight:
+    return Weight(lt.internal_class, lt.leading_degree)
+
+
 def weight(phi: PolyMap) -> Weight:
     """(class, leading degree) of a nonconstant map."""
-    lt = leading_term(phi)
-    return Weight(lt.internal_class, lt.leading_degree)
+    return _weight_of(leading_term(phi))
 
 
 def _descending_key(w: Weight) -> Tuple[int, int]:
@@ -96,13 +100,8 @@ class PolyFamily:
 
     def __init__(self, maps: Iterable[PolyMap]):
         maps = tuple(maps)
-        if maps:
-            first = maps[0]
-            for phi in maps[1:]:
-                if phi.algebra != first.algebra:
-                    raise ValueError("family members target different algebras")
-                if phi.vars != first.vars:
-                    raise ValueError("family members use different variables")
+        for phi in maps[1:]:
+            _check_compatible(maps[0], phi)
         for n, phi in enumerate(maps):
             check_time_origin(phi, n)
         self.maps = maps
@@ -124,56 +123,41 @@ class PolyFamily:
     __hash__ = None  # type: ignore[assignment]
 
 
-def _lt_class_key(phi: PolyMap):
-    lt = leading_term(phi)
-    coeff = tuple(tuple(sorted(p.terms.items())) for p in lt.coefficient)
-    return (lt.internal_class, lt.leading_degree, coeff)
+# A member's leading term, taken once per family or trace level, is its
+# class key and carries its weight; the constant identity, which belongs to
+# no class, has None.
+LeadingTerms = Sequence[LeadingTerm | None]
 
 
-# A member's leading-term summary, computed once per family or trace level:
-# its class key and its weight, or None for the constant identity, which
-# belongs to no class.
-LTInfo = tuple[object, Weight]
+def _leading_info(maps: Iterable[PolyMap]) -> List[LeadingTerm | None]:
+    return [None if phi.is_constant_identity() else leading_term(phi) for phi in maps]
 
 
-def _leading_info(maps: Iterable[PolyMap]) -> List[LTInfo | None]:
-    out: List[LTInfo | None] = []
-    for phi in maps:
-        if phi.is_constant_identity():
-            out.append(None)
-        else:
-            key = _lt_class_key(phi)
-            out.append((key, Weight(key[0], key[1])))
-    return out
-
-
-def _member_partition(infos: Sequence[LTInfo | None]) -> List[List[int]]:
+def _member_partition(lts: LeadingTerms) -> List[List[int]]:
     """Indices of nonconstant members grouped into leading-term classes, in
     order of first occurrence."""
-    groups: Dict[object, List[int]] = {}
-    for i, info in enumerate(infos):
-        if info is not None:
-            groups.setdefault(info[0], []).append(i)
+    groups: Dict[LeadingTerm, List[int]] = {}
+    for i, lt in enumerate(lts):
+        if lt is not None:
+            groups.setdefault(lt, []).append(i)
     return list(groups.values())
 
 
-def _classify(
-    infos: Sequence[LTInfo | None], mults: Sequence[int]
-) -> Tuple[List[List[int]], List[int], Sizes]:
+def _classify(lts: LeadingTerms, mults: Sequence[int]) -> Tuple[List[List[int]], List[int], Sizes]:
     """Leading-term classes, their cardinalities under mults, and their Sizes."""
-    classes = _member_partition(infos)
+    classes = _member_partition(lts)
     cardinalities = [sum(mults[i] for i in group) for group in classes]
     sizes: Sizes = {}
     for group, n in zip(classes, cardinalities):
-        sizes.setdefault(infos[group[0]][1], []).append(n)
+        sizes.setdefault(_weight_of(lts[group[0]]), []).append(n)
     return classes, cardinalities, sizes
 
 
-def _pivot_index(infos: Sequence[LTInfo | None]) -> int:
+def _pivot_index(lts: LeadingTerms) -> int:
     """Index of the earliest nonconstant member of minimal weight."""
     best = None
-    for i, info in enumerate(infos):
-        if info is not None and (best is None or weight_less(info[1], infos[best][1])):
+    for i, lt in enumerate(lts):
+        if lt is not None and (best is None or weight_less(_weight_of(lt), _weight_of(lts[best]))):
             best = i
     if best is None:
         raise ValueError("an all-constant family has no pivot")
@@ -245,30 +229,13 @@ def pivot(family: PolyFamily) -> int:
     return _pivot_index(_leading_info(family))
 
 
-def _differencing_tools(base_vars: Tuple[str, ...]):
-    """Fresh shift variable k plus the three maps used by derivation: the
-    extension to k, and phi(k) and phi(t + k) for the time variable t."""
-    n = 1
-    k_name = "k"
-    while k_name in base_vars:
-        k_name = f"k{n}"
+def _fresh_shift_name(variables: Tuple[str, ...]) -> str:
+    """k, or the first of k1, k2, ... that is not a variable yet."""
+    n, name = 1, "k"
+    while name in variables:
+        name = f"k{n}"
         n += 1
-    new_vars = base_vars + (k_name,)
-    t_name = base_vars[0]
-
-    def extended(phi: PolyMap) -> PolyMap:
-        return PolyMap(phi.algebra, new_vars, [c.with_vars(new_vars) for c in phi.coords])
-
-    # the domains the certificates record: t -> k drops t, t -> t + k keeps it
-    def at_k(phi: PolyMap) -> PolyMap:
-        coords = [c.shift(new_vars, t_name, keep=False) for c in phi.coords]
-        return PolyMap(phi.algebra, new_vars, coords, domain=[v for v in phi.domain if v != t_name])
-
-    def shifted(phi: PolyMap) -> PolyMap:
-        coords = [c.shift(new_vars, t_name) for c in phi.coords]
-        return PolyMap(phi.algebra, new_vars, coords, domain=phi.domain)
-
-    return new_vars, extended, at_k, shifted
+    return name
 
 
 def derived_family(family: PolyFamily, i: int) -> PolyFamily:
@@ -317,26 +284,37 @@ def _merge_members(pairs: Iterable[Tuple[PolyMap, int]]) -> List[Tuple[PolyMap, 
 def _derive_members(members: Sequence[Tuple[PolyMap, int]], p: int) -> List[Tuple[PolyMap, int]]:
     """One derivation step on a multiset level, pivoting at entry p.
 
-    Order matches the tuple definition: quotients for members other than the
-    pivot, then shifted quotients for every member.  Sibling copies of the
-    pivot map quotient to the identity.  Repeats are not merged.
+    A fresh shift variable k is appended to the variables, and each member
+    is built by BCH on coordinate vectors.  Order matches the tuple
+    definition: quotients phi * pivot^-1 for members other than the pivot,
+    then shifted quotients phi(k)^-1 * phi(t + k) * pivot^-1 for every
+    member.  Sibling copies of the pivot map quotient to the identity.
+    Repeats are not merged.
+
+    Domains, as the certificates record them: a quotient, and the identity,
+    takes every variable; a shifted quotient takes its member's domain
+    without t.
     """
     base = members[p][0]
-    new_vars, extended, at_k, shifted = _differencing_tools(base.vars)
-    inv_pivot = pointwise_inverse(extended(base))
+    alg, t = base.algebra, base.time_var
+    new_vars = base.vars + (_fresh_shift_name(base.vars),)
+    zero = MultiPoly.zero(new_vars)
+    inv_pivot = [-c.with_vars(new_vars) for c in base.coords]
     produced: List[Tuple[PolyMap, int]] = []
     for i, (phi, mult) in enumerate(members):
         if i == p:
             if mult > 1:
-                produced.append((PolyMap.constant_identity(base.algebra, new_vars), mult - 1))
+                produced.append((PolyMap.constant_identity(alg, new_vars), mult - 1))
         else:
-            produced.append((pointwise_product(extended(phi), inv_pivot), mult))
+            quotient = bch_coords(alg, [c.with_vars(new_vars) for c in phi.coords], inv_pivot, zero)
+            produced.append((PolyMap(alg, new_vars, quotient), mult))
     for phi, mult in members:
-        head = pointwise_product(pointwise_inverse(at_k(phi)), shifted(phi))
-        produced.append((pointwise_product(head, inv_pivot), mult))
-    for phi, _ in produced:
-        if not phi.fixes_time_origin():
-            raise RuntimeError("derived member lost the time-origin normalization")
+        at_k = [-c.shift(new_vars, t, keep=False) for c in phi.coords]
+        head = bch_coords(alg, at_k, [c.shift(new_vars, t) for c in phi.coords], zero)
+        domain = [v for v in phi.domain if v != t]
+        produced.append((PolyMap(alg, new_vars, bch_coords(alg, head, inv_pivot, zero), domain=domain), mult))
+    for n, (phi, _) in enumerate(produced):
+        check_time_origin(phi, n)
     return produced
 
 
@@ -377,10 +355,10 @@ def pet_trace(family: PolyFamily, max_depth: int = MAX_DEPTH) -> PETTrace:
         raise ConfigError(f"max_depth must be nonnegative, got {max_depth}")
     steps: List[PETStep] = []
     current = _merge_members((phi, 1) for phi in family)
-    infos = _leading_info(phi for phi, _ in current)
+    lts = _leading_info(phi for phi, _ in current)
     for _ in range(max_depth + 1):
-        active = [member for member, info in zip(current, infos) if info is not None]
-        dropped = sum(mult for (_, mult), info in zip(current, infos) if info is None)
+        active = [member for member, lt in zip(current, lts) if lt is not None]
+        dropped = sum(mult for (_, mult), lt in zip(current, lts) if lt is None)
         if sum(mult for _, mult in active) <= 1:
             return PETTrace(tuple(steps), tuple(active), dropped)
         terms = sum(len(c.terms) for phi, _ in active for c in phi.coords)
@@ -389,12 +367,12 @@ def pet_trace(family: PolyFamily, max_depth: int = MAX_DEPTH) -> PETTrace:
                 f"PET family at depth {len(steps)} has {terms} coordinate terms, "
                 f"over the cap of {MAX_LEVEL_TERMS}"
             )
-        infos = [info for info in infos if info is not None]
-        p = _pivot_index(infos)
+        lts = [lt for lt in lts if lt is not None]
+        p = _pivot_index(lts)
         derived = _merge_members(_derive_members(active, p))
-        derived_infos = _leading_info(phi for phi, _ in derived)
-        classes, cardinalities, sizes = _classify(infos, [mult for _, mult in active])
-        _, _, derived_sizes = _classify(derived_infos, [mult for _, mult in derived])
+        derived_lts = _leading_info(phi for phi, _ in derived)
+        classes, cardinalities, sizes = _classify(lts, [mult for _, mult in active])
+        _, _, derived_sizes = _classify(derived_lts, [mult for _, mult in derived])
         certificate = _descent_certificate(derived_sizes, sizes)
         if certificate is None:
             raise CertificateError(
@@ -413,7 +391,7 @@ def pet_trace(family: PolyFamily, max_depth: int = MAX_DEPTH) -> PETTrace:
                 certificate=certificate,
             )
         )
-        current, infos = derived, derived_infos
+        current, lts = derived, derived_lts
     raise TruncationError(f"PET induction exceeded max depth {max_depth}")
 
 

@@ -90,11 +90,6 @@ class PolyMap:
     def is_constant_on_domain(self) -> bool:
         return not any(c.depends_on(self.domain) for c in self.coords)
 
-    def fixes_time_origin(self) -> bool:
-        """True when every coordinate vanishes identically at time 0."""
-        t_index = 0
-        return all(all(exp[t_index] > 0 for exp in c.terms) for c in self.coords)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyMap):
             return NotImplemented
@@ -166,14 +161,9 @@ def difference(phi: PolyMap) -> PolyMap:
     for v, h in zip(phi.domain, _fresh_shift_names(phi)):
         new_vars += (h,)
         coords = [c.shift(new_vars, v, sign=-1) for c in coords]
-    shifted = PolyMap(phi.algebra, new_vars, coords, domain=phi.domain)
-    base = PolyMap(
-        phi.algebra,
-        new_vars,
-        [c.with_vars(new_vars) for c in phi.coords],
-        domain=phi.domain,
-    )
-    return pointwise_product(shifted, pointwise_inverse(base))
+    inv_base = [-c.with_vars(new_vars) for c in phi.coords]
+    coords = bch_coords(phi.algebra, coords, inv_base, zero=MultiPoly.zero(new_vars))
+    return PolyMap(phi.algebra, new_vars, coords, domain=phi.domain)
 
 
 def polynomial_degree(phi: PolyMap) -> int:
@@ -195,7 +185,10 @@ def polynomial_degree(phi: PolyMap) -> int:
 
 @dataclass(frozen=True)
 class LeadingTerm:
-    """Class, time degree, and t^d coefficient vector on the layer-c basis."""
+    """Class, time degree, and t^d coefficient vector on the layer-c basis.
+
+    Equal leading terms are leading-term equivalent maps; the hash agrees,
+    so a leading term keys its class."""
 
     internal_class: int
     leading_degree: int
@@ -204,6 +197,10 @@ class LeadingTerm:
     def __post_init__(self) -> None:
         if all(c.is_zero() for c in self.coefficient):
             raise ValueError("leading coefficient vector is identically zero")
+
+    def __hash__(self) -> int:
+        coeff = tuple(frozenset(c.terms.items()) for c in self.coefficient)
+        return hash((self.internal_class, self.leading_degree, coeff))
 
 
 def internal_class(phi: PolyMap) -> int:

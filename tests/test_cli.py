@@ -163,6 +163,8 @@ def test_benchmark_tracer_installs_and_restores_every_attribute(monkeypatch):
     try:
         patched = {(owner.__name__, attr) for owner, attr, _ in tracer._patches}
         assert ("MultiPoly", "substitute") in patched and ("PolyMap", "eval") in patched
+        # PET's own BCH calls count under lie_core.bch
+        assert ("nilflow.pet", "bch_coords") in patched
         assert all(vars(owner)[attr] is not original for owner, attr, original in tracer._patches)
     finally:
         tracer.uninstall()

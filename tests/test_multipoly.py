@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic checks."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -50,6 +51,13 @@ def test_add_mul_and_scalar_mix():
     assert (p - p).is_zero()
     assert 2 * t == t + t
     assert t * 0 == 0
+    # an operand that is neither a polynomial nor an exact rational is left to Python
+    for foreign in (0.5, None):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(t, foreign)
+            with pytest.raises(TypeError):
+                op(foreign, t)
 
 
 def test_power_matches_repeated_product():
@@ -74,6 +82,8 @@ def test_equality_with_scalars():
     assert MultiPoly.zero(("t",)) == 0
     t = MultiPoly.variable(("t",), "t")
     assert t != 0
+    # truthiness is the zero test, as for a Fraction
+    assert t and not MultiPoly.zero(("t",)) and not (t - t)
 
 
 def test_substitute_shifts_variable():
@@ -83,6 +93,11 @@ def test_substitute_shifts_variable():
     # q(t,h,s) = (t-s)^2 + h
     assert q.eval([5, 1, 2]) == 10
     assert q.eval([2, 0, 2]) == 0
+    # linear coefficients are read like the constant, through as_fraction
+    t3, h3, s = (MultiPoly.variable(("t", "h", "s"), v) for v in ("t", "h", "s"))
+    for half in (0.5, "1/2"):
+        r = p.substitute(("t", "h", "s"), {"t": ("1/3", {"t": 1, "s": half})})
+        assert r == (t3 + Fraction(1, 2) * s + Fraction(1, 3)) ** 2 + h3
 
 
 def test_substitute_constant_point():

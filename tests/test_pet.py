@@ -15,8 +15,8 @@ from nilflow.pet import (
     Weight,
     _assignment_witness,
     _descending_key,
+    _derive_members,
     _descent_certificate,
-    _differencing_tools,
     _sorted_matching,
     derived_family,
     family_precedes,
@@ -28,11 +28,21 @@ from nilflow.pet import (
     weight_assignment,
     weight_less,
 )
-from nilflow.poly_maps import PolyMap, lt_equivalent
+from nilflow.poly_maps import (
+    LeadingTerm,
+    PolyMap,
+    check_time_origin,
+    internal_class,
+    leading_term,
+    lt_equivalent,
+    pointwise_inverse,
+    pointwise_product,
+)
 from oracles import weight_matching
 
 H3 = make_builtin("heisenberg", dim=3)
 A2 = make_builtin("abelian", dim=2)
+U4 = make_builtin("strictly_upper_triangular", n=4)
 
 
 def tpow(n, variables=("t",)):
@@ -233,8 +243,8 @@ def test_derived_family_index_validation():
 
 def test_derived_members_stay_normalized():
     fam = PolyFamily([h3_map(x1=tpow(2), z=tpow(3)), h3_map(y1=tpow(1))])
-    for phi in derived_family(fam, pivot(fam)):
-        assert phi.fixes_time_origin()
+    for n, phi in enumerate(derived_family(fam, pivot(fam))):
+        check_time_origin(phi, n)
 
 
 def test_descent_lemma_on_generated_families():
@@ -268,6 +278,49 @@ def test_lt_equivalence_is_an_equivalence_relation():
     for phi, psi, chi in itertools.product(pool, repeat=3):
         if lt_equivalent(phi, psi) and lt_equivalent(psi, chi):
             assert lt_equivalent(phi, chi)
+
+
+def _random_member(rng, alg, variables, layers_from=1):
+    """A map fixing e at time 0, on the layers from `layers_from` up, with
+    few and small coefficients so that leading terms often coincide."""
+    coords = []
+    for layer in alg.layers:
+        terms = {}
+        if layer >= layers_from:
+            for _ in range(rng.randint(0, 2)):
+                exp = (rng.randint(1, 2),) + tuple(rng.randint(0, 1) for _ in variables[1:])
+                terms[exp] = Fraction(rng.choice([1, 2]))
+        coords.append(MultiPoly(variables, terms))
+    return PolyMap(alg, variables, coords)
+
+
+def test_leading_terms_key_their_classes():
+    """Equal leading terms hash equal, and the classes of `lt_partition`
+    are exactly those of `lt_equivalent`."""
+    # equal, though the coefficient dicts were filled in different orders
+    a = MultiPoly(("h",), {(1,): 1, (0,): 2})
+    b = MultiPoly(("h",), {(0,): 2, (1,): 1})
+    assert list(a.terms) != list(b.terms)
+    assert LeadingTerm(1, 2, (a, b)) == LeadingTerm(1, 2, (b, a))
+    assert hash(LeadingTerm(1, 2, (a, b))) == hash(LeadingTerm(1, 2, (b, a)))
+    rng = random.Random(20261020)
+    for alg in (H3, U4):
+        for _ in range(40):
+            variables = ("t",) + ("h",) * rng.randint(0, 1)
+            members = [_random_member(rng, alg, variables) for _ in range(rng.randint(1, 4))]
+            # an equivalent, unequal member: times a map on deeper layers only
+            phi = rng.choice(members)
+            if not phi.is_constant_identity() and internal_class(phi) < alg.step:
+                deeper = _random_member(rng, alg, variables, internal_class(phi) + 1)
+                members.append(pointwise_product(phi, deeper))
+            fam = PolyFamily(members)
+            parts = lt_partition(fam)
+            label = {i: n for n, part in enumerate(parts) for i in part}
+            assert sorted(label) == [i for i, phi in enumerate(fam) if not phi.is_constant_identity()]
+            for i, j in itertools.product(label, repeat=2):
+                assert lt_equivalent(fam[i], fam[j]) == (label[i] == label[j])
+                if label[i] == label[j]:
+                    assert hash(leading_term(fam[i])) == hash(leading_term(fam[j]))
 
 
 # ----------------------------------------------------------------------
@@ -384,28 +437,64 @@ def test_trace_json_document():
         assert all(any(m is d for d in step["derived"]) for m in kept)
 
 
+def _composed_derivation(members, p):
+    """A derived level as a composition of maps: phi(k) and phi(t + k) by
+    `MultiPoly.substitute` per coordinate, then pointwise inverses and
+    products.  A product keeps its first factor's domain, and t -> k drops t
+    from it."""
+    base = members[p][0]
+    k = next(name for name in ("k", "k1", "k2", "k3") if name not in base.vars)
+    new_vars = base.vars + (k,)
+
+    def extended(phi):
+        return PolyMap(H3, new_vars, [c.with_vars(new_vars) for c in phi.coords])
+
+    def image(phi, linear, domain):
+        return PolyMap(H3, new_vars, [c.substitute(new_vars, {"t": (0, linear)}) for c in phi.coords], domain=domain)
+
+    inv_pivot = pointwise_inverse(extended(base))
+    out = []
+    for i, (phi, mult) in enumerate(members):
+        if i != p:
+            out.append((pointwise_product(extended(phi), inv_pivot), mult))
+        elif mult > 1:
+            out.append((PolyMap.constant_identity(H3, new_vars), mult - 1))
+    for phi, mult in members:
+        at_k = image(phi, {k: 1}, [v for v in phi.domain if v != "t"])
+        shifted = image(phi, {"t": 1, k: 1}, phi.domain)
+        out.append((pointwise_product(pointwise_product(pointwise_inverse(at_k), shifted), inv_pivot), mult))
+    return out
+
+
 def test_differencing_shifts_equal_substitution_with_domains():
     rng = random.Random(20261019)
-    for _ in range(60):
-        variables = ("t",) + tuple(f"h{i}" for i in range(rng.randint(0, 7)))
-        coords = [
-            MultiPoly(
-                variables,
-                {
-                    (rng.randint(1, 4),) + tuple(rng.randint(0, 2) for _ in variables[1:]):
-                    Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                    for _ in range(rng.randint(0, 5))
-                },
-            )
-            for _ in range(3)
-        ]
-        domain = rng.sample(variables, rng.randint(0, len(variables)))
-        phi = PolyMap(H3, variables, coords, domain=domain)
-        new_vars, _, at_k, shifted = _differencing_tools(variables)
-        k = new_vars[-1]
-        # t -> k drops t from the domain, t -> t + k keeps it
-        kept = tuple(v for v in domain if v != "t")
-        for got, image, want_domain in ((at_k(phi), {k: 1}, kept), (shifted(phi), {"t": 1, k: 1}, tuple(domain))):
-            assert got.vars == new_vars
-            assert got.domain == want_domain
-            assert [c.terms for c in got.coords] == [c.substitute(new_vars, {"t": (0, image)}).terms for c in phi.coords]
+    for n in range(60):
+        # k and k1 among the variables move the fresh shift name on
+        variables = ("t",) + tuple(rng.sample(["h0", "h1", "k", "h2", "k1", "h3"], rng.randint(0, 5)))
+        members = []
+        for _ in range(rng.randint(1, 3)):
+            coords = [
+                MultiPoly(
+                    variables,
+                    {
+                        (rng.randint(1, 4),) + tuple(rng.randint(0, 2) for _ in variables[1:]):
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                        for _ in range(rng.randint(0, 4))
+                    },
+                )
+                for _ in range(3)
+            ]
+            domain = rng.sample(variables, rng.randint(0, len(variables)))
+            members.append((PolyMap(H3, variables, coords, domain=domain), rng.randint(1, 2)))
+        p = rng.randrange(len(members))
+        if n % 4 == 0:
+            # a pivot of multiplicity 2 leaves one identity for its sibling copy
+            members[p] = (members[p][0], 2)
+        got = _derive_members(members, p)
+        want = _composed_derivation(members, p)
+        assert len(got) == len(want)
+        for (phi, mult), (psi, want_mult) in zip(got, want):
+            assert mult == want_mult
+            assert phi.vars == psi.vars
+            assert phi.domain == psi.domain
+            assert [c.terms for c in phi.coords] == [c.terms for c in psi.coords]

@@ -10,6 +10,7 @@ from nilflow.lie_core import bch_coords, bch_product, identity, make_builtin
 from nilflow.multipoly import MultiPoly
 from nilflow.poly_maps import (
     PolyMap,
+    check_time_origin,
     difference,
     internal_class,
     leading_term,
@@ -45,7 +46,7 @@ def test_eval_at_time_zero_is_identity():
     t = t_poly(("t", "h"))
     h = MultiPoly.variable(("t", "h"), "h")
     phi = exp_map({"x1": t * h, "z": t ** 3}, variables=("t", "h"))
-    assert phi.fixes_time_origin()
+    check_time_origin(phi, 0)
     assert phi.eval({"t": 0, "h": Fraction(7, 3)}) == identity(phi.algebra)
 
 
