@@ -2,7 +2,8 @@
 
 One JSON config per run; every command writes report.csv, certificate.json,
 and sidecar.json into the output directory.  The sidecar holds the config
-with all defaults materialized, so it alone reproduces the run.
+with all defaults materialized, so it alone reproduces the run.  Each file
+is moved into place whole; the JSON files are streamed to disk in pieces.
 
 Every config value is read in this module, by `_typed`, before the library
 sees it; an optional key that is absent or null takes its default (`_get`).
@@ -13,6 +14,7 @@ Exit codes: 0 success, 2 config error, 3 certificate failure, 4 truncation.
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from csv import writer as csv_writer
@@ -20,7 +22,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -217,23 +219,37 @@ def _load_factor_elements(key: str, nodes, systems) -> list:
 # output writers
 
 
+@contextmanager
+def _replacing(path: Path, newline: str | None = None):
+    """A text file written as a temporary sibling of `path` and moved into its
+    place whole; if writing fails, it is removed and `path` is left as it was."""
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", newline=newline) as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         table = csv_writer(fh, lineterminator="\n")
         table.writerow(header)
         table.writerows(rows)
 
 
-def _encode_json(node, indent: str = "\n") -> str:
-    """The text `json.dumps(node, indent=2, sort_keys=True)` gives.
+def _json_chunks(node, indent: str = "\n") -> Iterator[str]:
+    """The text `json.dumps(node, indent=2, sort_keys=True)` gives, in pieces.
 
-    The standard encoder takes its pure-Python path whenever `indent` is
-    set.  This one returns one string per container, joined once, and
-    writes plain `str` and `int` children inline, since most nodes of a PET
-    certificate are exponents and coefficients.  A `MemberDoc` is encoded
-    once per indent: its text is kept until its next use there, then
-    dropped.  Keys must be strings: `_quote` raises TypeError on any other
-    key.
+    Every container is yielded piece by piece, except a `MemberDoc` and what
+    lies below it, which is joined into one string with plain `str` and
+    `int` children written inline: most nodes of a member are exponents and
+    coefficients.  A member's text is kept until its next use at the same
+    indent (a step's `derived` and the next step's `family`), then dropped,
+    so about one PET level is held as text at a time.  Keys must be
+    strings: `_quote` raises TypeError on any other key.
     """
     texts: Dict[Tuple[int, str], str] = {}
 
@@ -263,31 +279,36 @@ def _encode_json(node, indent: str = "\n") -> str:
                 for v in node
             ]
             return "[" + inner + ("," + inner).join(items) + indent + "]"
-        if isinstance(node, str):
-            return _quote(node)
-        if node is None:
-            return "null"
-        if node is True:
-            return "true"
-        if node is False:
-            return "false"
-        if isinstance(node, int):
-            return int.__repr__(node)
-        if isinstance(node, float):
-            if node != node:
-                return "NaN"
-            if node == math.inf:
-                return "Infinity"
-            if node == -math.inf:
-                return "-Infinity"
-            return float.__repr__(node)
-        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+        return json.dumps(node)  # a string, number, null or bool; TypeError for anything else
 
-    return encode(node, indent)
+    def streamed(node) -> bool:
+        return isinstance(node, (dict, list, tuple)) and type(node) is not MemberDoc and bool(node)
+
+    def chunks(node, indent: str) -> Iterator[str]:
+        inner = indent + "  "
+        if isinstance(node, dict):
+            items, brackets = [(_quote(k) + ": ", v) for k, v in sorted(node.items())], "{}"
+        else:
+            items, brackets = [("", v) for v in node], "[]"
+        separator = brackets[0] + inner
+        for head, value in items:
+            if streamed(value):
+                yield separator + head
+                yield from chunks(value, inner)
+            else:
+                yield separator + head + encode(value, inner)
+            separator = "," + inner
+        yield indent + brackets[1]
+
+    return chunks(node, indent) if streamed(node) else iter((encode(node, indent),))
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(_encode_json(doc) + "\n")
+def _write_json(path: Path, doc) -> None:
+    """`doc` as `json.dumps(doc, indent=2, sort_keys=True)` plus a newline,
+    streamed to disk piece by piece and moved into place whole."""
+    with _replacing(path) as fh:
+        fh.writelines(_json_chunks(doc))
+        fh.write("\n")
 
 
 def _emit(out_dir: Path, header, rows, certificate: dict, sidecar: dict) -> None:
@@ -311,24 +332,14 @@ def cmd_verify_poly(cfg: dict, args, out_dir: Path) -> int:
     rows = []
     for idx, phi in enumerate(members):
         if phi.is_constant_identity():
-            rows.append([idx, 0, 0, 0, "0", 0, 0])
+            rows.append([idx, 0, 0, 0, "0"])
             continue
         lt = leading_term(phi)
         coef = "; ".join(str(c) for c in lt.coefficient)
-        # the weight is (class, leading degree), read off the same leading term
-        rows.append(
-            [
-                idx,
-                polynomial_degree(phi),
-                lt.internal_class,
-                lt.leading_degree,
-                coef,
-                lt.internal_class,
-                lt.leading_degree,
-            ]
-        )
+        rows.append([idx, polynomial_degree(phi), lt.internal_class, lt.leading_degree, coef])
 
-    header = ["member", "degree", "internal_class", "leading_degree", "leading_coefficient", "weight_c", "weight_d"]
+    # a member's weight is (internal_class, leading_degree)
+    header = ["member", "degree", "internal_class", "leading_degree", "leading_coefficient"]
     certificate = {"command": "verify-poly", "members": len(members), "well_formed": True}
     sidecar = {
         "command": "verify-poly",

@@ -164,11 +164,6 @@ def _pivot_index(lts: LeadingTerms) -> int:
     return best
 
 
-def lt_partition(family: PolyFamily) -> List[List[int]]:
-    """Indices of nonconstant members grouped into leading-term classes."""
-    return _member_partition(_leading_info(family))
-
-
 def _sorted_matching(f_sizes: Sequence[int], g_sizes: Sequence[int]) -> Tuple[bool, bool]:
     """(some size-respecting bijection f -> g, some strict one), without a search.
 
@@ -208,11 +203,6 @@ def _descent_certificate(derived: Sizes, current: Sizes) -> dict | None:
         shrinks = shrinks or strict
         per_weight.append(w.to_json() + [sorted(derived[w]), sorted(current[w])])
     return {"kind": "class_size_descent", "per_weight": per_weight} if shrinks else None
-
-
-def weight_assignment(family: PolyFamily) -> Dict[Weight, int]:
-    """Number of leading-term classes at each weight; constants are skipped."""
-    return _counts(_classify(_leading_info(family), [1] * len(family))[2])
 
 
 def family_precedes(f_family: PolyFamily, g_family: PolyFamily) -> bool:

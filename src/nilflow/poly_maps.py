@@ -139,11 +139,6 @@ def pointwise_product(phi: PolyMap, psi: PolyMap) -> PolyMap:
     return PolyMap(phi.algebra, phi.vars, coords, domain=phi.domain)
 
 
-def pointwise_inverse(phi: PolyMap) -> PolyMap:
-    """x -> phi(x)^{-1}; negation in exponential coordinates."""
-    return PolyMap(phi.algebra, phi.vars, [-c for c in phi.coords], domain=phi.domain)
-
-
 def _fresh_shift_names(phi: PolyMap) -> Tuple[str, ...]:
     n = 1
     while any(f"{v}_d{n}" in phi.vars for v in phi.domain):

@@ -9,8 +9,11 @@ associative algebra, where each basis label expands to its left-normed
 word.  The float action and test functions are cross-checked against
 whole-array formulas that make the same float operations in the same
 order.  The PET order's class matching is cross-checked against an
-exhaustive search over bijections.  Nothing here imports the package
-under test.
+exhaustive search over bijections.  Nothing in these oracles imports the
+package under test.
+
+The last section holds the map inverse, the leading-term partition and the
+weight assignment: helpers that only the tests call, built on the package.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ from itertools import permutations
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+
+from nilflow.pet import PolyFamily, Weight, _classify, _counts, _leading_info, _member_partition
+from nilflow.poly_maps import PolyMap
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 
@@ -309,3 +315,22 @@ def weight_matching(f_sizes: Sequence[int], g_sizes: Sequence[int]) -> Tuple[boo
             if any(a < g_sizes[p] for a, p in zip(f_sizes, perm)):
                 return True, True
     return valid, False
+
+
+# ----------------------------------------------------------------------
+# library helpers that only the tests call
+
+
+def pointwise_inverse(phi: PolyMap) -> PolyMap:
+    """x -> phi(x)^{-1}; negation in exponential coordinates."""
+    return PolyMap(phi.algebra, phi.vars, [-c for c in phi.coords], domain=phi.domain)
+
+
+def lt_partition(family: PolyFamily) -> List[List[int]]:
+    """Indices of nonconstant members grouped into leading-term classes."""
+    return _member_partition(_leading_info(family))
+
+
+def weight_assignment(family: PolyFamily) -> Dict[Weight, int]:
+    """Number of leading-term classes at each weight; constants are skipped."""
+    return _counts(_classify(_leading_info(family), [1] * len(family))[2])

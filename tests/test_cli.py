@@ -7,6 +7,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from nilflow.averaging import JoiningSpec, scan_with_invariance
-from nilflow.cli import _encode_json, _load_algebra, _load_function, _load_members, _load_system, main
+from nilflow.cli import _load_algebra, _load_function, _load_members, _load_system, _write_json, main
 from nilflow.dynamics import haar_array
 from nilflow.lie_core import GroupElement
 from nilflow.pet import MAX_LEVEL_TERMS, MemberDoc, PolyFamily, pet_trace, trace_to_json_dict
@@ -59,7 +60,7 @@ def with_entry(cfg, path, value):
 def test_verify_poly_demo_reports_each_member(tmp_path, capsys):
     assert run("verify-poly", DEMOS / "demo_verify_poly.json", tmp_path) == 0
     rows = read_rows(tmp_path)
-    assert rows[0] == "member,degree,internal_class,leading_degree,leading_coefficient,weight_c,weight_d"
+    assert rows[0] == "member,degree,internal_class,leading_degree,leading_coefficient"
     assert len(rows) == 5
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["well_formed"] is True and cert["members"] == 4
@@ -82,7 +83,7 @@ def test_monomial_member_keeps_its_domain(tmp_path):
 def test_verify_poly_empty_family(tmp_path):
     cfg = write_config(tmp_path, {"algebra": {"builtin": "abelian", "dim": 1}, "family": []})
     assert run("verify-poly", cfg, tmp_path) == 0
-    assert read_rows(tmp_path) == ["member,degree,internal_class,leading_degree,leading_coefficient,weight_c,weight_d"]
+    assert read_rows(tmp_path) == ["member,degree,internal_class,leading_degree,leading_coefficient"]
 
 
 @pytest.mark.parametrize("command", ["verify-poly", "pet"])
@@ -784,7 +785,7 @@ def _random_json(rng, depth):
     return {k: _random_json(rng, depth - 1) for k in keys}
 
 
-def test_json_writer_matches_the_standard_encoder():
+def test_json_writer_matches_the_standard_encoder(tmp_path):
     docs = [[v] for v in JSON_EDGE_VALUES] + JSON_EDGE_VALUES
     docs.append({str(i): v for i, v in enumerate(JSON_EDGE_VALUES)})
     rng = random.Random(11)
@@ -797,13 +798,55 @@ def test_json_writer_matches_the_standard_encoder():
     docs += [shared, [shared, shared, kept]]
     cfg = json.loads((DEMOS / "demo_pet_pair.json").read_text())
     docs.append(trace_to_json_dict(pet_trace(PolyFamily(_load_members(cfg, _load_algebra(cfg))))))
+    path = tmp_path / "doc.json"
     for doc in docs:
-        assert _encode_json(doc) == json.dumps(doc, indent=2, sort_keys=True), repr(doc)
+        _write_json(path, doc)
+        assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(), repr(doc)
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
 @pytest.mark.parametrize(
     "bad", [Fraction(1, 3), np.int64(3), {1, 2}, {1: "int key"}], ids=["fraction", "int64", "set", "int_key"]
 )
-def test_json_writer_refuses_what_is_not_json(bad):
+def test_json_writer_refuses_what_is_not_json(tmp_path, bad):
     with pytest.raises(TypeError):
-        _encode_json({"outer": [bad]})
+        _write_json(tmp_path / "doc.json", {"outer": [bad]})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_json_write_keeps_the_older_file(tmp_path):
+    """The writer streams, so a value it cannot encode is met after the
+    steps before it have been written; the older certificate must stay
+    whole, and no temporary file may be left."""
+    assert run("pet", DEMOS / "demo_pet_pair.json", tmp_path) == 0
+    older = (tmp_path / "certificate.json").read_bytes()
+    cfg = json.loads((DEMOS / "demo_pet_pair.json").read_text())
+    trace = trace_to_json_dict(pet_trace(PolyFamily(_load_members(cfg, _load_algebra(cfg)))))
+    assert len(trace["steps"]) > 1
+    trace["steps"][-1]["pivot"] = Fraction(1, 3)
+    with pytest.raises(TypeError):
+        _write_json(tmp_path / "certificate.json", {"command": "pet", "certified": True, "trace": trace})
+    assert (tmp_path / "certificate.json").read_bytes() == older
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["certificate.json", "report.csv", "sidecar.json"]
+
+
+def test_json_writer_holds_a_small_part_of_a_certificate(tmp_path):
+    """An A2-triple certificate of about 1 MB, as the benchmark's PET
+    workload writes: the writer's traced peak stays under a quarter of the
+    file, where encoding the whole text at once takes three times it."""
+    members = [
+        {"coords": {"e1": {"t^3": 1, "t": u}, "e2": {"t": r}}} for u, r in (("2", "2/3"), ("1/4", "-2"), ("4", "-5"))
+    ]
+    cfg = {"algebra": {"builtin": "abelian", "dim": 2}, "family": members}
+    trace = pet_trace(PolyFamily(_load_members(cfg, _load_algebra(cfg))))
+    doc = {"command": "pet", "certified": True, "trace": trace_to_json_dict(trace)}
+    path = tmp_path / "certificate.json"
+    tracemalloc.start()
+    try:
+        _write_json(path, doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 10**6
+    assert peak < size / 4, (peak, size)

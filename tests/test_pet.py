@@ -20,12 +20,10 @@ from nilflow.pet import (
     _sorted_matching,
     derived_family,
     family_precedes,
-    lt_partition,
     pet_trace,
     pivot,
     trace_to_json_dict,
     weight,
-    weight_assignment,
     weight_less,
 )
 from nilflow.poly_maps import (
@@ -35,10 +33,9 @@ from nilflow.poly_maps import (
     internal_class,
     leading_term,
     lt_equivalent,
-    pointwise_inverse,
     pointwise_product,
 )
-from oracles import weight_matching
+from oracles import lt_partition, pointwise_inverse, weight_assignment, weight_matching
 
 H3 = make_builtin("heisenberg", dim=3)
 A2 = make_builtin("abelian", dim=2)

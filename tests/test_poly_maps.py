@@ -15,12 +15,11 @@ from nilflow.poly_maps import (
     internal_class,
     leading_term,
     lt_equivalent,
-    pointwise_inverse,
     pointwise_product,
     polymap_to_json_dict,
     polynomial_degree,
 )
-from oracles import heisenberg_from_matrix, heisenberg_to_matrix, matrix_bch
+from oracles import heisenberg_from_matrix, heisenberg_to_matrix, matrix_bch, pointwise_inverse
 
 H3 = make_builtin("heisenberg", dim=3)
 
