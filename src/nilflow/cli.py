@@ -279,7 +279,7 @@ def _json_chunks(node, indent: str = "\n") -> Iterator[str]:
                 for v in node
             ]
             return "[" + inner + ("," + inner).join(items) + indent + "]"
-        return json.dumps(node)  # a string, number, null or bool; TypeError for anything else
+        return _quote(node) if type(node) is str else json.dumps(node)  # TypeError if not JSON
 
     def streamed(node) -> bool:
         return isinstance(node, (dict, list, tuple)) and type(node) is not MemberDoc and bool(node)
