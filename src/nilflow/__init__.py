@@ -36,7 +36,6 @@ from .pet import (
     family_precedes,
     pet_trace,
     pivot,
-    weight,
 )
 from .poly_maps import (
     LeadingTerm,
@@ -99,5 +98,4 @@ __all__ = [
     "vanishing_variety",
     "vdc_check",
     "verify_algebra",
-    "weight",
 ]

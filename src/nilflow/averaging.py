@@ -24,7 +24,9 @@ same whatever the blocks, slabs and threads.
 
 Every estimator first runs `_check_factors`: each test function must fit
 its system (`dynamics.check_function`) and each flow act on its system
-(`dynamics.acting_rows`).  `_joint_pass` is the one pass over the draws.
+(`dynamics.acting_rows`).  `scan_with_invariance` also refuses, before any
+draw, a translation tuple of the wrong arity or with an element outside its
+factor's algebra.  `_joint_pass` is the one pass over the draws.
 `scan_with_invariance` makes it once for the report, which is also the
 baseline of every invariance deviation, and once per tuple.
 """
@@ -52,10 +54,10 @@ from .dynamics import (
     step_values,
 )
 from .errors import ConfigError
-from .lie_core import GroupElement, group_inverse
-from .multipoly import as_fraction
+from .lie_core import GroupElement, bch_coords, group_inverse
+from .multipoly import MultiPoly, as_fraction
 from .pet import PolyFamily
-from .poly_maps import PolyMap, pointwise_product
+from .poly_maps import PolyMap
 from .zariski import MeagreSet, generic_sample, is_proper, vanishing_variety
 
 Rational = Union[int, str, Fraction]
@@ -110,10 +112,6 @@ class JoiningSpec:
         self.systems = systems
         self.kind = kind
         self.elements = elements
-
-    @property
-    def k(self) -> int:
-        return len(self.systems) - 1
 
 
 def _draw_factors(joining: JoiningSpec, n: int, seed: int) -> List[np.ndarray]:
@@ -219,11 +217,12 @@ def _flow_floats(phi: PolyMap, start: Fraction, step: Fraction, count: int) -> n
 
 
 def _translated(g: GroupElement, phi: PolyMap, g0: GroupElement) -> PolyMap:
-    """The map g phi g0^{-1}, with g and g0^{-1} as constant maps."""
-    def constant(x: GroupElement) -> PolyMap:
-        return PolyMap.build(x.algebra, phi.vars, dict(enumerate(x.coords)))
-
-    return pointwise_product(pointwise_product(constant(g), phi), constant(group_inverse(g0)))
+    """The map g phi g0^{-1}: two BCH products on coordinate vectors, with
+    g and g0^{-1} as constant polynomials in phi's variables."""
+    zero = MultiPoly.zero(phi.vars)
+    left, right = ([MultiPoly.const(phi.vars, c) for c in x.coords] for x in (g, group_inverse(g0)))
+    coords = bch_coords(phi.algebra, bch_coords(phi.algebra, left, phi.coords, zero=zero), right, zero=zero)
+    return PolyMap(phi.algebra, phi.vars, coords)
 
 
 def _slab_steps(rows: int) -> int:
@@ -386,6 +385,9 @@ def scan_with_invariance(
     for tup in g_list:
         if len(tup) != len(systems):
             raise ConfigError(f"translation tuple has arity {len(tup)}, need {len(systems)}")
+        for i, (g, sys) in enumerate(zip(tup, systems)):
+            if g.algebra != sys.algebra:
+                raise ConfigError(f"translation tuple element g_{i} is not in its factor's algebra")
     if g_list and any(sys.algebra != systems[0].algebra for sys in systems):
         raise ConfigError("translation tuples need every factor on the base factor's group")
     pinned = [_pinned(sys, phi, h) for sys, phi in zip(systems[1:], family)]

@@ -5,8 +5,9 @@ and sidecar.json into the output directory.  The sidecar holds the config
 with all defaults materialized, so it alone reproduces the run.  Each file
 is moved into place whole; the JSON files are streamed to disk in pieces.
 
-Every config value is read in this module, by `_typed`, before the library
-sees it; an optional key that is absent or null takes its default (`_get`).
+Every config value is read in this module before the library sees it, by
+`_typed`, or by `_rational` for a rational, and a refusal names its key; an
+optional key that is absent or null takes its default (`_get`).
 
 Exit codes: 0 success, 2 config error, 3 certificate failure, 4 truncation.
 """
@@ -88,6 +89,16 @@ def _typed(key: str, value, kind: type, least: int | None = None):
     return value
 
 
+def _rational(key: str, value):
+    """`value`, read for config key `key`: an exact rational to `as_fraction`,
+    such as an integer, a float or a string "1/3"."""
+    try:
+        as_fraction(value)
+    except ConfigError:
+        raise ConfigError(f"{key} must be an exact rational number, got {value!r}") from None
+    return value
+
+
 def _get(node: dict, key: str, default, kind: type | None = None, least: int | None = None):
     """The optional `node[key]`, read by `_typed` when `kind` is given; `default` if absent or null."""
     value = node.get(key)
@@ -113,6 +124,11 @@ def _items(key: str, value) -> list:
 def _entries(key: str, value, kind: type) -> tuple:
     """`value`, read for config key `key`: an array whose entries each have the JSON type `kind`."""
     return tuple(_typed(name, entry, kind) for name, entry in _items(key, value))
+
+
+def _rationals(key: str, value) -> Tuple[Fraction, ...]:
+    """`value`, read for config key `key`: an array of exact rationals."""
+    return tuple(as_fraction(_rational(name, entry)) for name, entry in _items(key, value))
 
 
 def _load_algebra(cfg: dict) -> LieAlgebraSpec:
@@ -159,14 +175,14 @@ def _poly_from_node(label: str, node, variables: Tuple[str, ...]) -> MultiPoly:
     terms = {}
     for mono, coef in _typed(f"coordinate {label!r}", node, dict).items():
         exp = _parse_monomial(mono, variables)
-        terms[exp] = terms.get(exp, Fraction(0)) + as_fraction(coef)
+        terms[exp] = terms.get(exp, Fraction(0)) + as_fraction(_rational(f"coordinate {label!r} term {mono!r}", coef))
     return MultiPoly(variables, terms)
 
 
 def _poly_from_term_list(key: str, node, variables: Tuple[str, ...]) -> MultiPoly:
     """A coordinate in the sidecar's term-list form, [{"exp": [2], "coef": "1/2"}, ...]."""
     terms = [_typed(name, term, dict) for name, term in _items(key, node)]
-    return MultiPoly(variables, {_entries("exp", term["exp"], int): term["coef"] for term in terms})
+    return MultiPoly(variables, {_entries("exp", term["exp"], int): _rational("coef", term["coef"]) for term in terms})
 
 
 def _load_members(cfg: dict, algebra: LieAlgebraSpec) -> List[PolyMap]:
@@ -195,7 +211,7 @@ def _load_system(key: str, node) -> NilSystem:
     node = _known(key, _typed(key, node, dict), ("kind", "dim", "acting_matrix"))
     rows = node.get("acting_matrix")
     if rows is not None:
-        rows = [_typed(name, row, list) for name, row in _items(f"{key}.acting_matrix", rows)]
+        rows = [_rationals(name, row) for name, row in _items(f"{key}.acting_matrix", rows)]
     return NilSystem(_typed("kind", node["kind"], str), dim=_get(node, "dim", None, int), acting_matrix=rows)
 
 
@@ -211,7 +227,7 @@ def _load_factor_elements(key: str, nodes, systems) -> list:
     if len(items) != len(systems):
         raise ConfigError(f"{key} has {len(items)} elements, need one per factor ({len(systems)})")
     return [
-        GroupElement(sys_i.algebra, _typed(name, node, list)) for (name, node), sys_i in zip(items, systems)
+        GroupElement(sys_i.algebra, _rationals(name, node)) for (name, node), sys_i in zip(items, systems)
     ]
 
 
@@ -391,10 +407,10 @@ def cmd_average(cfg: dict, args, out_dir: Path) -> int:
 
         algebra = _load_algebra(cfg)
         family = PolyFamily(_load_members(cfg, algebra))
-        h = tuple(as_fraction(v) for v in _get(cfg, "h", [], list))
+        h = _rationals("h", _get(cfg, "h", []))
         fns = [_load_function(key, node) for key, node in _items("functions", cfg["functions"])]
-        t_grid = _typed("t_grid", cfg["t_grid"], list)
-        dt = str(_get(cfg, "dt", "0.05"))
+        t_grid = [_rational(name, T) for name, T in _items("t_grid", cfg["t_grid"])]
+        dt = str(_rational("dt", _get(cfg, "dt", "0.05")))
         n_samples = _get(cfg, "n_samples", 1000, int)
         seed = _get(cfg, "seed", 0, int, least=0)
         threads = _get(cfg, "threads", 1, int, least=1)
@@ -446,10 +462,7 @@ def cmd_generic(cfg: dict, args, out_dir: Path) -> int:
     with _reading_config():
         algebra = _load_algebra(cfg)
         family = PolyFamily(_load_members(cfg, algebra))
-        functionals = [
-            [as_fraction(w) for w in _typed(key, node, list)]
-            for key, node in _items("functionals", cfg["functionals"])
-        ]
+        functionals = [_rationals(key, node) for key, node in _items("functionals", cfg["functionals"])]
         seed = _get(cfg, "seed", 0, int, least=0)
 
     varieties = []
@@ -490,9 +503,9 @@ def cmd_generic(cfg: dict, args, out_dir: Path) -> int:
 
 def cmd_vdc(cfg: dict, args, out_dir: Path) -> int:
     with _reading_config():
-        T = _get(cfg, "T", 200)
-        S = _get(cfg, "S", T)
-        dt = str(_get(cfg, "dt", "0.05"))
+        T = _rational("T", _get(cfg, "T", 200))
+        S = _rational("S", _get(cfg, "S", T))
+        dt = str(_rational("dt", _get(cfg, "dt", "0.05")))
         signal = _typed("signal", cfg["signal"], dict)
         kind = _get(signal, "kind", "expr", str)
         if kind not in _SIGNAL_KEYS:
@@ -502,7 +515,7 @@ def cmd_vdc(cfg: dict, args, out_dir: Path) -> int:
             system = _load_system("system", signal["system"])
             algebra = _load_algebra(signal)
             [phi] = _load_members(signal, algebra)
-            h = tuple(as_fraction(v) for v in _get(signal, "h", [], list))
+            h = _rationals("h", _get(signal, "h", []))
             f = _load_function("function", signal["function"])
             n_samples = _get(signal, "n_samples", 1000, int)
             seed = _get(cfg, "seed", 0, int, least=0)

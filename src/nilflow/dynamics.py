@@ -8,11 +8,11 @@ across a time loop.
 
 The translate, the reduction and a test function's phase are each written
 once, as array expressions that broadcast over everything after the
-coordinate axis.  `act_array`, `reduce_array` and `eval_fn_array` run them
-on coordinate rows of shape (sample,).  `step_values`, which the time loops
-use, runs them on a slab of consecutive time steps at once, on rows of shape
-(step, sample); each value equals `eval_fn_array(f, act_array(sys, g, pts),
-sys)` for its step bit for bit.  The phase is the sum of freq_k * coord_k in
+coordinate axis.  `act_array` and `eval_fn_array` run them on coordinate
+rows of shape (sample,).  `step_values`, which the time loops use, runs
+them on a slab of consecutive time steps at once, on rows of shape (step,
+sample); each value equals `eval_fn_array(f, act_array(sys, g, pts), sys)`
+for its step bit for bit.  The phase is the sum of freq_k * coord_k in
 coordinate order, not a BLAS product, so its bits do not depend on the BLAS
 build.
 
@@ -191,20 +191,6 @@ def _phase(f: TestFunction, rows) -> np.ndarray:
     # unlike cos, sin keeps the sign of a zero
     out += 0.0
     return np.sin(out, out=out)
-
-
-# ----------------------------------------------------------------------
-# fundamental-domain reduction
-
-
-def reduce_array(sys: NilSystem, pts: np.ndarray) -> np.ndarray:
-    """Canonical fundamental-domain representative, row-wise.
-
-    When a row is already reduced the output is bitwise identical to the
-    input, except that a -0.0 becomes +0.0.
-    """
-    pts = np.asarray(pts, dtype=float)
-    return np.stack(_reduce(sys.kind, pts.T), axis=1)
 
 
 # ----------------------------------------------------------------------

@@ -56,11 +56,6 @@ def _weight_of(lt: LeadingTerm) -> Weight:
     return Weight(lt.internal_class, lt.leading_degree)
 
 
-def weight(phi: PolyMap) -> Weight:
-    """(class, leading degree) of a nonconstant map."""
-    return _weight_of(leading_term(phi))
-
-
 def _descending_key(w: Weight) -> Tuple[int, int]:
     # sort so the latest weight in the order comes first
     return (w.internal_class, -w.leading_degree)

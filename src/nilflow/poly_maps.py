@@ -4,8 +4,10 @@ A PolyMap stores one exact polynomial per basis coordinate of the algebra;
 the map itself is exp of that vector.  The first variable is the time
 variable; the `domain` tuple records which variables are inputs of the map
 (differencing shifts those), while later-added shift variables act as
-parameters.  Products and inverses go through the truncated BCH formula
-with polynomial coefficients, so every operation here stays exact.
+parameters.  Maps are composed in one way, by the truncated BCH formula
+on coordinate vectors with polynomial coefficients (`bch_coords`), so every
+operation stays exact: `difference` here, PET's derived members and the
+translated flows of an invariance tuple.
 """
 
 from __future__ import annotations
@@ -129,14 +131,6 @@ def _check_compatible(phi: PolyMap, psi: PolyMap) -> None:
         raise ValueError("maps target different algebras")
     if phi.vars != psi.vars:
         raise ValueError(f"variable mismatch: {phi.vars} vs {psi.vars}")
-
-
-def pointwise_product(phi: PolyMap, psi: PolyMap) -> PolyMap:
-    """x -> phi(x) * psi(x), computed by BCH with polynomial coefficients."""
-    _check_compatible(phi, psi)
-    zero = MultiPoly.zero(phi.vars)
-    coords = bch_coords(phi.algebra, phi.coords, psi.coords, zero=zero)
-    return PolyMap(phi.algebra, phi.vars, coords, domain=phi.domain)
 
 
 def _fresh_shift_names(phi: PolyMap) -> Tuple[str, ...]:

@@ -12,8 +12,10 @@ order.  The PET order's class matching is cross-checked against an
 exhaustive search over bijections.  Nothing in these oracles imports the
 package under test.
 
-The last section holds the map inverse, the leading-term partition and the
-weight assignment: helpers that only the tests call, built on the package.
+The last section holds the pointwise product and inverse of maps, a map's
+weight, the leading-term partition, the weight assignment and the
+fundamental-domain reduction of float points: helpers that only the tests
+call, built on the package.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from nilflow.pet import PolyFamily, Weight, _classify, _counts, _leading_info, _member_partition
-from nilflow.poly_maps import PolyMap
+from nilflow.dynamics import NilSystem, _reduce
+from nilflow.lie_core import bch_coords
+from nilflow.multipoly import MultiPoly
+from nilflow.pet import PolyFamily, Weight, _classify, _counts, _leading_info, _member_partition, _weight_of
+from nilflow.poly_maps import PolyMap, _check_compatible, leading_term
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 
@@ -321,9 +326,22 @@ def weight_matching(f_sizes: Sequence[int], g_sizes: Sequence[int]) -> Tuple[boo
 # library helpers that only the tests call
 
 
+def pointwise_product(phi: PolyMap, psi: PolyMap) -> PolyMap:
+    """x -> phi(x) * psi(x), computed by BCH with polynomial coefficients."""
+    _check_compatible(phi, psi)
+    zero = MultiPoly.zero(phi.vars)
+    coords = bch_coords(phi.algebra, phi.coords, psi.coords, zero=zero)
+    return PolyMap(phi.algebra, phi.vars, coords, domain=phi.domain)
+
+
 def pointwise_inverse(phi: PolyMap) -> PolyMap:
     """x -> phi(x)^{-1}; negation in exponential coordinates."""
     return PolyMap(phi.algebra, phi.vars, [-c for c in phi.coords], domain=phi.domain)
+
+
+def weight(phi: PolyMap) -> Weight:
+    """(class, leading degree) of a nonconstant map."""
+    return _weight_of(leading_term(phi))
 
 
 def lt_partition(family: PolyFamily) -> List[List[int]]:
@@ -334,3 +352,13 @@ def lt_partition(family: PolyFamily) -> List[List[int]]:
 def weight_assignment(family: PolyFamily) -> Dict[Weight, int]:
     """Number of leading-term classes at each weight; constants are skipped."""
     return _counts(_classify(_leading_info(family), [1] * len(family))[2])
+
+
+def reduce_array(sys: NilSystem, pts: np.ndarray) -> np.ndarray:
+    """Canonical fundamental-domain representative, row-wise.
+
+    When a row is already reduced the output is bitwise identical to the
+    input, except that a -0.0 becomes +0.0.
+    """
+    pts = np.asarray(pts, dtype=float)
+    return np.stack(_reduce(sys.kind, pts.T), axis=1)

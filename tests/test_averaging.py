@@ -30,16 +30,20 @@ from nilflow.dynamics import (
     heisenberg3,
     torus,
 )
+from nilflow.errors import ConfigError
 from nilflow.lie_core import GroupElement, bch_product, group_inverse, identity, make_builtin
 from nilflow.multipoly import MultiPoly
 from nilflow.pet import PolyFamily
 from nilflow.poly_maps import PolyMap
+from oracles import pointwise_product
 
 SQRT2 = Fraction(str(math.sqrt(2)))
 
 A1 = make_builtin("abelian", dim=1)
 A2 = make_builtin("abelian", dim=2)
+A3 = make_builtin("abelian", dim=3)
 H3 = make_builtin("heisenberg", dim=3)
+U4 = make_builtin("strictly_upper_triangular", n=4)
 
 
 def t_times(scale, var_names=("t",), power=1):
@@ -78,7 +82,7 @@ def test_joining_spec_validation():
     with pytest.raises(ValueError):
         JoiningSpec([torus(1), torus(1)], "product", elements=[identity(A1), identity(A1)])
     spec = JoiningSpec([torus(1), torus(2)], "product")
-    assert spec.k == 1
+    assert len(spec.systems) == 2
 
 
 # ----------------------------------------------------------------------
@@ -382,13 +386,26 @@ def test_scan_pins_each_map_once_and_translates_the_pinned_maps(monkeypatch):
     assert translated_vars == [("t",)] * 6
 
 
-def test_invariance_tuple_arity_checked():
+def test_invariance_tuple_arity_checked(monkeypatch):
+    """A tuple of the wrong arity, or with an element outside its factor's
+    algebra at g_0 or at some g_i, is refused before any draw."""
+    monkeypatch.setattr(averaging, "_draw_factors", lambda *args: pytest.fail("drew before the tuple check"))
     joining = JoiningSpec([torus(1), torus(1)], "diagonal")
     for tup in ((identity(A1),), (identity(A1), identity(A2)), (identity(A2), identity(A1))):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             scan_with_invariance(
                 joining, rotation_family(SQRT2), (), [char((1,)), char((1,))], [5],
                 g_list=[tup], dt="0.5", n_samples=10,
+            )
+    # an abelian(3) element has a heisenberg3 factor's dimension, not its algebra
+    fam = PolyFamily([PolyMap.build(H3, ("t",), {"x1": t_times(1)}), PolyMap.build(H3, ("t",), {"y1": t_times(1)})])
+    fns = [TestFunction("heis_abelian", (1, 0))] * 3
+    g = GroupElement(H3, (Fraction(1, 3), 0, 0))
+    for tup in ((identity(A3), g, g), (g, g, identity(A3))):
+        with pytest.raises(ConfigError, match="g_0" if tup[0].algebra == A3 else "g_2"):
+            scan_with_invariance(
+                JoiningSpec([heisenberg3()] * 3, "diagonal"), fam, (), fns, [5],
+                g_list=[(identity(H3),) * 3, tup], dt="0.5", n_samples=10,
             )
 
 
@@ -562,6 +579,29 @@ def test_translated_flow_floats_equal_the_floated_bch_chain(sys):
         want = element_floats(sys, chain)
         got = _flow_floats(_translated(g, _pinned(sys, phi, h), g0), dt / 2, dt, 200)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("alg", [H3, U4], ids=["heisenberg", "ut4"])
+def test_translated_equals_the_product_of_constant_maps(alg):
+    """g phi g0^{-1} by BCH on coordinate vectors equals the pointwise
+    product of the constant map g, phi and the constant map g0^{-1}, in
+    variables, domain and every term."""
+    rng = random.Random(40 + alg.dim)
+    for _ in range(25):
+        phi = random_flow(alg, rng, 0)
+        phi = PolyMap(alg, phi.vars, phi.coords, domain=rng.choice([("t",), ()]))
+        g, g0 = (
+            GroupElement(alg, [Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(alg.dim)])
+            for _ in range(2)
+        )
+
+        def constant(x):
+            return PolyMap.build(alg, phi.vars, dict(enumerate(x.coords)))
+
+        want = pointwise_product(pointwise_product(constant(g), phi), constant(group_inverse(g0)))
+        got = _translated(g, phi, g0)
+        assert (got.algebra, got.vars, got.domain) == (want.algebra, want.vars, want.domain)
+        assert [c.terms for c in got.coords] == [c.terms for c in want.coords]
 
 
 def test_flow_elements_zero_constant_and_negative_coordinates():

@@ -732,6 +732,19 @@ REFUSED = [
     ("demo_acting_matrix", "sidecar", ("systems", 0, "acting_matrices"), [], "'acting_matrices'"),
     ("demo_heisenberg_joining", "demo", ("invariance", "tuple"), [], "'tuple'"),
     ("demo_vdc_one", "demo", ("signal", "system"), {}, "'system'"),
+    # a value that is not an exact rational, one per key that takes one
+    ("demo_weyl_square", "demo", ("dt",), [1], "dt must be"),
+    ("demo_weyl_square", "demo", ("dt",), True, "dt must be"),
+    ("demo_weyl_square", "demo", ("t_grid", 1), True, "t_grid[1] must be"),
+    ("demo_vdc_cos", "demo", ("T",), [1], "T must be"),
+    ("demo_vdc_cos", "demo", ("S",), [1], "S must be"),
+    ("demo_vdc_cos", "demo", ("dt",), True, "dt must be"),
+    ("demo_dichotomy_exceptional", "demo", ("h", 0), [1], "h[0] must be"),
+    ("demo_generic_lines", "demo", ("functionals", 0, 0), True, "functionals[0][0] must be"),
+    ("demo_heisenberg_joining", "demo", ("invariance", "tuples", 0, 0, 0), True, "invariance.tuples[0][0][0] must be"),
+    ("demo_verify_poly", "demo", ("family", 1, "coords", "y1", "t^2"), True, "term 't^2' must be"),
+    ("demo_pet_pair", "sidecar", ("family", 1, "coords", 0, 0, "coef"), True, "coef must be"),
+    ("demo_acting_matrix", "demo", ("systems", 0, "acting_matrix", 0, 0), "x", "acting_matrix[0][0] must be"),
 ]
 
 

@@ -20,7 +20,6 @@ from nilflow.dynamics import (
     haar_array,
     heisenberg3,
     pushed,
-    reduce_array,
     step_values,
     system_to_json_dict,
     torus,
@@ -30,7 +29,7 @@ from nilflow.lie_core import GroupElement, bch_product, identity, make_builtin
 from nilflow.multipoly import MultiPoly
 from nilflow.poly_maps import PolyMap
 from nilflow.zariski import vanishing_variety
-from oracles import act_reference, character_reference
+from oracles import act_reference, character_reference, reduce_array
 
 H3 = make_builtin("heisenberg", dim=3)
 

@@ -23,7 +23,6 @@ from nilflow.pet import (
     pet_trace,
     pivot,
     trace_to_json_dict,
-    weight,
     weight_less,
 )
 from nilflow.poly_maps import (
@@ -33,9 +32,15 @@ from nilflow.poly_maps import (
     internal_class,
     leading_term,
     lt_equivalent,
-    pointwise_product,
 )
-from oracles import lt_partition, pointwise_inverse, weight_assignment, weight_matching
+from oracles import (
+    lt_partition,
+    pointwise_inverse,
+    pointwise_product,
+    weight,
+    weight_assignment,
+    weight_matching,
+)
 
 H3 = make_builtin("heisenberg", dim=3)
 A2 = make_builtin("abelian", dim=2)

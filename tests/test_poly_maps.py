@@ -15,11 +15,10 @@ from nilflow.poly_maps import (
     internal_class,
     leading_term,
     lt_equivalent,
-    pointwise_product,
     polymap_to_json_dict,
     polynomial_degree,
 )
-from oracles import heisenberg_from_matrix, heisenberg_to_matrix, matrix_bch, pointwise_inverse
+from oracles import heisenberg_from_matrix, heisenberg_to_matrix, matrix_bch, pointwise_inverse, pointwise_product
 
 H3 = make_builtin("heisenberg", dim=3)
 
