@@ -1,9 +1,14 @@
 """Batch front end.
 
-One JSON config per run; every command writes report.csv, certificate.json,
-and sidecar.json into the output directory.  The sidecar holds the config
-with all defaults materialized, so it alone reproduces the run.  Each file
-is moved into place whole; the JSON files are streamed to disk in pieces.
+One JSON config per run, and one runner for every command.  `main` loads the
+config, applies --seed and --threads, and reads the keys all commands share:
+`command`, which must name the subcommand, and `threads`.  A `cmd_*` reads
+its own keys, computes, and returns its `Outputs`; it writes and prints
+nothing.  `main` then writes report.csv, certificate.json and sidecar.json
+into the output directory, names the command in both JSON documents, and
+prints the command's summary.  The sidecar holds the config with all
+defaults materialized, so it alone reproduces the run.  Each file is moved
+into place whole; the JSON files are streamed to disk in pieces.
 
 Every config value is read in this module before the library sees it, by
 `_typed`, or by `_rational` for a rational, and a refusal names its key; an
@@ -23,7 +28,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -181,7 +186,7 @@ def _poly_from_node(label: str, node, variables: Tuple[str, ...]) -> MultiPoly:
 
 def _poly_from_term_list(key: str, node, variables: Tuple[str, ...]) -> MultiPoly:
     """A coordinate in the sidecar's term-list form, [{"exp": [2], "coef": "1/2"}, ...]."""
-    terms = [_typed(name, term, dict) for name, term in _items(key, node)]
+    terms = [_known(name, _typed(name, term, dict), ("exp", "coef")) for name, term in _items(key, node)]
     return MultiPoly(variables, {_entries("exp", term["exp"], int): _rational("coef", term["coef"]) for term in terms})
 
 
@@ -327,18 +332,35 @@ def _write_json(path: Path, doc) -> None:
         fh.write("\n")
 
 
-def _emit(out_dir: Path, header, rows, certificate: dict, sidecar: dict) -> None:
+class Outputs(NamedTuple):
+    """What a command returns: report.csv's header and rows, the certificate
+    and the sidecar without their "command" key, and the summary lines."""
+
+    header: Sequence[str]
+    rows: list
+    certificate: dict
+    sidecar: dict
+    summary: List[str]
+
+
+def _emit(out_dir: Path, command: str, out: Outputs) -> None:
+    """The three files of a run of `command` in `out_dir`, each JSON document naming the command."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "report.csv", header, rows)
-    _write_json(out_dir / "certificate.json", certificate)
-    _write_json(out_dir / "sidecar.json", sidecar)
+    _write_csv(out_dir / "report.csv", out.header, out.rows)
+    _write_json(out_dir / "certificate.json", {**out.certificate, "command": command})
+    _write_json(out_dir / "sidecar.json", {**out.sidecar, "command": command})
+
+
+def _family_doc(algebra: LieAlgebraSpec, members) -> dict:
+    """The sidecar's `algebra` and `family` entries."""
+    return {"algebra": algebra_to_json_dict(algebra), "family": [polymap_to_json_dict(phi) for phi in members]}
 
 
 # ----------------------------------------------------------------------
 # commands
 
 
-def cmd_verify_poly(cfg: dict, args, out_dir: Path) -> int:
+def cmd_verify_poly(cfg: dict, threads: int) -> Outputs:
     with _reading_config():
         algebra = _load_algebra(cfg)
         members = _load_members(cfg, algebra)
@@ -356,19 +378,12 @@ def cmd_verify_poly(cfg: dict, args, out_dir: Path) -> int:
 
     # a member's weight is (internal_class, leading_degree)
     header = ["member", "degree", "internal_class", "leading_degree", "leading_coefficient"]
-    certificate = {"command": "verify-poly", "members": len(members), "well_formed": True}
-    sidecar = {
-        "command": "verify-poly",
-        "algebra": algebra_to_json_dict(algebra),
-        "family": [polymap_to_json_dict(phi) for phi in members],
-    }
-    _emit(out_dir, header, rows, certificate, sidecar)
-    for row in rows:
-        print("  ".join(str(v) for v in row))
-    return 0
+    certificate = {"members": len(members), "well_formed": True}
+    summary = ["  ".join(str(v) for v in row) for row in rows]
+    return Outputs(header, rows, certificate, _family_doc(algebra, members), summary)
 
 
-def cmd_pet(cfg: dict, args, out_dir: Path) -> int:
+def cmd_pet(cfg: dict, threads: int) -> Outputs:
     with _reading_config():
         algebra = _load_algebra(cfg)
         family = PolyFamily(_load_members(cfg, algebra))
@@ -376,27 +391,19 @@ def cmd_pet(cfg: dict, args, out_dir: Path) -> int:
 
     trace = pet_trace(family, max_depth=max_depth)
 
-    rows = []
-    for depth, step in enumerate(trace.steps):
-        size = sum(mult for _, mult in step.family)
-        rows.append(
-            [depth, size, len(step.classes), step.pivot_member, step.certificate["kind"]]
-        )
+    rows = [
+        [depth, sum(mult for _, mult in step.family), len(step.classes), step.pivot_member, step.certificate["kind"]]
+        for depth, step in enumerate(trace.steps)
+    ]
     header = ["step", "family_size", "lt_classes", "pivot", "certificate"]
-    certificate = {"command": "pet", "certified": True, "trace": trace_to_json_dict(trace)}
-    sidecar = {
-        "command": "pet",
-        "algebra": algebra_to_json_dict(algebra),
-        "family": [polymap_to_json_dict(phi) for phi in family],
-        "max_depth": max_depth,
-    }
-    _emit(out_dir, header, rows, certificate, sidecar)
-    print(f"descent certified in {trace.depth} steps;"
-          f" final family size {sum(m for _, m in trace.final_family)}")
-    return 0
+    certificate = {"certified": True, "trace": trace_to_json_dict(trace)}
+    sidecar = {**_family_doc(algebra, family), "max_depth": max_depth}
+    summary = [f"descent certified in {trace.depth} steps;"
+               f" final family size {sum(m for _, m in trace.final_family)}"]
+    return Outputs(header, rows, certificate, sidecar, summary)
 
 
-def cmd_average(cfg: dict, args, out_dir: Path) -> int:
+def cmd_average(cfg: dict, threads: int) -> Outputs:
     with _reading_config():
         systems = [_load_system(key, node) for key, node in _items("systems", cfg["systems"])]
         kind = _get(cfg, "joining", "diagonal", str)
@@ -413,7 +420,6 @@ def cmd_average(cfg: dict, args, out_dir: Path) -> int:
         dt = str(_rational("dt", _get(cfg, "dt", "0.05")))
         n_samples = _get(cfg, "n_samples", 1000, int)
         seed = _get(cfg, "seed", 0, int, least=0)
-        threads = _get(cfg, "threads", 1, int, least=1)
 
         tuples_node = _known("invariance", _get(cfg, "invariance", {"tuples": []}, dict), ("tuples",))["tuples"]
         g_list = [
@@ -425,24 +431,19 @@ def cmd_average(cfg: dict, args, out_dir: Path) -> int:
         dt=dt, n_samples=n_samples, seed=seed, threads=threads,
     )
 
-    certificate = {"command": "average", "report": asdict(report)}
+    certificate = {"report": asdict(report)}
     if tuples_node:
         certificate["invariance"] = {
             "tuples": [[[str(c) for c in el.coords] for el in tup] for tup in g_list],
             "deviations": deviations,
         }
 
-    rows = [
-        [T, est, se, report.cauchy_gap]
-        for T, est, se in zip(report.t_grid, report.estimates, report.std_errors)
-    ]
+    rows = [[T, est, se, report.cauchy_gap] for T, est, se in zip(report.t_grid, report.estimates, report.std_errors)]
     sidecar = {
-        "command": "average",
         "systems": [system_to_json_dict(s) for s in systems],
         "joining": kind,
         "elements": None if elements is None else [[str(c) for c in el.coords] for el in elements],
-        "algebra": algebra_to_json_dict(algebra),
-        "family": [polymap_to_json_dict(phi) for phi in family],
+        **_family_doc(algebra, family),
         "h": [str(v) for v in h],
         "functions": [function_to_json_dict(f) for f in fns],
         "t_grid": t_grid,
@@ -452,13 +453,12 @@ def cmd_average(cfg: dict, args, out_dir: Path) -> int:
         "threads": threads,
         "invariance": {"tuples": tuples_node} if tuples_node else None,
     }
-    _emit(out_dir, ["T", "estimate", "std_error", "cauchy_gap"], rows, certificate, sidecar)
-    print(f"estimate at T={report.t_grid[-1]}: {report.estimates[-1]:.6f}"
-          f" (se {report.std_errors[-1]:.2e}, cauchy gap {report.cauchy_gap:.2e})")
-    return 0
+    summary = [f"estimate at T={report.t_grid[-1]}: {report.estimates[-1]:.6f}"
+               f" (se {report.std_errors[-1]:.2e}, cauchy gap {report.cauchy_gap:.2e})"]
+    return Outputs(["T", "estimate", "std_error", "cauchy_gap"], rows, certificate, sidecar, summary)
 
 
-def cmd_generic(cfg: dict, args, out_dir: Path) -> int:
+def cmd_generic(cfg: dict, threads: int) -> Outputs:
     with _reading_config():
         algebra = _load_algebra(cfg)
         family = PolyFamily(_load_members(cfg, algebra))
@@ -484,24 +484,20 @@ def cmd_generic(cfg: dict, args, out_dir: Path) -> int:
 
     rows = [[name, str(value)] for name, value in zip(names, point)]
     certificate = {
-        "command": "generic",
         "point": {name: str(value) for name, value in zip(names, point)},
         "witnesses": witnesses,
         "meagre_set": meagre_set_to_json_dict(meagre),
     }
     sidecar = {
-        "command": "generic",
-        "algebra": algebra_to_json_dict(algebra),
-        "family": [polymap_to_json_dict(phi) for phi in family],
+        **_family_doc(algebra, family),
         "functionals": [[str(w) for w in ell] for ell in functionals],
         "seed": seed,
     }
-    _emit(out_dir, ["param", "value"], rows, certificate, sidecar)
-    print("generic point:", ", ".join(f"{n}={v}" for n, v in rows) or "()")
-    return 0
+    summary = ["generic point: " + (", ".join(f"{n}={v}" for n, v in rows) or "()")]
+    return Outputs(["param", "value"], rows, certificate, sidecar, summary)
 
 
-def cmd_vdc(cfg: dict, args, out_dir: Path) -> int:
+def cmd_vdc(cfg: dict, threads: int) -> Outputs:
     with _reading_config():
         T = _rational("T", _get(cfg, "T", 200))
         S = _rational("S", _get(cfg, "S", T))
@@ -519,8 +515,8 @@ def cmd_vdc(cfg: dict, args, out_dir: Path) -> int:
             f = _load_function("function", signal["function"])
             n_samples = _get(signal, "n_samples", 1000, int)
             seed = _get(cfg, "seed", 0, int, least=0)
-        elif args.seed is not None:
-            raise ConfigError("--seed applies only to a flow signal; an expr signal draws nothing")
+        elif _get(cfg, "seed", None) is not None:
+            raise ConfigError("seed and --seed apply only to a flow signal; an expr signal draws nothing")
         else:
             expr = _get(signal, "expr", None, str)
 
@@ -540,18 +536,11 @@ def cmd_vdc(cfg: dict, args, out_dir: Path) -> int:
 
     out = vdc_check(trajectory, S, T, dt)
     lhs, rhs = out["lhs_norm"], out["rhs_corr"]
-    certificate = {
-        "command": "vdc",
-        "lhs_norm": lhs,
-        "rhs_corr": rhs,
-        "contrapositive_C": lhs / math.sqrt(max(rhs, 1e-16)),
-    }
-    sidecar = {"command": "vdc", "T": T, "S": S, "dt": dt, "signal": dict(signal)}
+    certificate = {"lhs_norm": lhs, "rhs_corr": rhs, "contrapositive_C": lhs / math.sqrt(max(rhs, 1e-16))}
+    sidecar = {"T": T, "S": S, "dt": dt, "signal": dict(signal)}
     if kind == "flow":  # only a flow signal draws
         sidecar["seed"] = seed
-    _emit(out_dir, ["lhs_norm", "rhs_corr"], [[lhs, rhs]], certificate, sidecar)
-    print(f"lhs {lhs:.3e}  rhs {rhs:.3e}")
-    return 0
+    return Outputs(["lhs_norm", "rhs_corr"], [[lhs, rhs]], certificate, sidecar, [f"lhs {lhs:.3e}  rhs {rhs:.3e}"])
 
 
 # the keys each kind of vdc signal reads
@@ -561,8 +550,8 @@ _SIGNAL_KEYS = {
 }
 
 # name: (command, the top-level config keys it reads, help text); a command
-# that reads "seed" takes --seed, and every config may carry "command" (a
-# sidecar does) and "threads" (main writes it)
+# that reads "seed" takes --seed, and main reads "command" and "threads",
+# which every config may carry
 _COMMANDS = {
     "verify-poly": (
         cmd_verify_poly,
@@ -616,11 +605,14 @@ def main(argv=None) -> int:
         if getattr(args, key, None) is not None:
             cfg[key] = getattr(args, key)
     try:
-        if args.threads is not None:  # every subcommand takes the flag; none may accept a count it cannot run
-            _typed("threads", args.threads, int, least=1)
+        named = _get(cfg, "command", args.command, str)
+        if named != args.command:
+            raise ConfigError(f"command {named!r} does not match the subcommand {args.command!r}")
         command, keys, _ = _COMMANDS[args.command]
         _known("config", cfg, (*keys, "command", "threads"))
-        return command(cfg, args, Path(args.out))
+        # every subcommand reads threads; none may accept a count it cannot run
+        out = command(cfg, _get(cfg, "threads", 1, int, least=1))
+        _emit(Path(args.out), args.command, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -630,6 +622,9 @@ def main(argv=None) -> int:
     except TruncationError as exc:
         print(f"truncated: {exc}", file=sys.stderr)
         return 4
+    for line in out.summary:
+        print(line)
+    return 0
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from inspect import signature
 from itertools import product
 from math import factorial
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
@@ -413,11 +414,19 @@ def make_builtin(kind: str, **params) -> LieAlgebraSpec:
     """Construct a named algebra family member.
 
     Kinds: abelian(dim), heisenberg(dim odd), strictly_upper_triangular(n),
-    free_nilpotent(generators, step).
+    free_nilpotent(generators, step).  An unknown or missing parameter is a
+    ValueError that names the kind and the parameter.
     """
     if kind not in _BUILTINS:
         raise ValueError(f"unknown builtin algebra kind {kind!r}")
-    return _BUILTINS[kind](**params)
+    build = _BUILTINS[kind]
+    parameters = signature(build)
+    try:  # an unknown parameter, then a missing one, named with the builtin rather than the builder
+        parameters.bind_partial(**params)
+        parameters.bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"algebra builtin {kind!r}: {exc}") from None
+    return build(**params)
 
 
 # ----------------------------------------------------------------------

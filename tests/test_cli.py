@@ -16,7 +16,16 @@ import numpy as np
 import pytest
 
 from nilflow.averaging import JoiningSpec, scan_with_invariance
-from nilflow.cli import _load_algebra, _load_function, _load_members, _load_system, _write_json, main
+from nilflow.cli import (
+    _COMMANDS,
+    Outputs,
+    _load_algebra,
+    _load_function,
+    _load_members,
+    _load_system,
+    _write_json,
+    main,
+)
 from nilflow.dynamics import haar_array
 from nilflow.lie_core import GroupElement
 from nilflow.pet import MAX_LEVEL_TERMS, MemberDoc, PolyFamily, pet_trace, trace_to_json_dict
@@ -219,18 +228,33 @@ def test_pet_negative_depth_is_config_error(tmp_path, capsys):
         ("average", "demo_weyl_square", "--seed", -1),
         ("generic", "demo_generic_lines", "--seed", -1),
         ("vdc", None, "--seed", -1),
+        *(
+            (command, demo, "threads", value)
+            for command, demo in [
+                ("pet", "demo_pet_pair"),
+                ("verify-poly", "demo_verify_poly"),
+                ("generic", "demo_generic_lines"),
+                ("vdc", "demo_vdc_one"),
+            ]
+            for value in ("abc", 0, True)
+        ),
     ],
 )
 def test_counts_and_seeds_must_be_json_integers(tmp_path, capsys, command, demo, path, value):
     """A float, a bool or a string in place of a count or seed is refused, not
-    truncated, and so is a negative seed, from the config or from --seed."""
+    truncated, and so is a negative seed or a thread count below 1, from the
+    config or from --seed."""
     cfg = json.loads(json.dumps(FLOW_VDC) if demo is None else (DEMOS / f"{demo}.json").read_text())
     extra = [path, str(value)] if path.startswith("--") else []
     if not extra:
         cfg = with_entry(cfg, path, value)
     key = path.split(".")[-1].lstrip("-")
     assert run(command, write_config(tmp_path, cfg), tmp_path / "out", extra) == 2
-    message = f"{key} must be at least 0, got -1" if value == -1 else f"{key} must be an integer, got {value!r}"
+    least = 1 if key == "threads" else 0
+    if type(value) is int and value < least:
+        message = f"{key} must be at least {least}, got {value}"
+    else:
+        message = f"{key} must be an integer, got {value!r}"
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -412,11 +436,30 @@ def test_average_rejects_no_samples_and_no_threads(tmp_path, capsys, override, e
         ("pet", "demo_pet_pair", "0"),
         ("verify-poly", "demo_verify_poly", "0"),
         ("generic", "demo_generic_lines", "0"),
+        *(
+            (command, demo, {"threads": value})
+            for command, demo in [
+                ("vdc", "demo_vdc_one"),
+                ("pet", "demo_pet_pair"),
+                ("verify-poly", "demo_verify_poly"),
+                ("generic", "demo_generic_lines"),
+                ("average", "demo_weyl_square"),
+            ]
+            for value in ("abc", 0, 2.5, True)
+        ),
     ],
 )
 def test_every_subcommand_rejects_no_threads(tmp_path, capsys, command, demo, threads):
-    assert run(command, DEMOS / f"{demo}.json", tmp_path / "out", ["--threads", threads]) == 2
-    assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
+    """A thread count from --threads (a string here) or from the config (an
+    object here, merged into the demo) must be an integer of at least 1."""
+    if type(threads) is dict:
+        config, extra = write_config(tmp_path, {**demo_config(demo), **threads}), []
+        message = "threads must be at least 1, got 0" if threads["threads"] == 0 else "threads must be an integer"
+    else:
+        config, extra = DEMOS / f"{demo}.json", ["--threads", threads]
+        message = f"threads must be at least 1, got {threads}"
+    assert run(command, config, tmp_path / "out", extra) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -745,6 +788,28 @@ REFUSED = [
     ("demo_verify_poly", "demo", ("family", 1, "coords", "y1", "t^2"), True, "term 't^2' must be"),
     ("demo_pet_pair", "sidecar", ("family", 1, "coords", 0, 0, "coef"), True, "coef must be"),
     ("demo_acting_matrix", "demo", ("systems", 0, "acting_matrix", 0, 0), "x", "acting_matrix[0][0] must be"),
+    # a term of the term-list form reads exp and coef alone
+    ("demo_pet_pair", "sidecar", ("family", 1, "coords", 0, 0, "junk"), 5, "coords[0][0] has unknown key(s) 'junk'"),
+    # a config's command names the subcommand that runs it
+    ("demo_pet_pair", "sidecar", ("command",), "verify-poly", "command 'verify-poly' does not match"),
+    ("demo_weyl_square", "demo", ("command",), "vdc", "command 'vdc' does not match"),
+    ("demo_generic_lines", "demo", ("command",), 5, "command must be a string"),
+    # an expr signal draws nothing, so it takes no seed
+    ("demo_vdc_one", "demo", ("seed",), "x", "seed and --seed apply only to a flow signal"),
+    ("demo_vdc_one", "demo", ("seed",), 3, "seed and --seed apply only to a flow signal"),
+    # a builtin algebra's parameters are named with the builtin
+    (
+        "demo_pet_pair", "demo", ("algebra",), {"builtin": "heisenberg"},
+        "algebra builtin 'heisenberg': missing a required argument: 'dim'",
+    ),
+    (
+        "demo_pet_pair", "demo", ("algebra", "junk"), 1,
+        "algebra builtin 'heisenberg': got an unexpected keyword argument 'junk'",
+    ),
+    (
+        "demo_weyl_square", "demo", ("algebra",), {"builtin": "abelian", "n": 1},
+        "algebra builtin 'abelian': got an unexpected keyword argument 'n'",
+    ),
 ]
 
 
@@ -763,6 +828,9 @@ STILL_VALID = [
     ("demo_weyl_square", "sidecar", ("elements",), None),
     ("demo_heisenberg_joining", "demo", ("invariance",), None),
     ("demo_pet_pair", "sidecar", ("algebra", "step"), None),
+    ("demo_pet_pair", "sidecar", ("command",), None),
+    ("demo_vdc_one", "demo", ("seed",), None),
+    ("demo_verify_poly", "demo", ("threads",), None),
 ]
 
 
@@ -770,6 +838,73 @@ STILL_VALID = [
 def test_still_valid_config_value_runs(tmp_path, name, source, path, value):
     """Rationals such as 1.5, -1 and 0 are values, not types, and null means the default."""
     assert fuzz_run(tmp_path, name, source, path, value) == 0
+
+
+def objects(doc):
+    """(path, node) for every JSON object of doc, the root's first."""
+    for path in node_paths(doc):
+        node = doc
+        for key in path:
+            node = node[key]
+        if isinstance(node, dict):
+            yield path, node
+
+
+def refused_naming(tmp_path, capsys, name, cfg, keys):
+    """Whether the demo's command on cfg exits 2, names one of keys on stderr and writes nothing."""
+    code = outcome(DEMO_COMMANDS[name], write_config(tmp_path, cfg), tmp_path / "out")
+    err = capsys.readouterr().err
+    return code == 2 and any(repr(key) in err for key in keys) and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["demo", "sidecar"])
+@pytest.mark.parametrize("name", sorted(DEMO_COMMANDS))
+def test_an_unread_key_in_any_object_is_refused_by_name(tmp_path, capsys, name, source):
+    """A key that nothing reads, added to each object in turn, exits 2 and names itself."""
+    base = fuzz_base(tmp_path, name, source)
+    capsys.readouterr()
+    accepted = [
+        path for path, node in objects(base)
+        if not refused_naming(tmp_path, capsys, name, replaced(base, path, {**node, "unread_key": 1}), ["unread_key"])
+    ]
+    assert not accepted
+
+
+@pytest.mark.parametrize("source", ["demo", "sidecar"])
+@pytest.mark.parametrize("name", sorted(DEMO_COMMANDS))
+def test_a_misspelt_key_is_refused_by_name(tmp_path, capsys, name, source):
+    """Each field key, renamed in turn, exits 2 and names the misspelt key or
+    the missing one.  The keys of a monomial-form `coords` object and of its
+    coordinates are basis labels and monomials, which are data, not fields."""
+    base = fuzz_base(tmp_path, name, source)
+    capsys.readouterr()
+    accepted = []
+    for path, node in objects(base):
+        if path[-1:] == ("coords",) or path[-2:-1] == ("coords",):
+            continue
+        for key in node:
+            renamed = {(k + "_typo" if k == key else k): v for k, v in node.items()}
+            if not refused_naming(tmp_path, capsys, name, replaced(base, path, renamed), [key, key + "_typo"]):
+                accepted.append((path, key))
+    assert not accepted
+
+
+def test_a_sidecar_runs_only_under_its_own_command(tmp_path, capsys):
+    assert run("verify-poly", DEMOS / "demo_verify_poly.json", tmp_path / "verify") == 0
+    assert run("pet", tmp_path / "verify" / "sidecar.json", tmp_path / "out") == 2
+    assert "command 'verify-poly' does not match the subcommand 'pet'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_COMMANDS))
+def test_a_command_returns_its_outputs_and_writes_nothing(tmp_path, monkeypatch, capsys, name):
+    """main alone writes the files, names the command in them and prints the summary."""
+    monkeypatch.chdir(tmp_path)
+    command = _COMMANDS[DEMO_COMMANDS[name]][0]
+    out = command(small_demo(name), 1)
+    assert isinstance(out, Outputs)
+    assert "command" not in out.certificate and "command" not in out.sidecar
+    assert list(tmp_path.iterdir()) == [] and capsys.readouterr().out == ""
 
 
 # ----------------------------------------------------------------------
