@@ -45,7 +45,7 @@ from .lie_core import (
     GroupElement,
     LieAlgebraSpec,
     algebra_to_json_dict,
-    make_builtin,
+    builtin_builder,
     verify_algebra,
 )
 from .multipoly import MultiPoly, as_fraction
@@ -139,8 +139,9 @@ def _rationals(key: str, value) -> Tuple[Fraction, ...]:
 def _load_algebra(cfg: dict) -> LieAlgebraSpec:
     node = _typed("algebra", cfg["algebra"], dict)
     if "builtin" in node:
-        params = {key: _typed(key, value, int) for key, value in node.items() if key != "builtin"}
-        return make_builtin(_typed("builtin", node["builtin"], str), **params)
+        params = {key: value for key, value in node.items() if key != "builtin"}
+        build = builtin_builder(_typed("builtin", node["builtin"], str), params)
+        return build(**{key: _typed(key, value, int) for key, value in params.items()})
     _known("algebra", node, ("labels", "dim", "brackets", "layers", "step"))
     labels = _entries("labels", node["labels"], str)
     if _get(node, "dim", len(labels), int) != len(labels):

@@ -17,7 +17,7 @@ from functools import lru_cache
 from inspect import signature
 from itertools import product
 from math import factorial
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from .multipoly import as_fraction
 
@@ -410,13 +410,11 @@ _BUILTINS = {
 }
 
 
-def make_builtin(kind: str, **params) -> LieAlgebraSpec:
-    """Construct a named algebra family member.
-
-    Kinds: abelian(dim), heisenberg(dim odd), strictly_upper_triangular(n),
-    free_nilpotent(generators, step).  An unknown or missing parameter is a
-    ValueError that names the kind and the parameter.
-    """
+def builtin_builder(kind: str, params: Mapping[str, object]) -> Callable[..., LieAlgebraSpec]:
+    """The builder of a named algebra family, once the names of `params`
+    fit it; their values are not looked at.  An unknown kind, or an unknown
+    or missing parameter, is a ValueError that names the kind and the
+    parameter."""
     if kind not in _BUILTINS:
         raise ValueError(f"unknown builtin algebra kind {kind!r}")
     build = _BUILTINS[kind]
@@ -426,7 +424,16 @@ def make_builtin(kind: str, **params) -> LieAlgebraSpec:
         parameters.bind(**params)
     except TypeError as exc:
         raise ValueError(f"algebra builtin {kind!r}: {exc}") from None
-    return build(**params)
+    return build
+
+
+def make_builtin(kind: str, **params) -> LieAlgebraSpec:
+    """Construct a named algebra family member.
+
+    Kinds: abelian(dim), heisenberg(dim odd), strictly_upper_triangular(n),
+    free_nilpotent(generators, step).  Names are checked by `builtin_builder`.
+    """
+    return builtin_builder(kind, params)(**params)
 
 
 # ----------------------------------------------------------------------

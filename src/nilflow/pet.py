@@ -247,7 +247,12 @@ Members = Tuple[Tuple[PolyMap, int], ...]
 
 
 def _coords_key(phi: PolyMap):
-    return tuple(tuple(sorted(c.terms.items())) for c in phi.coords)
+    # Fractions are normalised, so integer pairs compare exactly as the
+    # coefficients do, and hash without a Fraction's modular inverse.
+    return tuple(
+        tuple(sorted((exp, coef.numerator, coef.denominator) for exp, coef in c.terms.items()))
+        for c in phi.coords
+    )
 
 
 def _merge_members(pairs: Iterable[Tuple[PolyMap, int]]) -> List[Tuple[PolyMap, int]]:
@@ -276,6 +281,13 @@ def _derive_members(members: Sequence[Tuple[PolyMap, int]], p: int) -> List[Tupl
     member.  Sibling copies of the pivot map quotient to the identity.
     Repeats are not merged.
 
+    A member whose every term has t-degree 1 is a one-parameter subgroup
+    phi(t) = exp(tX), with X free of t and of k, in any nilpotent algebra.
+    Then phi(k)^-1 * phi(t + k) = exp(-kX) exp((t + k)X) = phi(t): every
+    bracket of parallel vectors cancels exactly.  Its shifted quotient is
+    therefore its quotient, and the pivot's is the identity; both are reused
+    rather than built again by two more BCH products.
+
     Domains, as the certificates record them: a quotient, and the identity,
     takes every variable; a shifted quotient takes its member's domain
     without t.
@@ -286,18 +298,23 @@ def _derive_members(members: Sequence[Tuple[PolyMap, int]], p: int) -> List[Tupl
     zero = MultiPoly.zero(new_vars)
     inv_pivot = [-c.with_vars(new_vars) for c in base.coords]
     produced: List[Tuple[PolyMap, int]] = []
+    quotients: List[List[MultiPoly]] = []
     for i, (phi, mult) in enumerate(members):
         if i == p:
+            quotient = [zero] * alg.dim
             if mult > 1:
                 produced.append((PolyMap.constant_identity(alg, new_vars), mult - 1))
         else:
             quotient = bch_coords(alg, [c.with_vars(new_vars) for c in phi.coords], inv_pivot, zero)
             produced.append((PolyMap(alg, new_vars, quotient), mult))
-    for phi, mult in members:
-        at_k = [-c.shift(new_vars, t, keep=False) for c in phi.coords]
-        head = bch_coords(alg, at_k, [c.shift(new_vars, t) for c in phi.coords], zero)
+        quotients.append(quotient)
+    for (phi, mult), quotient in zip(members, quotients):
+        if not all(exp[0] == 1 for c in phi.coords for exp in c.terms):
+            at_k = [-c.shift(new_vars, t, keep=False) for c in phi.coords]
+            head = bch_coords(alg, at_k, [c.shift(new_vars, t) for c in phi.coords], zero)
+            quotient = bch_coords(alg, head, inv_pivot, zero)
         domain = [v for v in phi.domain if v != t]
-        produced.append((PolyMap(alg, new_vars, bch_coords(alg, head, inv_pivot, zero), domain=domain), mult))
+        produced.append((PolyMap(alg, new_vars, quotient, domain=domain), mult))
     for n, (phi, _) in enumerate(produced):
         check_time_origin(phi, n)
     return produced

@@ -12,10 +12,10 @@ order.  The PET order's class matching is cross-checked against an
 exhaustive search over bijections.  Nothing in these oracles imports the
 package under test.
 
-The last section holds the pointwise product and inverse of maps, a map's
-weight, the leading-term partition, the weight assignment and the
-fundamental-domain reduction of float points: helpers that only the tests
-call, built on the package.
+The last section holds the pointwise product and inverse of maps, one PET
+derivation step by BCH alone, a map's weight, the leading-term partition,
+the weight assignment and the fundamental-domain reduction of float points:
+helpers that only the tests call, built on the package.
 """
 
 from __future__ import annotations
@@ -30,7 +30,16 @@ import numpy as np
 from nilflow.dynamics import NilSystem, _reduce
 from nilflow.lie_core import bch_coords
 from nilflow.multipoly import MultiPoly
-from nilflow.pet import PolyFamily, Weight, _classify, _counts, _leading_info, _member_partition, _weight_of
+from nilflow.pet import (
+    PolyFamily,
+    Weight,
+    _classify,
+    _counts,
+    _fresh_shift_name,
+    _leading_info,
+    _member_partition,
+    _weight_of,
+)
 from nilflow.poly_maps import PolyMap, _check_compatible, leading_term
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -337,6 +346,31 @@ def pointwise_product(phi: PolyMap, psi: PolyMap) -> PolyMap:
 def pointwise_inverse(phi: PolyMap) -> PolyMap:
     """x -> phi(x)^{-1}; negation in exponential coordinates."""
     return PolyMap(phi.algebra, phi.vars, [-c for c in phi.coords], domain=phi.domain)
+
+
+def derive_members_by_bch(members: Sequence[Tuple[PolyMap, int]], p: int) -> List[Tuple[PolyMap, int]]:
+    """`pet._derive_members` without its shortcut for members linear in t:
+    every shifted quotient phi(k)^-1 * phi(t + k) * pivot^-1 is built by two
+    shifts and two BCH products."""
+    base = members[p][0]
+    alg, t = base.algebra, base.time_var
+    new_vars = base.vars + (_fresh_shift_name(base.vars),)
+    zero = MultiPoly.zero(new_vars)
+    inv_pivot = [-c.with_vars(new_vars) for c in base.coords]
+    produced = []
+    for i, (phi, mult) in enumerate(members):
+        if i == p:
+            if mult > 1:
+                produced.append((PolyMap.constant_identity(alg, new_vars), mult - 1))
+        else:
+            quotient = bch_coords(alg, [c.with_vars(new_vars) for c in phi.coords], inv_pivot, zero)
+            produced.append((PolyMap(alg, new_vars, quotient), mult))
+    for phi, mult in members:
+        at_k = [-c.shift(new_vars, t, keep=False) for c in phi.coords]
+        head = bch_coords(alg, at_k, [c.shift(new_vars, t) for c in phi.coords], zero)
+        domain = [v for v in phi.domain if v != t]
+        produced.append((PolyMap(alg, new_vars, bch_coords(alg, head, inv_pivot, zero), domain=domain), mult))
+    return produced
 
 
 def weight(phi: PolyMap) -> Weight:

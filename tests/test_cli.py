@@ -810,6 +810,15 @@ REFUSED = [
         "demo_weyl_square", "demo", ("algebra",), {"builtin": "abelian", "n": 1},
         "algebra builtin 'abelian': got an unexpected keyword argument 'n'",
     ),
+    # names are checked before values: an unknown parameter is not typed
+    (
+        "demo_verify_poly", "demo", ("algebra",), {"builtin": "abelian", "dim": 1, "junk": "x"},
+        "algebra builtin 'abelian': got an unexpected keyword argument 'junk'",
+    ),
+    (
+        "demo_pet_pair", "demo", ("algebra", "junk"), "x",
+        "algebra builtin 'heisenberg': got an unexpected keyword argument 'junk'",
+    ),
 ]
 
 

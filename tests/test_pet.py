@@ -17,6 +17,7 @@ from nilflow.pet import (
     _descending_key,
     _derive_members,
     _descent_certificate,
+    _merge_members,
     _sorted_matching,
     derived_family,
     family_precedes,
@@ -34,6 +35,7 @@ from nilflow.poly_maps import (
     lt_equivalent,
 )
 from oracles import (
+    derive_members_by_bch,
     lt_partition,
     pointwise_inverse,
     pointwise_product,
@@ -500,3 +502,69 @@ def test_differencing_shifts_equal_substitution_with_domains():
             assert phi.vars == psi.vars
             assert phi.domain == psi.domain
             assert [c.terms for c in phi.coords] == [c.terms for c in psi.coords]
+
+
+def _member_of_t_degree(rng, alg, variables, degree):
+    """A member fixing e at time 0 whose terms have t-degree 1 to `degree`,
+    with a term t^degree in one coordinate."""
+    coords = []
+    for _ in range(alg.dim):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            exp = (rng.randint(1, degree),) + tuple(rng.randint(0, 1) for _ in variables[1:])
+            terms[exp] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        coords.append(MultiPoly(variables, terms))
+    c = rng.randrange(alg.dim)
+    top = MultiPoly(variables, {(degree,) + (0,) * (len(variables) - 1): rng.choice([-3, 1, 2])})
+    coords[c] = coords[c] + top
+    return PolyMap(alg, variables, coords, domain=rng.sample(variables, rng.randint(0, len(variables))))
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("heisenberg", {"dim": 3}),
+        ("heisenberg", {"dim": 5}),
+        ("strictly_upper_triangular", {"n": 4}),
+        ("free_nilpotent", {"generators": 2, "step": 3}),
+        ("abelian", {"dim": 2}),
+    ],
+)
+def test_derivation_matches_the_bch_oracle(kind, params):
+    """Shifted quotients reused for members linear in t agree, entry by
+    entry, with the ones built by two shifts and two BCH products."""
+    alg = make_builtin(kind, **params)
+    rng = random.Random(f"{kind}-{sorted(params.items())}")
+    linear = 0
+    for n in range(8):
+        variables = ("t",) + tuple(rng.sample(["h0", "k", "h1"], rng.randint(0, 2)))
+        degrees = [1 if m % 2 == n % 2 else rng.choice([2, 2, 3]) for m in range(rng.randint(2, 4))]
+        members = [(_member_of_t_degree(rng, alg, variables, d), rng.randint(1, 3)) for d in degrees]
+        if n % 3 == 0:
+            members.append((PolyMap.constant_identity(alg, variables), 1))
+        p = rng.randrange(len(members))
+        if n % 2 == 0:
+            # further copies of the pivot, and a sibling equal to it
+            members[p] = (members[p][0], rng.randint(2, 3))
+            members.append((members[p][0], 1))
+        linear += degrees.count(1)
+        got = _derive_members(members, p)
+        want = derive_members_by_bch(members, p)
+        assert len(got) == len(want) == 2 * len(members) - (members[p][1] == 1)
+        for (phi, mult), (psi, want_mult) in zip(got, want):
+            assert mult == want_mult
+            assert phi.vars == psi.vars
+            assert phi.domain == psi.domain
+            assert [c.terms for c in phi.coords] == [c.terms for c in psi.coords]
+    assert linear >= 8
+
+
+def test_merge_keys_compare_coefficients_exactly():
+    """Equal Fractions built in different ways merge; one differing
+    coefficient keeps two maps apart."""
+    half = PolyMap(H3, ("t",), [MultiPoly(("t",), {(1,): Fraction(2, 4)}), MultiPoly(("t",), {(2,): 3}), MultiPoly(("t",))])
+    same = PolyMap(H3, ("t",), [MultiPoly(("t",), {(1,): "1/2"}), MultiPoly(("t",), {(2,): Fraction(6, 2)}), MultiPoly(("t",))])
+    other = PolyMap(H3, ("t",), [MultiPoly(("t",), {(1,): "1/2"}), MultiPoly(("t",), {(2,): "3/2"}), MultiPoly(("t",))])
+    merged = _merge_members([(half, 1), (other, 2), (same, 3)])
+    assert merged == [(half, 4), (other, 2)]
+    assert merged[0][0] is half
