@@ -262,25 +262,62 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
         table.writerows(rows)
 
 
+class _Memoized(tuple):
+    """`(key, node)`: a piece of a member whose text is kept for one PET
+    level, under its content key and its indent."""
+
+    __slots__ = ()
+
+
+def _level_view(node: dict) -> dict:
+    """A member's `map` with its name lists and its terms marked for the
+    memo; a term is keyed by its `coef` and `exp`, all that
+    `MultiPoly.to_terms` writes."""
+    view = dict(node)
+    for name in ("vars", "domain"):
+        if name in node:
+            view[name] = _Memoized((tuple(node[name]), node[name]))
+    view["coords"] = [[_Memoized(((t["coef"], tuple(t["exp"])), t)) for t in coord] for coord in node["coords"]]
+    return view
+
+
 def _json_chunks(node, indent: str = "\n") -> Iterator[str]:
     """The text `json.dumps(node, indent=2, sort_keys=True)` gives, in pieces.
 
-    Every container is yielded piece by piece, except a `MemberDoc` and what
-    lies below it, which is joined into one string with plain `str` and
-    `int` children written inline: most nodes of a member are exponents and
-    coefficients.  A member's text is kept until its next use at the same
-    indent (a step's `derived` and the next step's `family`), then dropped,
-    so about one PET level is held as text at a time.  Keys must be
-    strings: `_quote` raises TypeError on any other key.
+    A `MemberDoc` is joined into one string from memoized pieces: the text
+    of each term, keyed by its coefficient string and exponent tuple, and
+    of its `vars` and `domain` lists, keyed by the tuple of names; each key
+    also holds the indent, and what is kept is what `encode` returns.  The
+    pieces of one PET level are kept until a member with another variable
+    list arrives.  A member's whole text is kept until its next use at the
+    same indent (a step's `derived` and the next step's `family`), then
+    dropped.  So about one PET level is held as text at a time.
+
+    Only a container that holds containers is streamed, item by item; any
+    other node, such as a list of ints, is encoded whole, with plain `str`
+    and `int` children written inline.  Keys must be strings: `_quote`
+    raises TypeError on any other key.
     """
     texts: Dict[Tuple[int, str], str] = {}
+    pieces: Dict[tuple, str] = {}
+    level = None  # the variable list of the members whose pieces are kept
 
     def encode(node, indent: str) -> str:
+        nonlocal level
+        if type(node) is _Memoized:
+            key = (node[0], indent)
+            text = pieces.get(key)
+            if text is None:
+                text = pieces[key] = encode(node[1], indent)
+            return text
         if type(node) is MemberDoc:
             key = (id(node), indent)
             text = texts.pop(key, None)
             if text is None:
-                text = texts[key] = encode(dict(node), indent)
+                if node["map"]["vars"] != level:
+                    pieces.clear()
+                    level = node["map"]["vars"]
+                text = texts[key] = encode({**node, "map": _level_view(node["map"])}, indent)
             return text
         if isinstance(node, dict):
             if not node:
@@ -304,7 +341,12 @@ def _json_chunks(node, indent: str = "\n") -> Iterator[str]:
         return _quote(node) if type(node) is str else json.dumps(node)  # TypeError if not JSON
 
     def streamed(node) -> bool:
-        return isinstance(node, (dict, list, tuple)) and type(node) is not MemberDoc and bool(node)
+        # a MemberDoc is no plain dict, so it is encoded whole
+        if type(node) is dict:
+            node = node.values()
+        elif not isinstance(node, (list, tuple)):
+            return False
+        return any(isinstance(v, (dict, list, tuple)) for v in node)
 
     def chunks(node, indent: str) -> Iterator[str]:
         inner = indent + "  "
@@ -397,7 +439,7 @@ def cmd_pet(cfg: dict, threads: int) -> Outputs:
         for depth, step in enumerate(trace.steps)
     ]
     header = ["step", "family_size", "lt_classes", "pivot", "certificate"]
-    certificate = {"certified": True, "trace": trace_to_json_dict(trace)}
+    certificate = {"certified": True, "trace": trace_to_json_dict(trace, algebra)}
     sidecar = {**_family_doc(algebra, family), "max_depth": max_depth}
     summary = [f"descent certified in {trace.depth} steps;"
                f" final family size {sum(m for _, m in trace.final_family)}"]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import CertificateError, ConfigError, TruncationError
-from .lie_core import algebra_to_json_dict, bch_coords
+from .lie_core import LieAlgebraSpec, algebra_to_json_dict, bch_coords
 from .multipoly import MultiPoly
 from .poly_maps import (
     LeadingTerm,
@@ -404,13 +404,9 @@ class MemberDoc(dict):
     __slots__ = ()
 
 
-def trace_to_json_dict(trace: PETTrace) -> dict:
-    """Certificate document: one record per step plus the final family."""
-    algebra = None
-    if trace.final_family:
-        algebra = trace.final_family[0][0].algebra
-    elif trace.steps:
-        algebra = trace.steps[0].family[0][0].algebra
+def trace_to_json_dict(trace: PETTrace, algebra: LieAlgebraSpec) -> dict:
+    """Certificate document of a trace of a family in `algebra`: one record
+    per step plus the final family."""
     docs: Dict[int, MemberDoc] = {}
 
     def members_to_json(members: Members) -> list:
@@ -436,7 +432,7 @@ def trace_to_json_dict(trace: PETTrace) -> dict:
             }
         )
     return {
-        "algebra": algebra_to_json_dict(algebra) if algebra is not None else None,
+        "algebra": algebra_to_json_dict(algebra),
         "depth": trace.depth,
         "steps": steps,
         "final_family": members_to_json(trace.final_family),

@@ -188,7 +188,12 @@ class LeadingTerm:
             raise ValueError("leading coefficient vector is identically zero")
 
     def __hash__(self) -> int:
-        coeff = tuple(frozenset(c.terms.items()) for c in self.coefficient)
+        # Fractions are normalised, so equal terms give equal integer
+        # triples, which hash without a Fraction's modular inverse.
+        coeff = tuple(
+            frozenset((exp, coef.numerator, coef.denominator) for exp, coef in c.terms.items())
+            for c in self.coefficient
+        )
         return hash((self.internal_class, self.leading_degree, coeff))
 
 

@@ -138,6 +138,18 @@ def test_pet_demo_writes_certified_trace(tmp_path):
     assert len(read_rows(tmp_path)) == cert["trace"]["depth"] + 1
 
 
+@pytest.mark.parametrize("family", [[{"coords": {}}, {"coords": {}}], []], ids=["constant", "empty"])
+def test_pet_certificate_names_the_algebra_of_a_family_with_nothing_to_descend(tmp_path, family):
+    """No step and no final member carries the algebra, so it comes from the config."""
+    cfg = write_config(tmp_path, {"algebra": {"builtin": "heisenberg", "dim": 3}, "family": family})
+    assert run("pet", cfg, tmp_path) == 0
+    trace = json.loads((tmp_path / "certificate.json").read_text())["trace"]
+    assert (trace["depth"], trace["steps"], trace["final_family"]) == (0, [], [])
+    assert trace["final_dropped"] == len(family)
+    assert trace["algebra"] == json.loads((tmp_path / "sidecar.json").read_text())["algebra"]
+    assert trace["algebra"]["labels"] == ["x1", "y1", "z"]
+
+
 def _perfbench_module(name, monkeypatch):
     """perfbench/<name>.py, compiled in memory so that no bytecode is written there."""
     path = PERFBENCH / f"{name}.py"
@@ -942,6 +954,29 @@ def _random_json(rng, depth):
     return {k: _random_json(rng, depth - 1) for k in keys}
 
 
+def pet_certificate(cfg):
+    """The trace document `nilflow pet` writes for a config."""
+    algebra = _load_algebra(cfg)
+    return trace_to_json_dict(pet_trace(PolyFamily(_load_members(cfg, algebra))), algebra)
+
+
+# the benchmark's A2-triple shape, whose certificate is about 1 MB
+A2_TRIPLE = {
+    "algebra": {"builtin": "abelian", "dim": 2},
+    "family": [
+        {"coords": {"e1": {"t^3": 1, "t": u}, "e2": {"t": r}}} for u, r in (("2", "2/3"), ("1/4", "-2"), ("4", "-5"))
+    ],
+}
+H5_PAIR = {
+    "algebra": {"builtin": "heisenberg", "dim": 5},
+    "family": [{"coords": {"x1": {"t": 1}, "y2": {"t": "1/2"}}}, {"coords": {"x2": {"t^2": "-1/3"}}}],
+}
+FREE_PAIR = {
+    "algebra": {"builtin": "free_nilpotent", "generators": 2, "step": 3},
+    "family": [{"coords": {"x1": {"t": 1}}}, {"coords": {"x2": {"t": "1/2"}}}],
+}
+
+
 def test_json_writer_matches_the_standard_encoder(tmp_path):
     docs = [[v] for v in JSON_EDGE_VALUES] + JSON_EDGE_VALUES
     docs.append({str(i): v for i, v in enumerate(JSON_EDGE_VALUES)})
@@ -953,8 +988,16 @@ def test_json_writer_matches_the_standard_encoder(tmp_path):
     once = MemberDoc(multiplicity=1, map={"vars": ["t", "k"], "coords": [[], []]})
     shared = {"steps": [{"derived": [kept, once]}, {"family": [kept]}], "final_family": [kept]}
     docs += [shared, [shared, shared, kept]]
-    cfg = json.loads((DEMOS / "demo_pet_pair.json").read_text())
-    docs.append(trace_to_json_dict(pet_trace(PolyFamily(_load_members(cfg, _load_algebra(cfg))))))
+    docs.append(pet_certificate(json.loads((DEMOS / "demo_pet_pair.json").read_text())))
+    # certificates of several levels, whose term texts the writer keeps for
+    # one level: the benchmark's A2-triple shape, heisenberg(5), and
+    # free_nilpotent(2, 3)
+    docs += [pet_certificate(A2_TRIPLE), pet_certificate(H5_PAIR), pet_certificate(FREE_PAIR)]
+    # a trace that ends with a member; beside the certificate, the member is
+    # written again at a second indent
+    ends = pet_certificate({"algebra": {"builtin": "heisenberg", "dim": 5}, "family": H5_PAIR["family"][1:]})
+    assert ends["final_family"]
+    docs.append({"trace": ends, "again": ends["final_family"]})
     path = tmp_path / "doc.json"
     for doc in docs:
         _write_json(path, doc)
@@ -977,8 +1020,7 @@ def test_a_failed_json_write_keeps_the_older_file(tmp_path):
     whole, and no temporary file may be left."""
     assert run("pet", DEMOS / "demo_pet_pair.json", tmp_path) == 0
     older = (tmp_path / "certificate.json").read_bytes()
-    cfg = json.loads((DEMOS / "demo_pet_pair.json").read_text())
-    trace = trace_to_json_dict(pet_trace(PolyFamily(_load_members(cfg, _load_algebra(cfg)))))
+    trace = pet_certificate(json.loads((DEMOS / "demo_pet_pair.json").read_text()))
     assert len(trace["steps"]) > 1
     trace["steps"][-1]["pivot"] = Fraction(1, 3)
     with pytest.raises(TypeError):
@@ -996,7 +1038,7 @@ def test_json_writer_holds_a_small_part_of_a_certificate(tmp_path):
     ]
     cfg = {"algebra": {"builtin": "abelian", "dim": 2}, "family": members}
     trace = pet_trace(PolyFamily(_load_members(cfg, _load_algebra(cfg))))
-    doc = {"command": "pet", "certified": True, "trace": trace_to_json_dict(trace)}
+    doc = {"command": "pet", "certified": True, "trace": trace_to_json_dict(trace, _load_algebra(cfg))}
     path = tmp_path / "certificate.json"
     tracemalloc.start()
     try:
@@ -1004,6 +1046,33 @@ def test_json_writer_holds_a_small_part_of_a_certificate(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 10**6
+    assert peak < size / 4, (peak, size)
+
+
+def test_json_writer_keeps_term_texts_for_one_level(tmp_path):
+    """Forty levels chained as in a trace (a step's `derived` is the next
+    step's `family`), each with its own variables and terms that repeat
+    nowhere: term texts kept past their level would hold most of the file,
+    where the writer's traced peak stays under a quarter of it."""
+    levels = []
+    for depth in range(40):
+        names = ["t"] + [f"k{i}" for i in range(depth)]
+        coords = [
+            [{"exp": [1 + j % 3] + [(j >> i) & 1 for i in range(depth)], "coef": f"{depth}/{7 * m + j + 1}"} for j in range(8)]
+            for m in range(4)
+        ]
+        levels.append([MemberDoc(multiplicity=1, map={"vars": names, "coords": [coord, []]}) for coord in coords])
+    doc = {"steps": [{"family": family, "derived": derived} for family, derived in zip(levels, levels[1:])]}
+    path = tmp_path / "doc.json"
+    tracemalloc.start()
+    try:
+        _write_json(path, doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
     size = path.stat().st_size
     assert size > 10**6
     assert peak < size / 4, (peak, size)

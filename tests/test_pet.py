@@ -416,7 +416,7 @@ def test_trace_refuses_negative_depth():
 def test_trace_json_document():
     fam = PolyFamily([h3_map(x1=tpow(1)), h3_map(x1=2 * tpow(1))])
     trace = pet_trace(fam)
-    doc = trace_to_json_dict(trace)
+    doc = trace_to_json_dict(trace, H3)
     assert doc["depth"] == trace.depth
     assert doc["algebra"]["labels"] == ["x1", "y1", "z"]
     step = doc["steps"][0]
@@ -434,7 +434,7 @@ def test_trace_json_document():
     assert step["assignment"] == [[1, 1, 2]]
     assert step["family"][0]["multiplicity"] == 1
     # a member that one step derives and the next keeps is one object
-    doc = trace_to_json_dict(pet_trace(PolyFamily([h3_map(x1=tpow(1)), h3_map(x1=tpow(2))])))
+    doc = trace_to_json_dict(pet_trace(PolyFamily([h3_map(x1=tpow(1)), h3_map(x1=tpow(2))])), H3)
     steps = doc["steps"]
     assert len(steps) >= 2
     for step, kept in zip(steps, [s["family"] for s in steps[1:]] + [doc["final_family"]]):

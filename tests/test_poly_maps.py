@@ -355,6 +355,17 @@ def test_leading_term_ignores_deeper_and_lower_degree_factors():
         assert lt.coefficient == base.coefficient
 
 
+def test_leading_terms_hash_and_compare_coefficients_exactly():
+    """Equal Fractions built in different ways key one class; one differing
+    coefficient keeps two leading terms apart."""
+    half = leading_term(exp_map({"x1": MultiPoly(("t",), {(2,): Fraction(2, 4)}), "y1": t_poly() ** 2 * 3}))
+    same = leading_term(exp_map({"x1": MultiPoly(("t",), {(2,): "1/2"}), "y1": t_poly() ** 2 * Fraction(6, 2)}))
+    other = leading_term(exp_map({"x1": MultiPoly(("t",), {(2,): "1/2"}), "y1": t_poly() ** 2 * Fraction(3, 2)}))
+    assert same == half and hash(same) == hash(half)
+    assert other != half
+    assert {half: 1, same: 2, other: 3} == {half: 2, other: 3}
+
+
 # ----------------------------------------------------------------------
 # serialization
 
